@@ -149,27 +149,11 @@ def _lift(x) -> Var:
 # --- free functions ---------------------------------------------------------
 
 
-def constant(x) -> Var:
-    return _lift(x)
-
-
 def clip01(x: Var) -> Var:
     """Clip to [0, 1]; gradient passes only strictly inside the interval."""
     out = Var(np.clip(x.value, 0.0, 1.0), (x,))
     inside = (x.value > 0.0) & (x.value < 1.0)
     out.vjp = lambda g: (g * inside,)
-    return out
-
-
-def exp(x: Var) -> Var:
-    out = Var(np.exp(x.value), (x,))
-    out.vjp = lambda g: (g * out.value,)
-    return out
-
-
-def log(x: Var) -> Var:
-    out = Var(np.log(x.value), (x,))
-    out.vjp = lambda g: (g / x.value,)
     return out
 
 
@@ -220,15 +204,6 @@ def logsumexp(x: Var, axis: int = -1) -> Var:
     return out
 
 
-def concat(parts: list, axis: int = -1) -> Var:
-    parts = [_lift(p) for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-    out.vjp = lambda g: tuple(np.split(g, splits, axis=axis))
-    return out
-
-
 def gather_rows(table: Var, ids: np.ndarray) -> Var:
     """Embedding lookup: table[(ids,)] with scatter-add backward."""
     ids = np.asarray(ids)
@@ -254,14 +229,6 @@ def take_labels(logits: Var, labels: np.ndarray) -> Var:
         return (full,)
 
     out.vjp = vjp
-    return out
-
-
-def l2norm(x: Var) -> Var:
-    """Euclidean norm of the flattened array; zero vector gets zero gradient."""
-    n = float(np.sqrt((x.value ** 2).sum()))
-    out = Var(n, (x,))
-    out.vjp = lambda g: (g * x.value / n if n > 0.0 else np.zeros_like(x.value),)
     return out
 
 

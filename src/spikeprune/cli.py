@@ -22,11 +22,12 @@ import numpy as np
 
 from .config import RunConfig, resolve_config
 from .cost import acs_total, normalized_c, per_sublayer_acs
-from .data import Dataset, gen_keyword_task, load_jsonl
+from .data import Dataset, gen_keyword_task, iter_batches, load_jsonl
 from .engine import TimestepPlan, rate_proxy_forward, run_sequential, run_unrolled
 from .errors import InvalidInputError, SpikePruneError
 from .importance import asr_factors, combine, fisher_diagonal
-from .model import MaskSet, ModelConfig, init_model, load_checkpoint, save_checkpoint
+from .model import (SUBLAYERS, MaskSet, ModelConfig, _plan_to_dict, init_model,
+                    load_checkpoint, save_checkpoint)
 from .numerics import RandomStream
 from .spatial import refine_masks, select_masks
 from .temporal import allocate_timesteps, layer_importance, scale_plan
@@ -63,10 +64,31 @@ def _gen_dataset(mcfg: ModelConfig, count: int, stream: RandomStream) -> Dataset
     return gen_keyword_task(mcfg.vocab_size, mcfg.seq_len, count, stream)
 
 
+def _synthetic_run(cfg: RunConfig, seed: int):
+    """Fresh model plus synthetic train and test sets from one master seed."""
+    mcfg = cfg.model_config()
+    master = RandomStream(seed)
+    return (master, init_model(mcfg, master.derive(_LANE_INIT)),
+            _gen_dataset(mcfg, cfg.train_examples, master.derive(_LANE_TRAIN)),
+            _gen_dataset(mcfg, cfg.test_examples, master.derive(_LANE_TEST)))
+
+
+def _write_result(result: dict, path) -> None:
+    """Print a JSON result and, when path is given, also write it there."""
+    text = json.dumps(result, indent=2, sort_keys=True)
+    print(text)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+
+
 def _dataset_arg(spec: str, mcfg: ModelConfig, stream: RandomStream) -> Dataset:
     """A dataset argument is either a JSONL path or a synthetic example count."""
     if os.path.exists(spec):
-        return load_jsonl(spec, mcfg.seq_len, mcfg.vocab_size, mcfg.num_classes)
+        data = load_jsonl(spec, mcfg.seq_len, mcfg.vocab_size, mcfg.num_classes)
+        if len(data) == 0:
+            raise InvalidInputError(f"{spec}: no examples")
+        return data
     try:
         count = int(spec)
     except ValueError:
@@ -77,11 +99,6 @@ def _dataset_arg(spec: str, mcfg: ModelConfig, stream: RandomStream) -> Dataset:
     return _gen_dataset(mcfg, count, stream)
 
 
-def _batches(dataset: Dataset, size: int):
-    return [(dataset.tokens[i:i + size], dataset.labels[i:i + size])
-            for i in range(0, len(dataset), size)]
-
-
 def _print_history(history: list) -> None:
     for row in history:
         print(f"epoch {row['epoch']}: loss={row['loss']:.4f} "
@@ -90,7 +107,7 @@ def _print_history(history: list) -> None:
 
 
 def _importance_scores(model, masks, calib: Dataset, batch_size: int):
-    fisher = fisher_diagonal(model, _batches(calib, batch_size))
+    fisher = fisher_diagonal(model, iter_batches(calib, batch_size))
     _, traces = run_unrolled(model, masks, calib.tokens, model.config.t_conv)
     asr = asr_factors(traces, model.config)
     return combine(fisher, asr)
@@ -133,32 +150,24 @@ def _seq_accuracy(model, masks, plan, data: Dataset, stream: RandomStream,
     return hits / len(data)
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    mcfg = cfg.model_config()
+def _train_and_save(args, cfg: RunConfig, seed: int, model, masks, plan,
+                    overrides: dict) -> int:
+    """Shared tail of train and retrain: data, overrides, train, save, report."""
+    mcfg = model.config
     master = RandomStream(seed)
-    model = init_model(mcfg, master.derive(_LANE_INIT))
-    if args.data:
-        train_data = load_jsonl(args.data, mcfg.seq_len, mcfg.vocab_size,
-                                mcfg.num_classes)
-    else:
-        train_data = _gen_dataset(mcfg, cfg.train_examples, master.derive(_LANE_TRAIN))
-    if args.test_data:
-        test_data = load_jsonl(args.test_data, mcfg.seq_len, mcfg.vocab_size,
-                               mcfg.num_classes)
-    else:
-        test_data = _gen_dataset(mcfg, cfg.test_examples, master.derive(_LANE_TEST))
 
-    masks = MaskSet.all_ones(model)
-    plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
-    overrides = {"seed": seed}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
+    def data(path, count, lane):
+        if path:
+            return load_jsonl(path, mcfg.seq_len, mcfg.vocab_size, mcfg.num_classes)
+        return _gen_dataset(mcfg, count, master.derive(lane))
+
+    train_data = data(args.data, cfg.train_examples, _LANE_TRAIN)
+    test_data = data(args.test_data, cfg.test_examples, _LANE_TEST)
+    overrides["seed"] = seed
+    for key, value in (("epochs", args.epochs), ("eta", args.eta),
+                       ("learning_rate", args.lr)):
+        if value is not None:
+            overrides[key] = value
     tcfg = cfg.train_config(**overrides)
     model, masks, plan, history = train(model, masks, plan, train_data, tcfg,
                                         eval_data=test_data)
@@ -169,6 +178,15 @@ def cmd_train(args) -> int:
     final = history[-1]["accuracy"] if history else float("nan")
     print(f"saved {args.out} (test accuracy {final:.4f})")
     return 0
+
+
+def cmd_train(args) -> int:
+    cfg = resolve_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.seed
+    mcfg = cfg.model_config()
+    model = init_model(mcfg, RandomStream(seed).derive(_LANE_INIT))
+    return _train_and_save(args, cfg, seed, model, MaskSet.all_ones(model),
+                           TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv), {})
 
 
 def cmd_prune_spatial(args) -> int:
@@ -200,6 +218,16 @@ def _base_arg(value: str) -> float:
     return base
 
 
+def _batch_arg(value: str) -> int:
+    try:
+        batch = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid batch size {value!r}") from None
+    if batch < 1:
+        raise argparse.ArgumentTypeError("batch must be a positive integer")
+    return batch
+
+
 def _rho_arg(value: str) -> float:
     try:
         rho = float(value)
@@ -226,8 +254,7 @@ def cmd_prune_temporal(args) -> int:
     if args.rho < 1.0:
         new_plan = scale_plan(new_plan, args.rho)
     save_checkpoint(args.out, model, masks, new_plan)
-    names = [f"L{l}.{n}" for l in range(cfg.num_layers) for n in
-             ("key", "value", "attn", "fc", "inter", "output")]
+    names = [f"L{l}.{n}" for l in range(cfg.num_layers) for n in SUBLAYERS]
     for name, ci, ti in zip(names, c, new_plan.flat()):
         print(f"{name}: c={int(ci)} t={int(ti)}")
     print(f"mean timesteps: {plan.mean_timesteps():.2f} -> "
@@ -240,37 +267,10 @@ def cmd_retrain(args) -> int:
     model, masks, plan = load_checkpoint(args.checkpoint)
     cfg = resolve_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    mcfg = model.config
-    master = RandomStream(seed)
-    if args.data:
-        train_data = load_jsonl(args.data, mcfg.seq_len, mcfg.vocab_size,
-                                mcfg.num_classes)
-    else:
-        train_data = _gen_dataset(mcfg, cfg.train_examples, master.derive(_LANE_TRAIN))
-    if args.test_data:
-        test_data = load_jsonl(args.test_data, mcfg.seq_len, mcfg.vocab_size,
-                               mcfg.num_classes)
-    else:
-        test_data = _gen_dataset(mcfg, cfg.test_examples, master.derive(_LANE_TEST))
-    overrides = {"seed": seed, "adaptive_vth": not args.fixed_vth}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
+    overrides = {"adaptive_vth": not args.fixed_vth}
     if args.penalty_epochs is not None:
         overrides["penalty_epochs"] = args.penalty_epochs
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    tcfg = cfg.train_config(**overrides)
-    model, masks, plan, history = train(model, masks, plan, train_data, tcfg,
-                                        eval_data=test_data)
-    save_checkpoint(args.out, model, masks, plan)
-    if args.history:
-        _write_history_csv(args.history, history)
-    _print_history(history)
-    final = history[-1]["accuracy"] if history else float("nan")
-    print(f"saved {args.out} (test accuracy {final:.4f})")
-    return 0
+    return _train_and_save(args, cfg, seed, model, masks, plan, overrides)
 
 
 def cmd_eval(args) -> int:
@@ -303,11 +303,7 @@ def cmd_eval(args) -> int:
         "mean_timesteps": plan.mean_timesteps(),
         "examples": len(data),
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_result(result, args.out)
     return 0
 
 
@@ -352,9 +348,7 @@ def cmd_report(args) -> int:
         "config": cfg.to_dict(),
         "active_heads": heads,
         "active_neurons": neurons,
-        "timestep_plan": {name: plan.steps[:, i].tolist()
-                          for i, name in enumerate(
-                              ("key", "value", "attn", "fc", "inter", "output"))},
+        "timestep_plan": _plan_to_dict(plan),
         "acs_total": report.total,
         "acs_ratio": report.ratio,
         "normalized_c": _proxy_normalized_c(model, masks, plan, calib.tokens),
@@ -370,10 +364,7 @@ def _ablate_activity(cfg: RunConfig, seed: int, epochs) -> dict:
     mcfg = cfg.model_config()
     results = {}
     for label, eta in (("with_activity", cfg.eta), ("without_activity", 0.0)):
-        master = RandomStream(seed)
-        model = init_model(mcfg, master.derive(_LANE_INIT))
-        train_data = _gen_dataset(mcfg, cfg.train_examples, master.derive(_LANE_TRAIN))
-        test_data = _gen_dataset(mcfg, cfg.test_examples, master.derive(_LANE_TEST))
+        _, model, train_data, test_data = _synthetic_run(cfg, seed)
         tcfg = cfg.train_config(seed=seed, eta=eta,
                                 **({"epochs": epochs} if epochs else {}))
         masks = MaskSet.all_ones(model)
@@ -400,10 +391,7 @@ def _ablate_activity(cfg: RunConfig, seed: int, epochs) -> dict:
 
 def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs) -> dict:
     mcfg = cfg.model_config()
-    master = RandomStream(seed)
-    model = init_model(mcfg, master.derive(_LANE_INIT))
-    train_data = _gen_dataset(mcfg, cfg.train_examples, master.derive(_LANE_TRAIN))
-    test_data = _gen_dataset(mcfg, cfg.test_examples, master.derive(_LANE_TEST))
+    master, model, train_data, test_data = _synthetic_run(cfg, seed)
     eval_lane = master.derive(_LANE_EVAL)
     masks = MaskSet.all_ones(model)
     plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
@@ -439,10 +427,7 @@ def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs) -> dict:
 
 def _ablate_joint(cfg: RunConfig, seed: int, epochs) -> dict:
     mcfg = cfg.model_config()
-    master = RandomStream(seed)
-    model0 = init_model(mcfg, master.derive(_LANE_INIT))
-    train_data = _gen_dataset(mcfg, cfg.train_examples, master.derive(_LANE_TRAIN))
-    test_data = _gen_dataset(mcfg, cfg.test_examples, master.derive(_LANE_TEST))
+    _, model0, train_data, test_data = _synthetic_run(cfg, seed)
     plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
     n_epochs = epochs if epochs else cfg.epochs
     results = {}
@@ -490,11 +475,7 @@ def cmd_ablate(args) -> int:
     results = runners[args.study](cfg, seed, args.epochs)
     results["study"] = args.study
     results["seed"] = seed
-    text = json.dumps(results, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_result(results, args.out)
     return 0
 
 
@@ -525,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ACs budget as a fraction of the dense cost")
     p.add_argument("--calib", default="256",
                    help="calibration JSONL path or synthetic example count")
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_batch_arg, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prune_spatial)
 
@@ -563,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default="500",
                    help="test JSONL path or synthetic example count")
-    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--batch", type=_batch_arg, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the JSON result here")
     p.set_defaults(func=cmd_eval)
@@ -572,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--calib", default="256")
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--batch", type=_batch_arg, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
 

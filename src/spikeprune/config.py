@@ -90,13 +90,9 @@ class RunConfig:
 
 
 _ALIASES = {"lambda": "lam"}
-_INT_FIELDS = {"num_layers", "hidden_size", "num_heads", "intermediate_size",
-               "seq_len", "vocab_size", "num_classes", "t_conv", "epochs",
-               "penalty_epochs", "pca_interval", "train_batch", "test_batch",
-               "seed", "train_examples", "test_examples"}
-_FLOAT_FIELDS = {"leak", "initial_vth", "pca_components", "pca_base",
-                 "learning_rate", "lam", "eta", "kappa", "momentum",
-                 "acs_constraint", "rho"}
+# every key parses as its RunConfig field's declared type
+_PARSERS = {f.name: (int, "an integer") if f.type == "int" else (float, "a number")
+            for f in dataclasses.fields(RunConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -110,20 +106,13 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         key, _, val = line.partition("=")
         key = _ALIASES.get(key.strip(), key.strip())
         val = val.strip()
-        if key in _INT_FIELDS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise InvalidInputError(
-                    f"{source}:{lineno}: {key} must be an integer") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise InvalidInputError(
-                    f"{source}:{lineno}: {key} must be a number") from None
-        else:
+        if key not in _PARSERS:
             raise InvalidInputError(f"{source}:{lineno}: unknown key {key!r}")
+        parse, kind = _PARSERS[key]
+        try:
+            values[key] = parse(val)
+        except ValueError:
+            raise InvalidInputError(f"{source}:{lineno}: {key} must be {kind}") from None
     return RunConfig(**values)
 
 

@@ -23,7 +23,6 @@ from .model import SUBLAYERS, MaskSet, ModelConfig
 from .engine import TimestepPlan
 
 __all__ = [
-    "LayerAcs",
     "AcsReport",
     "acs_total",
     "acs_value",
@@ -35,56 +34,44 @@ __all__ = [
 
 
 @dataclasses.dataclass
-class LayerAcs:
-    acs_qkv: float
-    acs_attn: float
-    acs_fc: float
-    acs_neurons: float
-
-    @property
-    def total(self):
-        return self.acs_qkv + self.acs_attn + self.acs_fc + self.acs_neurons
-
-
-@dataclasses.dataclass
 class AcsReport:
-    layers: list
     total: float
     baseline: float
     ratio: float
     normalized_c: float = None
 
-    def to_dict(self) -> dict:
-        return {
-            "layers": [dataclasses.asdict(l) for l in self.layers],
-            "total": self.total,
-            "baseline": self.baseline,
-            "ratio": self.ratio,
-            "normalized_c": self.normalized_c,
-        }
 
+def _unit_acs(config: ModelConfig) -> tuple:
+    """The cost formula: per sublayer in SUBLAYERS order, the unit kind it
+    scales with and the ACs of one active unit of that kind per timestep.
 
-def _layer_parts(config: ModelConfig, h, n, t: dict):
-    """The four Appendix-style cost groups for one layer.
-
-    h and n are active head / neuron counts; they may be numbers or graph
-    variables. t maps sublayer name to its timestep count; the query
-    projection runs inside the attention sublayer, so its timesteps equal
-    t["attn"].
+    A head costs its share of the key, value and query projections (the
+    query runs inside the attention sublayer, on its timesteps), the two
+    N x N attention products, and its W_O rows in fc. A neuron costs one
+    column of W_inter and one row of W_out.
     """
-    seq = config.seq_len
-    d = config.hidden_size
-    hd = config.head_dim
+    seq, d, hd = config.seq_len, config.hidden_size, config.head_dim
     ndh = seq * d * hd
-    qkv = h * (ndh * (t["attn"] + t["key"] + t["value"]))
-    attn = h * (2 * seq * seq * hd * t["attn"])
-    fc = h * (ndh * t["fc"])
-    neurons = n * (seq * d * (t["inter"] + t["output"]))
-    return qkv, attn, fc, neurons
+    return (("heads", ndh), ("heads", ndh), ("heads", ndh + 2 * seq * seq * hd),
+            ("heads", ndh), ("neurons", seq * d), ("neurons", seq * d))
 
 
-def _plan_row(plan: TimestepPlan, layer: int) -> dict:
-    return {name: int(plan.steps[layer, j]) for j, name in enumerate(SUBLAYERS)}
+def _steps(config: ModelConfig, plan: TimestepPlan) -> list:
+    if plan.num_layers != config.num_layers:
+        raise InvalidInputError("plan layer count does not match config")
+    return plan.steps.tolist()
+
+
+def _unit_cost_rows(config: ModelConfig, plan: TimestepPlan) -> list:
+    """Per layer, {unit kind: ACs of one active unit} as exact integers."""
+    formula = _unit_acs(config)
+    rows = []
+    for steps in _steps(config, plan):
+        row = {"heads": 0, "neurons": 0}
+        for (kind, acs), t in zip(formula, steps):
+            row[kind] += acs * t
+        rows.append(row)
+    return rows
 
 
 def acs_value(config: ModelConfig, head_counts, neuron_counts, plan: TimestepPlan):
@@ -92,10 +79,8 @@ def acs_value(config: ModelConfig, head_counts, neuron_counts, plan: TimestepPla
     if len(head_counts) != config.num_layers or len(neuron_counts) != config.num_layers:
         raise InvalidInputError("unit counts must have one entry per layer")
     total = 0
-    for l in range(config.num_layers):
-        parts = _layer_parts(config, head_counts[l], neuron_counts[l], _plan_row(plan, l))
-        for p in parts:
-            total = total + p
+    for row, h, n in zip(_unit_cost_rows(config, plan), head_counts, neuron_counts):
+        total = total + h * row["heads"] + n * row["neurons"]
     return total
 
 
@@ -108,19 +93,12 @@ def acs_baseline(config: ModelConfig) -> int:
 
 def acs_total(config: ModelConfig, masks: MaskSet, plan: TimestepPlan) -> AcsReport:
     """Full cost report for binary masks under a timestep plan."""
-    if plan.num_layers != config.num_layers:
-        raise InvalidInputError("plan layer count does not match config")
     heads, neurons = masks.active_counts()
     if len(heads) != config.num_layers:
         raise InvalidInputError("mask layer count does not match config")
-    layers = []
-    total = 0
-    for l in range(config.num_layers):
-        qkv, attn, fc, neu = _layer_parts(config, heads[l], neurons[l], _plan_row(plan, l))
-        layers.append(LayerAcs(qkv, attn, fc, neu))
-        total += qkv + attn + fc + neu
+    total = acs_value(config, heads, neurons, plan)
     baseline = acs_baseline(config)
-    return AcsReport(layers, total, baseline, total / baseline)
+    return AcsReport(total, baseline, total / baseline)
 
 
 def per_sublayer_acs(config: ModelConfig, masks: MaskSet, plan: TimestepPlan) -> list:
@@ -130,18 +108,12 @@ def per_sublayer_acs(config: ModelConfig, masks: MaskSet, plan: TimestepPlan) ->
     runs on its timesteps. Sums to acs_total().total exactly.
     """
     heads, neurons = masks.active_counts()
-    seq, d, hd = config.seq_len, config.hidden_size, config.head_dim
-    ndh = seq * d * hd
+    formula = _unit_acs(config)
     out = []
-    for l in range(config.num_layers):
-        h, n = heads[l], neurons[l]
-        t = _plan_row(plan, l)
-        out.append((f"L{l}.key", h * ndh * t["key"]))
-        out.append((f"L{l}.value", h * ndh * t["value"]))
-        out.append((f"L{l}.attn", h * (ndh + 2 * seq * seq * hd) * t["attn"]))
-        out.append((f"L{l}.fc", h * ndh * t["fc"]))
-        out.append((f"L{l}.inter", n * seq * d * t["inter"]))
-        out.append((f"L{l}.output", n * seq * d * t["output"]))
+    for l, steps in enumerate(_steps(config, plan)):
+        active = {"heads": heads[l], "neurons": neurons[l]}
+        for name, (kind, acs), t in zip(SUBLAYERS, formula, steps):
+            out.append((f"L{l}.{name}", active[kind] * acs * t))
     return out
 
 
@@ -150,16 +122,9 @@ def unit_costs(config: ModelConfig, plan: TimestepPlan):
 
     Returns (head_costs, neuron_costs) as int64 arrays of length num_layers.
     """
-    seq, d, hd = config.seq_len, config.hidden_size, config.head_dim
-    ndh = seq * d * hd
-    heads = np.empty(config.num_layers, dtype=np.int64)
-    neurons = np.empty(config.num_layers, dtype=np.int64)
-    for l in range(config.num_layers):
-        t = _plan_row(plan, l)
-        heads[l] = (ndh * (t["attn"] + t["key"] + t["value"] + t["fc"])
-                    + 2 * seq * seq * hd * t["attn"])
-        neurons[l] = seq * d * (t["inter"] + t["output"])
-    return heads, neurons
+    rows = _unit_cost_rows(config, plan)
+    return (np.array([r["heads"] for r in rows], dtype=np.int64),
+            np.array([r["neurons"] for r in rows], dtype=np.int64))
 
 
 def _mean_asr(entry) -> float:

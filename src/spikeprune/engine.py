@@ -1,19 +1,25 @@
 """Spike dynamics and the steady-state rate proxy.
 
-Three views of the same network:
+Each encoder layer is one stage table (`_layer_stages`): its six spiking
+sublayers in SUBLAYERS order, each with its source, how that input enters
+(this step's spikes, their running mean, or averaged rates only), its
+input current, its threshold column and its mask. Both simulators walk
+the same tables:
 
-* `run_unrolled`: every sublayer advances together for T timesteps. Linear
-  projections are driven by the previous stage's spikes at the current
-  step; the nonlinear stages (attention softmax, layer norm) read running
-  average spike rates, so their inputs settle as T grows and the averaged
+* `run_unrolled`, time-major: every sublayer advances together for T
+  timesteps, so the nonlinear stages (attention softmax, layer norm),
+  which read running average rates, settle as T grows and the averaged
   rates converge to the rate proxy's fixed point.
-* `run_sequential`: sublayers are processed one at a time, each for its own
-  budget from a TimestepPlan. The input to each stage is a fresh Bernoulli
-  spike train regenerated from the previous stage's converged rates, which
-  is what makes per-sublayer timestep budgets independent knobs.
-* `rate_proxy_forward` / `proxy_graph`: one differentiable pass where each
-  LIF sublayer is replaced by rate = clip(current / v_th, 0, 1). Training
-  and importance estimation differentiate this graph.
+* `run_sequential`, layer-major: each sublayer runs for its own budget
+  from a TimestepPlan on a fresh Bernoulli spike train regenerated from
+  its source's converged rates, which is what makes per-sublayer timestep
+  budgets independent knobs.
+
+`rate_proxy_forward` / `proxy_graph` is one differentiable pass where each
+LIF sublayer is replaced by rate = clip(current / v_th, 0, 1); training
+and Fisher importance differentiate it. It keeps its own autodiff form of
+the layer: its attention multiplies by 1/sqrt(hd) where the simulators
+divide by sqrt(hd), which rounds differently in the last bit.
 
 Rates and spikes are float64 arrays shaped (batch, seq, units).
 """
@@ -145,10 +151,6 @@ def _input_currents(model: SpikingModel, tokens: np.ndarray) -> np.ndarray:
     return emb / model.input_scale
 
 
-def _check_masks(model: SpikingModel, masks: MaskSet) -> None:
-    masks.validate_for(model)
-
-
 def _split_heads(x: np.ndarray, kh: int, hd: int) -> np.ndarray:
     b, n = x.shape[0], x.shape[1]
     return x.reshape(b, n, kh, hd).swapaxes(1, 2)
@@ -184,84 +186,120 @@ def _attention_current(layer, a_in, a_k, a_v, head_mask, head_dim):
     return _merge_heads(ctx)
 
 
+# How a sublayer's driving input enters. _SPIKES: the source's spikes of this
+# step (unrolled) or a fresh Bernoulli train drawn from its converged rates
+# (sequential). _MEAN: the running mean of those same spikes. _RATES: no spike
+# train of its own; the current reads averaged rates only.
+_SPIKES, _MEAN, _RATES = "spikes", "mean", "rates"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Stage:
+    """One spiking sublayer of an encoder layer.
+
+    current(x, rates) is its input current: x is the driving input in the
+    form `entry` names (None for _RATES), rates maps "in" (the layer input)
+    and every earlier sublayer's name to its averaged rates. vth is its
+    firing threshold; spike_mask, when set, multiplies its spikes before
+    they are averaged.
+    """
+
+    name: str
+    source: str
+    entry: str
+    vth: float
+    current: object
+    spike_mask: np.ndarray = None
+
+
+def _layer_stages(layer, head_mask, neuron_mask, head_dim) -> tuple:
+    """The six sublayers of one encoder layer in SUBLAYERS order.
+
+    Position j is also the sublayer's column in vth and in a TimestepPlan.
+    Pruned heads are zeroed inside the attention current; pruned neurons
+    are zeroed in the intermediate spike average.
+    """
+    vth = layer.vth
+    return (
+        _Stage("key", "in", _SPIKES, vth[0], lambda x, r: x @ layer.w_k + layer.b_k),
+        _Stage("value", "in", _SPIKES, vth[1], lambda x, r: x @ layer.w_v + layer.b_v),
+        _Stage("attn", None, _RATES, vth[2], lambda x, r: _attention_current(
+            layer, r["in"], r["key"], r["value"], head_mask, head_dim)),
+        _Stage("fc", "attn", _MEAN, vth[3], lambda x, r: _layernorm(
+            x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift)),
+        _Stage("inter", "fc", _SPIKES, vth[4],
+               lambda x, r: x @ layer.w_inter + layer.b_inter, neuron_mask),
+        _Stage("output", "inter", _MEAN, vth[5], lambda x, r: _layernorm(
+            x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift)),
+    )
+
+
+def _stage_tables(model: SpikingModel, masks: MaskSet) -> list:
+    return [_layer_stages(layer, masks.heads[li], masks.neurons[li], model.config.head_dim)
+            for li, layer in enumerate(model.layers)]
+
+
+class _Population:
+    """One sublayer's LIF state, spike sum and ASR trace rows.
+
+    State and sum take their shape from the first input current, so a
+    sliced model's narrower layers need no separate sizing.
+    """
+
+    def __init__(self, name: str, stage: _Stage, leak: float, record: bool):
+        self.name, self.stage, self.leak = name, stage, leak
+        self.state = self.total = None
+        self.rows = [] if record else None
+
+    def step(self, current: np.ndarray, t: int) -> np.ndarray:
+        """Advance to timestep t (1-based); returns this step's spikes."""
+        if self.state is None:
+            self.state, self.total = LifState.zeros(current.shape), np.zeros(current.shape)
+        self.state, s = lif_step(self.state, current, self.stage.vth, self.leak)
+        mask = self.stage.spike_mask
+        self.total += s if mask is None else s * mask
+        if self.rows is not None:
+            self.rows.append((self.total / t).mean(axis=0).ravel())
+        return s
+
+    def trace(self) -> AsrTrace:
+        return AsrTrace(self.name, np.asarray(self.rows))
+
+
 def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
                  record_traces: bool = True):
     """Simulate all sublayers jointly for `timesteps` steps.
 
-    Returns (logits, traces): logits read the converged rate of the final
-    layer's first token; traces hold one AsrTrace per sublayer in
-    layer-major SUBLAYERS order (empty list when record_traces is False).
+    Time-major walk of the stage tables: at every step each sublayer reads
+    its source's spikes of that step or the averaged rates so far. Returns
+    (logits, traces): logits read the converged rate of the final layer's
+    first token; traces hold one AsrTrace per sublayer in layer-major
+    SUBLAYERS order (empty list when record_traces is False).
     """
     if timesteps < 1:
         raise InvalidInputError("timesteps must be >= 1")
-    _check_masks(model, masks)
-    cfg = model.config
+    masks.validate_for(model)
     cur_in = _input_currents(model, tokens)
-    b, n = cur_in.shape[0], cur_in.shape[1]
-    hd = cfg.head_dim
-
+    tables = _stage_tables(model, masks)
+    pops = [[_Population(f"L{li}.{st.name}", st, model.config.leak, record_traces)
+             for st in stages] for li, stages in enumerate(tables)]
     state_in = LifState.zeros(cur_in.shape)
     sum_in = np.zeros_like(cur_in)
-    states = []
-    sums = []
-    for layer in model.layers:
-        dk = layer.w_k.shape[1]
-        shapes = [(b, n, dk), (b, n, dk), (b, n, dk),
-                  (b, n, cfg.hidden_size), (b, n, layer.num_neurons()),
-                  (b, n, cfg.hidden_size)]
-        states.append([LifState.zeros(s) for s in shapes])
-        sums.append([np.zeros(s) for s in shapes])
 
-    rows = [[] for _ in range(len(model.layers) * len(SUBLAYERS))] if record_traces else None
-    a_out_last = None
     for t in range(1, timesteps + 1):
-        state_in, s_in = lif_step(state_in, cur_in, 1.0, cfg.leak)
+        state_in, s_in = lif_step(state_in, cur_in, 1.0, model.config.leak)
         sum_in += s_in
-        x_s = s_in
-        x_a = sum_in / t
-        for li, layer in enumerate(model.layers):
-            st = states[li]
-            sm = sums[li]
-            vth = layer.vth
-            st[0], s_k = lif_step(st[0], x_s @ layer.w_k + layer.b_k, vth[0], cfg.leak)
-            sm[0] += s_k
-            st[1], s_v = lif_step(st[1], x_s @ layer.w_v + layer.b_v, vth[1], cfg.leak)
-            sm[1] += s_v
-            a_k = sm[0] / t
-            a_v = sm[1] / t
-            i_attn = _attention_current(layer, x_a, a_k, a_v, masks.heads[li], hd)
-            st[2], s_att = lif_step(st[2], i_attn, vth[2], cfg.leak)
-            sm[2] += s_att
-            a_att = sm[2] / t
-            pre4 = a_att @ layer.w_o + layer.b_o + x_a
-            st[3], s_4 = lif_step(st[3], _layernorm(pre4, layer.ln1_scale, layer.ln1_shift),
-                                  vth[3], cfg.leak)
-            sm[3] += s_4
-            a_4 = sm[3] / t
-            st[4], s_5 = lif_step(st[4], s_4 @ layer.w_inter + layer.b_inter,
-                                  vth[4], cfg.leak)
-            sm[4] += s_5 * masks.neurons[li]
-            a_5 = sm[4] / t
-            pre6 = a_5 @ layer.w_out + layer.b_out + a_4
-            st[5], s_6 = lif_step(st[5], _layernorm(pre6, layer.ln2_scale, layer.ln2_shift),
-                                  vth[5], cfg.leak)
-            sm[5] += s_6
-            a_6 = sm[5] / t
-            if record_traces:
-                for j in range(len(SUBLAYERS)):
-                    rows[li * len(SUBLAYERS) + j].append(
-                        (sm[j] / t).mean(axis=0).ravel())
-            x_s = s_6
-            x_a = a_6
-        a_out_last = x_a
+        spikes, rates = {"in": s_in}, {"in": sum_in / t}
+        for stages, layer_pops in zip(tables, pops):
+            for stage, pop in zip(stages, layer_pops):
+                x = (None if stage.entry == _RATES else
+                     (spikes if stage.entry == _SPIKES else rates)[stage.source])
+                spikes[stage.name] = pop.step(stage.current(x, rates), t)
+                rates[stage.name] = pop.total / t
+            spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
 
-    logits = a_out_last[:, 0, :] @ model.cls_w + model.cls_b
-    traces = []
-    if record_traces:
-        for li in range(len(model.layers)):
-            for j, name in enumerate(SUBLAYERS):
-                traces.append(AsrTrace(f"L{li}.{name}",
-                                       np.asarray(rows[li * len(SUBLAYERS) + j])))
+    logits = rates["in"][:, 0, :] @ model.cls_w + model.cls_b
+    traces = [pop.trace() for layer_pops in pops for pop in layer_pops] if record_traces else []
     return logits, traces
 
 
@@ -279,85 +317,45 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
                    tokens, stream: RandomStream, record_traces: bool = False):
     """Simulate sublayer by sublayer under a per-sublayer timestep plan.
 
-    Each linear stage consumes a Bernoulli spike train regenerated from the
-    previous stage's converged rates (clipped rates are valid probabilities
-    by construction); attention and the norm stages read averaged rates.
+    Layer-major walk of the stage tables: each sublayer runs for its own
+    budget on the converged rates of the stages before it. A spike input
+    (or its running mean) is a Bernoulli train regenerated from its
+    source's converged rates (clipped rates are valid probabilities by
+    construction), drawn in SUBLAYERS order; a rates-only input is constant.
     Sample i draws from stream.derive(i), so results do not depend on batch
     splitting as long as sample indices are stable.
 
     Returns (logits, traces); traces are per-sublayer cumulative rates of
     length equal to that sublayer's own budget.
     """
-    _check_masks(model, masks)
+    masks.validate_for(model)
     cfg = model.config
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
     cur_in = _input_currents(model, tokens)
-    b = cur_in.shape[0]
-    hd = cfg.head_dim
-    streams = [stream.derive(i) for i in range(b)]
+    streams = [stream.derive(i) for i in range(cur_in.shape[0])]
     a_x = np.clip(cur_in, 0.0, 1.0)
     traces = []
 
-    def lif_run(current_fn, t, vth, shape, trace_name):
-        """Drive one LIF population for t steps; returns averaged rates."""
-        st = LifState.zeros(shape)
-        total = np.zeros(shape)
-        rows = []
-        for tau in range(1, t + 1):
-            st, s = lif_step(st, current_fn(tau), vth, cfg.leak)
-            total += s
+    for li, stages in enumerate(_stage_tables(model, masks)):
+        rates = {"in": a_x}
+        for j, stage in enumerate(stages):
+            t = int(plan.steps[li, j])
+            pop = _Population(f"L{li}.{stage.name}", stage, cfg.leak, record_traces)
+            if stage.entry == _RATES:
+                fixed = stage.current(None, rates)
+                currents = (fixed for _ in range(t))
+            else:
+                drawn = _regen(rates[stage.source], t, streams)
+                if stage.entry == _MEAN:
+                    drawn = np.cumsum(drawn, axis=1) / np.arange(1, t + 1).reshape(1, -1, 1, 1)
+                currents = (stage.current(drawn[:, tau], rates) for tau in range(t))
+            for tau, current in enumerate(currents, start=1):
+                pop.step(current, tau)
+            rates[stage.name] = pop.total / t
             if record_traces:
-                rows.append((total / tau).mean(axis=0).ravel())
-        if record_traces:
-            traces.append(AsrTrace(trace_name, np.asarray(rows)))
-        return total / t
-
-    for li, layer in enumerate(model.layers):
-        vth = layer.vth
-        t_k = plan.get(li, "key")
-        s_in = _regen(a_x, t_k, streams)
-        a_k = lif_run(lambda tau: s_in[:, tau - 1] @ layer.w_k + layer.b_k,
-                      t_k, vth[0], (b, cfg.seq_len, layer.w_k.shape[1]), f"L{li}.key")
-        t_v = plan.get(li, "value")
-        s_in = _regen(a_x, t_v, streams)
-        a_v = lif_run(lambda tau: s_in[:, tau - 1] @ layer.w_v + layer.b_v,
-                      t_v, vth[1], (b, cfg.seq_len, layer.w_v.shape[1]), f"L{li}.value")
-
-        i_attn = _attention_current(layer, a_x, a_k, a_v, masks.heads[li], hd)
-        a_att = lif_run(lambda tau: i_attn, plan.get(li, "attn"), vth[2],
-                        i_attn.shape, f"L{li}.attn")
-
-        t_fc = plan.get(li, "fc")
-        s_att = _regen(a_att, t_fc, streams)
-        run_mean = np.cumsum(s_att, axis=1) / np.arange(1, t_fc + 1).reshape(1, -1, 1, 1)
-        a_4 = lif_run(lambda tau: _layernorm(
-                          run_mean[:, tau - 1] @ layer.w_o + layer.b_o + a_x,
-                          layer.ln1_scale, layer.ln1_shift),
-                      t_fc, vth[3], (b, cfg.seq_len, cfg.hidden_size), f"L{li}.fc")
-
-        t_i = plan.get(li, "inter")
-        s_4 = _regen(a_4, t_i, streams)
-        st = LifState.zeros((b, cfg.seq_len, layer.num_neurons()))
-        total = np.zeros_like(st.membrane)
-        rows = []
-        for tau in range(1, t_i + 1):
-            st, s = lif_step(st, s_4[:, tau - 1] @ layer.w_inter + layer.b_inter,
-                             vth[4], cfg.leak)
-            total += s * masks.neurons[li]
-            if record_traces:
-                rows.append((total / tau).mean(axis=0).ravel())
-        if record_traces:
-            traces.append(AsrTrace(f"L{li}.inter", np.asarray(rows)))
-        a_5 = total / t_i
-
-        t_o = plan.get(li, "output")
-        s_5 = _regen(a_5, t_o, streams)
-        run_mean = np.cumsum(s_5, axis=1) / np.arange(1, t_o + 1).reshape(1, -1, 1, 1)
-        a_x = lif_run(lambda tau: _layernorm(
-                          run_mean[:, tau - 1] @ layer.w_out + layer.b_out + a_4,
-                          layer.ln2_scale, layer.ln2_shift),
-                      t_o, vth[5], (b, cfg.seq_len, cfg.hidden_size), f"L{li}.output")
+                traces.append(pop.trace())
+        a_x = rates["output"]
 
     logits = a_x[:, 0, :] @ model.cls_w + model.cls_b
     return logits, traces
@@ -366,19 +364,19 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
 # --- differentiable rate proxy -----------------------------------------------
 
 
-_PARAM_FIELDS = ("w_k", "b_k", "w_v", "b_v", "w_q", "b_q", "w_o", "b_o",
-                 "w_inter", "b_inter", "w_out", "b_out",
-                 "ln1_scale", "ln1_shift", "ln2_scale", "ln2_shift", "vth")
+def _model_arrays(model: SpikingModel) -> dict:
+    """Every trainable array, keyed by stable names (L{i}.{LayerParams field})."""
+    arrays = {"embedding": model.embedding, "cls_w": model.cls_w,
+              "cls_b": model.cls_b}
+    for i, layer in enumerate(model.layers):
+        for f in dataclasses.fields(layer):
+            arrays[f"L{i}.{f.name}"] = getattr(layer, f.name)
+    return arrays
 
 
 def build_param_vars(model: SpikingModel) -> dict:
     """Graph leaves for every trainable array, keyed by stable names."""
-    params = {"embedding": ad.Var(model.embedding),
-              "cls_w": ad.Var(model.cls_w), "cls_b": ad.Var(model.cls_b)}
-    for i, layer in enumerate(model.layers):
-        for f in _PARAM_FIELDS:
-            params[f"L{i}.{f}"] = ad.Var(getattr(layer, f))
-    return params
+    return {name: ad.Var(arr) for name, arr in _model_arrays(model).items()}
 
 
 def _ln_graph(x, scale, shift):
@@ -480,7 +478,7 @@ def rate_proxy_forward(model: SpikingModel, masks: MaskSet, tokens):
     Rates are (batch, seq, units) arrays; the converged unrolled simulation
     approaches them as timesteps grow.
     """
-    _check_masks(model, masks)
+    masks.validate_for(model)
     params = build_param_vars(model)
     logits, rates, _ = proxy_graph(params, model.config, model.input_scale,
                                    tokens, masks.heads, masks.neurons)

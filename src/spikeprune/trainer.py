@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import temporal
 from .cost import acs_baseline, acs_total, acs_value, normalized_c, per_sublayer_acs
-from .engine import (TimestepPlan, cross_entropy, proxy_graph,
+from .engine import (TimestepPlan, _model_arrays, cross_entropy, proxy_graph,
                      rate_proxy_forward, run_unrolled)
 from .errors import InvalidInputError, TrainingDivergedError
 from .model import MaskSet, ModelConfig, SpikingModel
@@ -83,18 +83,6 @@ def _straight_through(sig: ad.Var) -> ad.Var:
     return out
 
 
-def _activity_np(layer_asr) -> float:
-    total = 0.0
-    for a in layer_asr:
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim >= 3:
-            flat = arr.reshape(arr.shape[0], -1)
-            total += float(np.sqrt((flat ** 2).sum(axis=1) + _NORM_EPS).mean())
-        else:
-            total += float(np.sqrt((arr ** 2).sum() + _NORM_EPS))
-    return total
-
-
 def _activity_graph(layer_outputs) -> ad.Var:
     total = None
     for a in layer_outputs:
@@ -130,32 +118,12 @@ def total_loss(logits, labels, masks: MaskSet, plan: TimestepPlan,
             raise InvalidInputError("model_config required when lam > 0")
         h_sums, n_sums = _mask_sums(masks)
         value += config.lam * acs_value(model_config, h_sums, n_sums, plan)
-    if config.eta:
-        value += config.eta * _activity_np(layer_asr)
+    if config.eta and len(layer_asr):
+        # an unbatched rate array is one sample
+        rates = [np.asarray(a, dtype=np.float64) for a in layer_asr]
+        activity = _activity_graph([ad.Var(a if a.ndim >= 3 else a[None]) for a in rates])
+        value += config.eta * float(activity.value)
     return value
-
-
-def _trainable_names(model: SpikingModel, adaptive_vth: bool):
-    names = ["embedding", "cls_w", "cls_b"]
-    fields = ["w_k", "b_k", "w_v", "b_v", "w_q", "b_q", "w_o", "b_o",
-              "w_inter", "b_inter", "w_out", "b_out",
-              "ln1_scale", "ln1_shift", "ln2_scale", "ln2_shift"]
-    if adaptive_vth:
-        fields.append("vth")
-    for i in range(len(model.layers)):
-        names.extend(f"L{i}.{f}" for f in fields)
-    return names
-
-
-def _model_arrays(model: SpikingModel) -> dict:
-    arrays = {"embedding": model.embedding, "cls_w": model.cls_w,
-              "cls_b": model.cls_b}
-    for i, layer in enumerate(model.layers):
-        for f in ("w_k", "b_k", "w_v", "b_v", "w_q", "b_q", "w_o", "b_o",
-                  "w_inter", "b_inter", "w_out", "b_out",
-                  "ln1_scale", "ln1_shift", "ln2_scale", "ln2_shift", "vth"):
-            arrays[f"L{i}.{f}"] = getattr(layer, f)
-    return arrays
 
 
 def _logits_relaxed(z) -> np.ndarray:
@@ -187,32 +155,32 @@ def _stage_noise(plan: TimestepPlan, t_conv: int, stream: RandomStream):
     return fn
 
 
-def _batch_graph(model, arrays, z_heads, z_neurons, binary_masks, tokens, labels,
-                 plan, tcfg, lam_now, mask_mode, stage_noise=None):
-    """Loss Var over the rate proxy for one batch.
+def _batch_graph(model, arrays, binary_masks, tokens, labels, plan, tcfg, lam_now,
+                 mask_mode, stage_noise=None):
+    """Loss Var over the rate proxy for one batch; returns (loss, params).
 
-    mask_mode "hard": thresholded forward, sigmoid backward (training);
-    "relaxed": sigmoid values used directly (smooth, for gradcheck). When
-    z_heads is None the binary masks enter as constants.
+    params holds one graph leaf per entry of arrays. When arrays carries
+    mask logits (zh{l}, zn{l}), masks are sigmoid(kappa * z): mask_mode
+    "hard" thresholds them in the forward pass with the sigmoid backward
+    (training), "relaxed" uses the sigmoid values directly (smooth, for
+    gradcheck). Without logits the binary masks enter as constants.
     """
     params = {name: ad.Var(arr) for name, arr in arrays.items()}
+    layers = range(model.config.num_layers)
     frac_h = frac_n = None
-    if z_heads is not None:
-        sig_h = [ad.sigmoid(ad.Var(z) * tcfg.kappa) for z in z_heads]
-        sig_n = [ad.sigmoid(ad.Var(z) * tcfg.kappa) for z in z_neurons]
-        frac_h, frac_n = sig_h, sig_n
+    if "zh0" in params:
+        frac_h = [ad.sigmoid(params[f"zh{l}"] * tcfg.kappa) for l in layers]
+        frac_n = [ad.sigmoid(params[f"zn{l}"] * tcfg.kappa) for l in layers]
         if mask_mode == "hard":
-            hm = [_straight_through(s) for s in sig_h]
-            nm = [_straight_through(s) for s in sig_n]
+            hm = [_straight_through(s) for s in frac_h]
+            nm = [_straight_through(s) for s in frac_n]
         else:
-            hm, nm = sig_h, sig_n
-        z_vars = [s.parents[0].parents[0] for s in sig_h + sig_n]
+            hm, nm = frac_h, frac_n
     else:
         hm = [ad.Var(m) for m in binary_masks.heads]
         nm = [ad.Var(m) for m in binary_masks.neurons]
-        z_vars = []
-    logits, rates, layer_outs = proxy_graph(params, model.config, model.input_scale,
-                                            tokens, hm, nm, stage_noise)
+    logits, _, layer_outs = proxy_graph(params, model.config, model.input_scale,
+                                        tokens, hm, nm, stage_noise)
     loss = cross_entropy(logits, labels)
     if lam_now and frac_h is not None:
         m_frac = acs_value(model.config, [s.sum() for s in frac_h],
@@ -223,7 +191,7 @@ def _batch_graph(model, arrays, z_heads, z_neurons, binary_masks, tokens, labels
         loss = loss + lam_now * acs_value(model.config, h_sums, n_sums, plan)
     if tcfg.eta:
         loss = loss + tcfg.eta * _activity_graph(layer_outs)
-    return loss, logits, params, z_vars
+    return loss, params
 
 
 def evaluate_proxy(model: SpikingModel, masks: MaskSet, dataset,
@@ -293,28 +261,27 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
     n = len(data.labels)
     if n == 0:
         raise InvalidInputError("empty training set")
+    # mask logits are parameters like any weight: keyed zh{l} / zn{l}
     arrays = _model_arrays(work)
-    trainables = _trainable_names(work, config.adaptive_vth)
     train_masks = masks_out.relaxed_heads is not None
     z_heads = z_neurons = None
     if train_masks:
         z_heads = [_logits_relaxed(h) / config.kappa for h in masks_out.relaxed_heads]
         z_neurons = [_logits_relaxed(m) / config.kappa for m in masks_out.relaxed_neurons]
+        arrays.update({f"zh{l}": z for l, z in enumerate(z_heads)})
+        arrays.update({f"zn{l}": z for l, z in enumerate(z_neurons)})
+    trainables = [name for name in arrays
+                  if config.adaptive_vth or not name.endswith(".vth")]
     velocity = {name: np.zeros_like(arrays[name]) for name in trainables}
-    if train_masks:
-        velocity.update({f"zh{l}": np.zeros_like(z) for l, z in enumerate(z_heads)})
-        velocity.update({f"zn{l}": np.zeros_like(z) for l, z in enumerate(z_neurons)})
     stream = RandomStream(config.seed)
 
     def current_masks() -> MaskSet:
         if not train_masks:
             return masks_out
-        return MaskSet([(1.0 / (1.0 + np.exp(-config.kappa * z)) >= 0.5).astype(float)
-                        for z in z_heads],
-                       [(1.0 / (1.0 + np.exp(-config.kappa * z)) >= 0.5).astype(float)
-                        for z in z_neurons],
-                       [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_heads],
-                       [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_neurons])
+        sig_h = [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_heads]
+        sig_n = [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_neurons]
+        return MaskSet([(h >= 0.5).astype(float) for h in sig_h],
+                       [(n >= 0.5).astype(float) for n in sig_n], sig_h, sig_n)
 
     for epoch in range(config.epochs):
         lam_now = config.lam if epoch < config.penalty_epochs else 0.0
@@ -329,9 +296,8 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
             noise = (_stage_noise(plan, work.config.t_conv,
                                   noise_lane.derive(start // config.train_batch))
                      if shortened else None)
-            loss, _, params, z_vars = _batch_graph(
-                work, arrays, z_heads, z_neurons, masks_out, tokens, labels,
-                plan, config, lam_now, "hard", noise)
+            loss, params = _batch_graph(work, arrays, masks_out, tokens, labels,
+                                        plan, config, lam_now, "hard", noise)
             value = float(loss.value)
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -346,21 +312,6 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
                 v *= config.momentum
                 v += g
                 arrays[name] -= config.learning_rate * v
-            if train_masks:
-                for l, zv in enumerate(z_vars[:len(z_heads)]):
-                    if zv.grad is None:
-                        continue
-                    v = velocity[f"zh{l}"]
-                    v *= config.momentum
-                    v += zv.grad
-                    z_heads[l] -= config.learning_rate * v
-                for l, zv in enumerate(z_vars[len(z_heads):]):
-                    if zv.grad is None:
-                        continue
-                    v = velocity[f"zn{l}"]
-                    v *= config.momentum
-                    v += zv.grad
-                    z_neurons[l] -= config.learning_rate * v
             if config.adaptive_vth:
                 for layer in work.layers:
                     np.maximum(layer.vth, 1e-3, out=layer.vth)
@@ -402,44 +353,32 @@ def gradcheck(model: SpikingModel, batch, config: TrainConfig = None) -> float:
              for c in model.head_counts()]
     rel_n = [0.35 + 0.4 * ((np.arange(c) % 2 == 1).astype(float))
              for c in model.neuron_counts()]
-    z_h = [_logits_relaxed(r) / config.kappa for r in rel_h]
-    z_n = [_logits_relaxed(r) / config.kappa for r in rel_n]
+    for prefix, rel in (("zh", rel_h), ("zn", rel_n)):
+        for l, r in enumerate(rel):
+            arrays[f"{prefix}{l}"] = _logits_relaxed(r) / config.kappa
+            names.append(f"{prefix}{l}")
 
     sizes = [(name, arrays[name].shape, arrays[name].size) for name in names]
-    sizes += [(f"zh{l}", z.shape, z.size) for l, z in enumerate(z_h)]
-    sizes += [(f"zn{l}", z.shape, z.size) for l, z in enumerate(z_n)]
-    vec0 = np.concatenate([arrays[n].ravel() for n in names]
-                          + [z.ravel() for z in z_h] + [z.ravel() for z in z_n])
+    vec0 = np.concatenate([arrays[n].ravel() for n in names])
 
-    def unpack(vec):
+    def build(vec):
         arrs = {}
         pos = 0
         for name, shape, size in sizes:
             arrs[name] = vec[pos:pos + size].reshape(shape)
             pos += size
-        zh = [arrs[f"zh{l}"] for l in range(len(z_h))]
-        zn = [arrs[f"zn{l}"] for l in range(len(z_n))]
-        weights = {name: arrs[name] for name in names}
-        return weights, zh, zn
-
-    def build(vec):
-        weights, zh, zn = unpack(vec)
-        return _batch_graph(model, weights, zh, zn, None, tokens, labels,
-                            plan, config, config.lam, "relaxed")
+        return _batch_graph(model, arrs, None, tokens, labels, plan, config,
+                            config.lam, "relaxed")
 
     def f(vec):
-        loss, _, _, _ = build(vec)
-        return float(loss.value)
+        return float(build(vec)[0].value)
 
-    loss, _, params, z_vars = build(vec0)
+    loss, params = build(vec0)
     ad.backward(loss)
     grads = []
     for name in names:
         g = params[name].grad
         grads.append((g if g is not None else np.zeros_like(params[name].value)).ravel())
-    for zv in z_vars:
-        g = zv.grad
-        grads.append((g if g is not None else np.zeros_like(zv.value)).ravel())
     analytic = np.concatenate(grads)
 
     eps = 1e-5

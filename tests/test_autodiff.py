@@ -93,11 +93,6 @@ class TestShapeOps:
         a = _rand((4, 5), 17)
         _grad_vs_fd(lambda vs: _contract(vs[0][1:3, :], 20), [a])
 
-    def test_concat(self):
-        a, b = _rand((2, 3), 18), _rand((2, 2), 19)
-        _grad_vs_fd(lambda vs: _contract(ad.concat([vs[0], vs[1]], axis=1), 21),
-                    [a, b])
-
 
 class TestReductions:
     def test_sum_all(self):
@@ -117,8 +112,6 @@ class TestReductions:
 class TestNonlinearities:
     def test_exp_log_sqrt_square(self):
         a = _rand((2, 3), 23, low=0.2, high=2.0)
-        _grad_vs_fd(lambda vs: _contract(ad.exp(vs[0]), 25), [a])
-        _grad_vs_fd(lambda vs: _contract(ad.log(vs[0]), 26), [a], atol=1e-6)
         _grad_vs_fd(lambda vs: _contract(ad.sqrt(vs[0]), 27), [a])
         _grad_vs_fd(lambda vs: _contract(ad.square(vs[0]), 28), [a])
 
@@ -146,17 +139,6 @@ class TestNonlinearities:
     def test_clip01_fd_inside_interval(self):
         a = _rand((2, 3), 27, low=0.1, high=0.9)
         _grad_vs_fd(lambda vs: _contract(ad.clip01(vs[0]), 32), [a])
-
-    def test_l2norm(self):
-        a = _rand((2, 3), 28)
-        _grad_vs_fd(lambda vs: ad.l2norm(vs[0]), [a])
-
-    def test_l2norm_zero_vector_has_zero_gradient(self):
-        v = ad.Var(np.zeros(4))
-        out = ad.l2norm(v)
-        ad.backward(out)
-        assert np.all(np.isfinite(v.grad))
-        assert np.array_equal(v.grad, np.zeros(4))
 
 
 class TestGathers:

@@ -303,3 +303,27 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval"], ["prune-spatial", "--out", "x.json"], ["report", "--out-dir", "x"],
+    ])
+    @pytest.mark.parametrize("batch", ["0", "-2", "two"])
+    def test_non_positive_batch_is_usage_error(self, ws, tmp_path, argv, batch):
+        argv = [a if a not in ("x.json", "x") else str(tmp_path / a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--checkpoint", ws["temporal"], "--batch", batch])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--data"], ["prune-spatial", "--out", "x.json", "--calib"],
+        ["prune-temporal", "--out", "x.json", "--calib"],
+        ["report", "--out-dir", "x", "--calib"],
+    ])
+    def test_empty_dataset_exits_1(self, ws, tmp_path, capsys, argv):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        argv = [a if a not in ("x.json", "x") else str(tmp_path / a) for a in argv]
+        rc = cli.main(argv + [str(empty), "--checkpoint", ws["temporal"]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no examples" in err

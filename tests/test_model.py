@@ -10,7 +10,7 @@ from conftest import tiny_config, tiny_model, token_batch
 from spikeprune import (SUBLAYERS, CheckpointError, InvalidInputError, MaskSet,
                         ModelConfig, RandomStream, TimestepPlan, apply_masks,
                         binarize_weights, init_model, load_checkpoint,
-                        rate_proxy_forward, save_checkpoint)
+                        rate_proxy_forward, run_unrolled, save_checkpoint)
 
 
 class TestModelConfig:
@@ -144,6 +144,10 @@ class TestApplyMasks:
         logits_sliced, _ = rate_proxy_forward(sliced, MaskSet.all_ones(sliced),
                                               tokens)
         assert np.allclose(logits_masked, logits_sliced, rtol=1e-12, atol=1e-12)
+        # the simulators size each sublayer's state from the layer's own widths
+        sim_masked, _ = run_unrolled(model, masks, tokens, 12)
+        sim_sliced, _ = run_unrolled(sliced, MaskSet.all_ones(sliced), tokens, 12)
+        assert np.allclose(sim_masked, sim_sliced, rtol=1e-12, atol=1e-12)
 
     def test_all_ones_is_identity(self):
         model = tiny_model(2)
