@@ -2,8 +2,9 @@
 
 Just enough machinery to differentiate the steady-state rate forward pass:
 broadcasted arithmetic, matmul with batch dims, softmax, clipping, reductions,
-and an embedding gather. Values are eagerly computed; each Var remembers a
-vector-Jacobian closure so a single `backward` sweep fills `.grad` fields.
+and indexing (an embedding lookup is `table[ids]`, with a scatter-add
+backward). Values are eagerly computed; each Var remembers a vector-Jacobian
+closure so a single `backward` sweep fills `.grad` fields.
 """
 
 from __future__ import annotations
@@ -199,20 +200,6 @@ def logsumexp(x: Var, axis: int = -1) -> Var:
 
     def vjp(g):
         return (np.expand_dims(g, axis) * soft,)
-
-    out.vjp = vjp
-    return out
-
-
-def gather_rows(table: Var, ids: np.ndarray) -> Var:
-    """Embedding lookup: table[(ids,)] with scatter-add backward."""
-    ids = np.asarray(ids)
-    out = Var(table.value[ids], (table,))
-
-    def vjp(g):
-        full = np.zeros_like(table.value)
-        np.add.at(full, ids, g)
-        return (full,)
 
     out.vjp = vjp
     return out

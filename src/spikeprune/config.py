@@ -125,8 +125,8 @@ def resolve_config(name_or_path: str) -> RunConfig:
     """Load a config from a file path or a bundled preset name."""
     if os.path.exists(name_or_path):
         return load_config(name_or_path)
-    preset = importlib.resources.files("spikeprune") / "presets" / (name_or_path + ".cfg")
-    if preset.is_file():
+    if name_or_path in available_presets():
+        preset = importlib.resources.files("spikeprune") / "presets" / (name_or_path + ".cfg")
         return parse_config(preset.read_text(encoding="utf-8"), name_or_path)
     raise InvalidInputError(
         f"no config file or preset named {name_or_path!r}; "

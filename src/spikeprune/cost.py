@@ -38,7 +38,6 @@ class AcsReport:
     total: float
     baseline: float
     ratio: float
-    normalized_c: float = None
 
 
 def _unit_acs(config: ModelConfig) -> tuple:

@@ -3,8 +3,10 @@
 Each encoder layer is one stage table (`_layer_stages`): its six spiking
 sublayers in SUBLAYERS order, each with its source, how that input enters
 (this step's spikes, their running mean, or averaged rates only), its
-input current, its threshold column and its mask. Both simulators walk
-the same tables:
+input current, its threshold column and its mask. The table is written
+with operators plus four primitives (clip, softmax, sqrt, square) passed
+in by its walker, so it computes on numpy arrays and on autodiff Vars
+alike. Three walks read the same tables:
 
 * `run_unrolled`, time-major: every sublayer advances together for T
   timesteps, so the nonlinear stages (attention softmax, layer norm),
@@ -14,25 +16,24 @@ the same tables:
   from a TimestepPlan on a fresh Bernoulli spike train regenerated from
   its source's converged rates, which is what makes per-sublayer timestep
   budgets independent knobs.
-
-`rate_proxy_forward` / `proxy_graph` is one differentiable pass where each
-LIF sublayer is replaced by rate = clip(current / v_th, 0, 1); training
-and Fisher importance differentiate it. It keeps its own autodiff form of
-the layer: its attention multiplies by 1/sqrt(hd) where the simulators
-divide by sqrt(hd), which rounds differently in the last bit.
+* the rate walk, where each LIF sublayer is replaced by its steady-state
+  rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
+  (training and Fisher importance differentiate it), `rate_proxy_forward`
+  on the model's plain arrays.
 
 Rates and spikes are float64 arrays shaped (batch, seq, units).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
-from .model import SUBLAYERS, MaskSet, SpikingModel
+from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel
 from .numerics import RandomStream, bernoulli_matrix
 
 __all__ = [
@@ -136,19 +137,22 @@ class AsrTrace:
         return self.asr[-1]
 
 
-def _input_currents(model: SpikingModel, tokens: np.ndarray) -> np.ndarray:
+def _input_currents(embedding, config, input_scale: float, tokens):
+    """Embedding rows of the tokens over input_scale (zero when it is not positive).
+
+    The one token check of every path: (batch, seq_len) ids, each inside
+    the vocabulary.
+    """
     tokens = np.asarray(tokens)
     if tokens.ndim == 1:
         tokens = tokens[None, :]
-    if tokens.ndim != 2 or tokens.shape[1] != model.config.seq_len:
+    if tokens.ndim != 2 or tokens.shape[1] != config.seq_len:
         raise InvalidInputError(
-            f"tokens must be (batch, {model.config.seq_len}), got {tokens.shape}")
-    if tokens.min() < 0 or tokens.max() >= model.config.vocab_size:
+            f"tokens must be (batch, {config.seq_len}), got {tokens.shape}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= config.vocab_size):
         raise InvalidInputError("token ids out of vocabulary range")
-    emb = model.embedding[tokens]
-    if model.input_scale <= 0.0:
-        return np.zeros_like(emb)
-    return emb / model.input_scale
+    factor = 1.0 / input_scale if input_scale > 0.0 else 0.0
+    return embedding[tokens] * factor
 
 
 def _split_heads(x: np.ndarray, kh: int, hd: int) -> np.ndarray:
@@ -166,24 +170,30 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _layernorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + LN_EPS) * scale + shift
+# The primitives a stage table calls; everything else in it is an operator
+# or a method numpy arrays and autodiff Vars share, and every rounding
+# (means as sum * (1/n), attention scaled by 1/sqrt(hd)) is the same on both.
+_Ops = collections.namedtuple("_Ops", "clip softmax sqrt square")
+_NP_OPS = _Ops(lambda x: np.clip(x, 0.0, 1.0), _softmax, np.sqrt, np.square)
+_AD_OPS = _Ops(ad.clip01, ad.softmax, ad.sqrt, ad.square)
 
 
-def _attention_current(layer, a_in, a_k, a_v, head_mask, head_dim):
+def _layernorm(x, scale, shift, ops):
+    inv_n = 1.0 / x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = ops.square(xc).sum(axis=-1, keepdims=True) * inv_n
+    return xc / ops.sqrt(var + LN_EPS) * scale + shift
+
+
+def _attention_current(layer, a_in, a_k, a_v, head_mask, head_dim, ops):
     """Per-head softmax attention over rate-domain K/V; queries are analog."""
     q = a_in @ layer.w_q + layer.b_q
     kh = layer.num_heads(head_dim)
     qh = _split_heads(q, kh, head_dim)
     kh_ = _split_heads(a_k, kh, head_dim)
     vh = _split_heads(a_v, kh, head_dim)
-    scores = _softmax(qh @ kh_.swapaxes(-1, -2) / np.sqrt(head_dim))
-    ctx = scores @ vh
-    ctx = ctx * head_mask.reshape(1, kh, 1, 1)
-    return _merge_heads(ctx)
+    scores = ops.softmax(qh @ kh_.swapaxes(-1, -2) * (1.0 / np.sqrt(head_dim)))
+    return _merge_heads(scores @ vh * head_mask.reshape(1, kh, 1, 1))
 
 
 # How a sublayer's driving input enters. _SPIKES: the source's spikes of this
@@ -212,7 +222,7 @@ class _Stage:
     spike_mask: np.ndarray = None
 
 
-def _layer_stages(layer, head_mask, neuron_mask, head_dim) -> tuple:
+def _layer_stages(layer, head_mask, neuron_mask, head_dim, ops) -> tuple:
     """The six sublayers of one encoder layer in SUBLAYERS order.
 
     Position j is also the sublayer's column in vth and in a TimestepPlan.
@@ -224,18 +234,19 @@ def _layer_stages(layer, head_mask, neuron_mask, head_dim) -> tuple:
         _Stage("key", "in", _SPIKES, vth[0], lambda x, r: x @ layer.w_k + layer.b_k),
         _Stage("value", "in", _SPIKES, vth[1], lambda x, r: x @ layer.w_v + layer.b_v),
         _Stage("attn", None, _RATES, vth[2], lambda x, r: _attention_current(
-            layer, r["in"], r["key"], r["value"], head_mask, head_dim)),
+            layer, r["in"], r["key"], r["value"], head_mask, head_dim, ops)),
         _Stage("fc", "attn", _MEAN, vth[3], lambda x, r: _layernorm(
-            x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift)),
+            x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift, ops)),
         _Stage("inter", "fc", _SPIKES, vth[4],
                lambda x, r: x @ layer.w_inter + layer.b_inter, neuron_mask),
         _Stage("output", "inter", _MEAN, vth[5], lambda x, r: _layernorm(
-            x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift)),
+            x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift, ops)),
     )
 
 
 def _stage_tables(model: SpikingModel, masks: MaskSet) -> list:
-    return [_layer_stages(layer, masks.heads[li], masks.neurons[li], model.config.head_dim)
+    return [_layer_stages(layer, masks.heads[li], masks.neurons[li],
+                          model.config.head_dim, _NP_OPS)
             for li, layer in enumerate(model.layers)]
 
 
@@ -279,7 +290,7 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
     if timesteps < 1:
         raise InvalidInputError("timesteps must be >= 1")
     masks.validate_for(model)
-    cur_in = _input_currents(model, tokens)
+    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
     tables = _stage_tables(model, masks)
     pops = [[_Population(f"L{li}.{st.name}", st, model.config.leak, record_traces)
              for st in stages] for li, stages in enumerate(tables)]
@@ -332,7 +343,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     cfg = model.config
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
-    cur_in = _input_currents(model, tokens)
+    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
     streams = [stream.derive(i) for i in range(cur_in.shape[0])]
     a_x = np.clip(cur_in, 0.0, 1.0)
     traces = []
@@ -379,11 +390,36 @@ def build_param_vars(model: SpikingModel) -> dict:
     return {name: ad.Var(arr) for name, arr in _model_arrays(model).items()}
 
 
-def _ln_graph(x, scale, shift):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = ad.square(xc).mean(axis=-1, keepdims=True)
-    return xc / ad.sqrt(var + LN_EPS) * scale + shift
+def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
+               neuron_masks, ops, noise=None):
+    """Walk the stage tables with every sublayer at rate clip(current / vth).
+
+    params maps the names of _model_arrays to numpy arrays or graph leaves,
+    and ops holds the matching primitives. noise(layer_idx, sublayer_name,
+    rate), when given, returns an additive perturbation or None; it applies
+    before the stage's spike mask. Returns what proxy_graph returns.
+    """
+    a = ops.clip(_input_currents(params["embedding"], config, input_scale, tokens))
+    rates, layer_outputs = [], []
+    for i in range(len(head_masks)):
+        layer = LayerParams(**{f.name: params[f"L{i}.{f.name}"]
+                               for f in dataclasses.fields(LayerParams)})
+        r = {"in": a}
+        for stage in _layer_stages(layer, head_masks[i], neuron_masks[i],
+                                   config.head_dim, ops):
+            x = None if stage.entry == _RATES else r[stage.source]
+            rate = ops.clip(stage.current(x, r) / stage.vth)
+            delta = None if noise is None else noise(i, stage.name, rate)
+            if delta is not None:
+                rate = rate + delta
+            if stage.spike_mask is not None:
+                rate = rate * stage.spike_mask
+            r[stage.name] = rate
+            rates.append((f"L{i}.{stage.name}", rate))
+        a = r["output"]
+        layer_outputs.append(a)
+    logits = a[:, 0, :] @ params["cls_w"] + params["cls_b"]
+    return logits, rates, layer_outputs
 
 
 def proxy_graph(params: dict, config, input_scale: float, tokens: np.ndarray,
@@ -402,64 +438,10 @@ def proxy_graph(params: dict, config, input_scale: float, tokens: np.ndarray,
     graph as a constant, so gradients pass through it unchanged; it exists
     to expose finite-timestep sampling error to training.
     """
-    tokens = np.asarray(tokens)
-    if tokens.ndim == 1:
-        tokens = tokens[None, :]
-    hd = config.head_dim
-    factor = 1.0 / input_scale if input_scale > 0.0 else 0.0
-    a = ad.clip01(ad.gather_rows(params["embedding"], tokens) * factor)
-    rates = []
-    layer_outputs = []
-    b, n = tokens.shape
-
-    def noised(var, layer_idx, name):
-        if stage_noise is None:
-            return var
-        delta = stage_noise(layer_idx, name, var.value)
-        if delta is None:
-            return var
-        return var + ad.Var(delta)
-
-    for i in range(len(head_masks)):
-        w_k, b_k = params[f"L{i}.w_k"], params[f"L{i}.b_k"]
-        vth = params[f"L{i}.vth"]
-        kh = w_k.shape[1] // hd
-        hm = head_masks[i] if isinstance(head_masks[i], ad.Var) else ad.Var(head_masks[i])
-        nm = (neuron_masks[i] if isinstance(neuron_masks[i], ad.Var)
-              else ad.Var(neuron_masks[i]))
-
-        a_k = noised(ad.clip01((a @ w_k + b_k) / vth[0]), i, "key")
-        a_v = noised(ad.clip01((a @ params[f"L{i}.w_v"] + params[f"L{i}.b_v"])
-                               / vth[1]), i, "value")
-        q = a @ params[f"L{i}.w_q"] + params[f"L{i}.b_q"]
-        qh = q.reshape(b, n, kh, hd).swapaxes(1, 2)
-        kh_ = a_k.reshape(b, n, kh, hd).swapaxes(1, 2)
-        vh = a_v.reshape(b, n, kh, hd).swapaxes(1, 2)
-        scores = ad.softmax(qh @ kh_.swapaxes(2, 3) * (1.0 / np.sqrt(hd)), axis=-1)
-        ctx = (scores @ vh) * hm.reshape(1, kh, 1, 1)
-        ctx = ctx.swapaxes(1, 2).reshape(b, n, kh * hd)
-        a_att = noised(ad.clip01(ctx / vth[2]), i, "attn")
-
-        pre4 = a_att @ params[f"L{i}.w_o"] + params[f"L{i}.b_o"] + a
-        ln1 = _ln_graph(pre4, params[f"L{i}.ln1_scale"], params[f"L{i}.ln1_shift"])
-        a_4 = noised(ad.clip01(ln1 / vth[3]), i, "fc")
-
-        inter = noised(ad.clip01((a_4 @ params[f"L{i}.w_inter"]
-                                  + params[f"L{i}.b_inter"]) / vth[4]), i, "inter")
-        a_5 = inter * nm
-
-        pre6 = a_5 @ params[f"L{i}.w_out"] + params[f"L{i}.b_out"] + a_4
-        ln2 = _ln_graph(pre6, params[f"L{i}.ln2_scale"], params[f"L{i}.ln2_shift"])
-        a_6 = noised(ad.clip01(ln2 / vth[5]), i, "output")
-
-        rates.extend([(f"L{i}.key", a_k), (f"L{i}.value", a_v),
-                      (f"L{i}.attn", a_att), (f"L{i}.fc", a_4),
-                      (f"L{i}.inter", a_5), (f"L{i}.output", a_6)])
-        layer_outputs.append(a_6)
-        a = a_6
-
-    logits = a[:, 0, :] @ params["cls_w"] + params["cls_b"]
-    return logits, rates, layer_outputs
+    noise = (None if stage_noise is None else
+             lambda layer_idx, name, rate: stage_noise(layer_idx, name, rate.value))
+    return _rate_walk(params, config, input_scale, tokens, head_masks, neuron_masks,
+                      _AD_OPS, noise)
 
 
 def cross_entropy(logits, labels) -> "ad.Var":
@@ -475,11 +457,11 @@ def cross_entropy(logits, labels) -> "ad.Var":
 def rate_proxy_forward(model: SpikingModel, masks: MaskSet, tokens):
     """Value-level rate forward: returns (logits, {sublayer name: rates}).
 
-    Rates are (batch, seq, units) arrays; the converged unrolled simulation
-    approaches them as timesteps grow.
+    The rate walk of proxy_graph on the model's plain arrays, with no
+    graph. Rates are (batch, seq, units) arrays; the converged unrolled
+    simulation approaches them as timesteps grow.
     """
     masks.validate_for(model)
-    params = build_param_vars(model)
-    logits, rates, _ = proxy_graph(params, model.config, model.input_scale,
-                                   tokens, masks.heads, masks.neurons)
-    return logits.value, {name: var.value for name, var in rates}
+    logits, rates, _ = _rate_walk(_model_arrays(model), model.config, model.input_scale,
+                                  tokens, masks.heads, masks.neurons, _NP_OPS)
+    return logits, dict(rates)

@@ -100,10 +100,12 @@ class TestPresets:
         assert cfg.epochs == 8
 
     def test_unknown_preset_lists_options(self):
-        with pytest.raises(InvalidInputError) as err:
-            resolve_config("definitely_not_a_preset")
-        assert "presets:" in str(err.value)
-        assert "sst2_toy" in str(err.value)
+        # a name with path separators is no preset, even if it leads to one
+        for name in ("definitely_not_a_preset", "../presets/sst2_toy"):
+            with pytest.raises(InvalidInputError) as err:
+                resolve_config(name)
+            assert "presets:" in str(err.value)
+            assert "sst2_toy" in str(err.value)
 
 
 class TestLoadConfig:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from types import SimpleNamespace
+
 from conftest import tiny_config, tiny_model, token_batch
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
-                        init_model, rate_proxy_forward, run_sequential,
-                        run_unrolled)
+                        evaluate_proxy, fisher_diagonal, init_model,
+                        rate_proxy_forward, run_sequential, run_unrolled)
 from spikeprune import autodiff as ad
 from spikeprune.engine import (LifState, build_param_vars, cross_entropy,
                                lif_step, proxy_graph)
@@ -136,17 +138,35 @@ class TestRunUnrolled:
         per_head = attn.reshape(model.config.seq_len, 2, 4)
         assert np.array_equal(per_head[:, 0, :], np.zeros((4, 4)))
 
-    def test_input_validation(self):
+    # every path from token ids to rates: (model, masks, tokens) -> result
+    ENTRY_POINTS = {
+        "run_unrolled": lambda m, k, t: run_unrolled(m, k, t, 5),
+        "run_sequential": lambda m, k, t: run_sequential(
+            m, k, TimestepPlan.uniform(1, 3), t, RandomStream(0)),
+        "rate_proxy_forward": rate_proxy_forward,
+        "proxy_graph": lambda m, k, t: proxy_graph(
+            build_param_vars(m), m.config, m.input_scale, t, k.heads, k.neurons),
+        "evaluate_proxy": lambda m, k, t: evaluate_proxy(
+            m, k, SimpleNamespace(tokens=t, labels=np.zeros(len(t), dtype=np.int64))),
+        "fisher_diagonal": lambda m, k, t: fisher_diagonal(
+            m, [(t, np.zeros(len(t), dtype=np.int64))]),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_input_validation(self, entry):
         model = tiny_model(0)
         masks = MaskSet.all_ones(model)
+        run = self.ENTRY_POINTS[entry]
         with pytest.raises(InvalidInputError):
-            run_unrolled(model, masks, np.zeros((2, 3), dtype=np.int64), 5)
-        bad = np.zeros((2, 4), dtype=np.int64)
-        bad[0, 1] = 99
-        with pytest.raises(InvalidInputError):
-            run_unrolled(model, masks, bad, 5)
-        with pytest.raises(InvalidInputError):
-            run_unrolled(model, masks, np.zeros((2, 4), dtype=np.int64), 0)
+            run(model, masks, np.zeros((2, 3), dtype=np.int64))
+        for token in (99, model.config.vocab_size, -1):
+            bad = np.zeros((2, 4), dtype=np.int64)
+            bad[0, 1] = token
+            with pytest.raises(InvalidInputError):
+                run(model, masks, bad)
+        if entry == "run_unrolled":
+            with pytest.raises(InvalidInputError):
+                run_unrolled(model, masks, np.zeros((2, 4), dtype=np.int64), 0)
 
 
 class TestProxyAgreement:
@@ -226,6 +246,26 @@ class TestRunSequential:
 
 
 class TestProxyGraph:
+    def test_value_walk_equals_the_graph_exactly(self):
+        """rate_proxy_forward and proxy_graph round identically.
+
+        Widths 12 and 6 are not powers of two, so a mean taken as sum / n in
+        one and sum * (1/n) in the other would show in the last bit.
+        """
+        model = tiny_model(7, hidden_size=12, num_layers=2)
+        masks = MaskSet([np.array([1.0, 0.0]), np.ones(2)],
+                        [np.ones(6), np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])])
+        tokens, _ = token_batch(model.config, 5, RandomStream(15))
+        logits, rates = rate_proxy_forward(model, masks, tokens)
+        g_logits, g_rates, _ = proxy_graph(build_param_vars(model), model.config,
+                                           model.input_scale, tokens,
+                                           [ad.Var(h) for h in masks.heads],
+                                           [ad.Var(n) for n in masks.neurons])
+        assert np.array_equal(logits, g_logits.value)
+        assert list(rates) == [name for name, _ in g_rates]
+        for name, var in g_rates:
+            assert np.array_equal(rates[name], var.value), name
+
     def test_stage_noise_zeros_is_identity(self):
         model = tiny_model(5)
         tokens, labels = token_batch(model.config, 3, RandomStream(12))
