@@ -31,6 +31,9 @@ class Var:
     """Node in the computation graph; wraps a float64 ndarray value."""
 
     __slots__ = ("value", "grad", "parents", "vjp")
+    # numpy operators defer to the reflected Var method, so `array * var`
+    # builds a graph node instead of an object array of per-element Vars
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -98,6 +101,9 @@ class Var:
         out.vjp = vjp
         return out
 
+    def __rmatmul__(self, other):
+        return _lift(other) @ self
+
     # --- shape ops --------------------------------------------------------
 
     def reshape(self, *shape):
@@ -159,8 +165,12 @@ def clip01(x: Var) -> Var:
 
 
 def sqrt(x: Var) -> Var:
-    out = Var(np.sqrt(x.value), (x,))
-    out.vjp = lambda g: (g * 0.5 / out.value,)
+    root = np.sqrt(x.value)
+    out = Var(root, (x,))
+    # the closure holds the value, not `out`: a node reachable from its own
+    # vjp is a reference cycle, which keeps the whole graph (and its arrays)
+    # alive until the cyclic garbage collector happens to run
+    out.vjp = lambda g: (g * 0.5 / root,)
     return out
 
 

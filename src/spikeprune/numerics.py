@@ -103,6 +103,9 @@ def pca_component_count(x, variance_threshold: float) -> int:
     covariance are taken in descending order and the smallest k with
     cumulative explained ratio >= threshold is returned. Zero total variance
     counts as one component (a constant signal still spans one dimension).
+    The eigenvalues come from the smaller of the two Gram matrices of the
+    centered data (rows x rows for a wide input): both share the nonzero
+    spectrum, and a trace is usually far wider than it is long.
     """
     mat = as_matrix(x, "pca input")
     if mat.shape[0] < 2:
@@ -110,8 +113,9 @@ def pca_component_count(x, variance_threshold: float) -> int:
     if not (0.0 < variance_threshold <= 1.0):
         raise InvalidInputError("variance_threshold must be in (0, 1]")
     centered = mat - mat.mean(axis=0)
-    cov = centered.T @ centered / (mat.shape[0] - 1)
-    eigvals = np.linalg.eigvalsh(cov)[::-1]
+    rows, cols = mat.shape
+    gram = centered @ centered.T if rows < cols else centered.T @ centered
+    eigvals = np.linalg.eigvalsh(gram / (rows - 1))[::-1]
     eigvals = np.clip(eigvals, 0.0, None)
     total = eigvals.sum()
     if total <= 0.0:

@@ -13,7 +13,7 @@ budget ratio are independent of t.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 
 import numpy as np
 
@@ -28,17 +28,12 @@ __all__ = ["select_masks", "refine_masks", "pruned_importance"]
 _HEAD, _NEURON = 0, 1
 
 
-@dataclasses.dataclass
-class _Unit:
-    layer: int
-    kind: int
-    index: int
-    score: float
-    cost: int
-
-
 class _Search:
-    """Mutable kept/pruned state shared by selection and refinement."""
+    """Mutable kept/pruned state shared by selection and refinement.
+
+    Units are laid out layer by layer, each layer's heads before its neurons;
+    a unit's id is its position in that order and indexes every array here.
+    """
 
     def __init__(self, scores: ImportanceScores, config: ModelConfig, t_uniform: int,
                  budget: float):
@@ -48,55 +43,71 @@ class _Search:
             raise InvalidInputError("scores layer count does not match config")
         plan = TimestepPlan.uniform(config.num_layers, max(1, int(t_uniform)))
         head_cost, neuron_cost = unit_costs(config, plan)
-        self.units = []
-        for l in range(config.num_layers):
-            for i, s in enumerate(np.asarray(scores.head_scores[l], dtype=np.float64)):
-                self.units.append(_Unit(l, _HEAD, i, float(s), int(head_cost[l])))
-            for j, s in enumerate(np.asarray(scores.neuron_scores[l], dtype=np.float64)):
-                self.units.append(_Unit(l, _NEURON, j, float(s), int(neuron_cost[l])))
-        if any(u.score < 0 for u in self.units):
+        # a uniform plan gives every head one cost and every neuron one cost;
+        # the rebalance sweep's prefix scans depend on it
+        assert (head_cost == head_cost[0]).all() and (neuron_cost == neuron_cost[0]).all()
+        self.kind_cost = (int(head_cost[0]), int(neuron_cost[0]))
+        groups = [np.asarray(g, dtype=np.float64)
+                  for pair in zip(scores.head_scores, scores.neuron_scores) for g in pair]
+        self.sizes = [len(g) for g in groups]
+        self.score = np.concatenate(groups)
+        if not np.all(np.isfinite(self.score)):
+            raise InvalidInputError("importance scores must be finite")
+        if np.any(self.score < 0):
             raise InvalidInputError("importance scores must be non-negative")
-        self.kept = np.ones(len(self.units), dtype=bool)
-        self.total = sum(u.cost for u in self.units)
+        num_layers = config.num_layers
+        self.layer = np.repeat(np.repeat(np.arange(num_layers), 2), self.sizes)
+        self.kind = np.repeat(np.tile([_HEAD, _NEURON], num_layers), self.sizes)
+        self.cost = np.array(self.kind_cost, dtype=np.int64)[self.kind]
+        self.kept = np.ones(len(self.score), dtype=bool)
+        self.total = int(self.cost.sum())
         self.baseline = self.total
         # relative slack absorbs float rounding in budget * baseline
         self.cap = budget * self.baseline * (1.0 + 1e-12)
-        self.kept_count = {}
-        for u in self.units:
-            key = (u.layer, u.kind)
-            self.kept_count[key] = self.kept_count.get(key, 0) + 1
+        self.count = np.array(self.sizes, dtype=np.int64).reshape(num_layers, 2)
 
-    def fits(self, new_total: float) -> bool:
+    def fits(self, new_total: int) -> bool:
         return new_total <= self.cap
 
-    def is_floor(self, u: _Unit) -> bool:
-        return self.kept_count[(u.layer, u.kind)] <= 1
+    def floor(self) -> np.ndarray:
+        """Units that are the last kept one of their (layer, kind) group."""
+        return self.count[self.layer, self.kind] <= 1
 
-    def prune(self, uid: int) -> None:
-        u = self.units[uid]
-        self.kept[uid] = False
-        self.total -= u.cost
-        self.kept_count[(u.layer, u.kind)] -= 1
+    def set_kept(self, uids, keep: bool) -> None:
+        """Flip `uids` (an id or an id array, all currently the other state)."""
+        sign = 1 if keep else -1
+        self.kept[uids] = keep
+        self.total += sign * int(self.cost[uids].sum())
+        np.add.at(self.count, (self.layer[uids], self.kind[uids]), sign)
 
-    def unprune(self, uid: int) -> None:
-        u = self.units[uid]
-        self.kept[uid] = True
-        self.total += u.cost
-        self.kept_count[(u.layer, u.kind)] += 1
+    def removable(self, uids: np.ndarray) -> np.ndarray:
+        """`uids` less the last of each (layer, kind) group among them.
 
-    def to_masks(self, scores: ImportanceScores) -> MaskSet:
-        heads = [np.ones(len(h)) for h in scores.head_scores]
-        neurons = [np.ones(len(n)) for n in scores.neuron_scores]
-        for uid, u in enumerate(self.units):
-            if not self.kept[uid]:
-                (heads if u.kind == _HEAD else neurons)[u.layer][u.index] = 0.0
-        return MaskSet(heads, neurons)
+        When `uids` holds every kept unit of its groups, pruning any prefix of
+        the result in order leaves a unit alive in every group.
+        """
+        group = self.layer[uids] * 2 + self.kind[uids]
+        last = np.full(self.count.size, -1)
+        np.maximum.at(last, group, np.arange(len(uids)))
+        keep = np.ones(len(uids), dtype=bool)
+        keep[last[last >= 0]] = False
+        return uids[keep]
+
+    def to_masks(self) -> MaskSet:
+        parts = np.split(self.kept.astype(np.float64), np.cumsum(self.sizes)[:-1])
+        return MaskSet(parts[0::2], parts[1::2])
 
     def load_masks(self, masks: MaskSet) -> None:
-        for uid, u in enumerate(self.units):
-            group = masks.heads if u.kind == _HEAD else masks.neurons
-            if group[u.layer][u.index] == 0.0:
-                self.prune(uid)
+        groups = [g for pair in zip(masks.heads, masks.neurons) for g in pair]
+        if [len(g) for g in groups] != self.sizes:
+            raise InvalidInputError("masks do not match the scores' shapes")
+        self.set_kept(np.flatnonzero(np.concatenate(groups) == 0.0), False)
+
+
+def _first(mask: np.ndarray, start: int) -> int:
+    """Index of the first True of `mask` at or after `start`, or -1."""
+    hits = np.flatnonzero(mask[start:])
+    return start + int(hits[0]) if hits.size else -1
 
 
 def select_masks(scores: ImportanceScores, config: ModelConfig, t_uniform: int,
@@ -108,100 +119,100 @@ def select_masks(scores: ImportanceScores, config: ModelConfig, t_uniform: int,
     even one head plus one neuron per layer exceeds the budget.
     """
     st = _Search(scores, config, t_uniform, budget)
-    order = sorted(range(len(st.units)),
-                   key=lambda uid: (st.units[uid].score / st.units[uid].cost,
-                                    st.units[uid].layer, st.units[uid].kind,
-                                    st.units[uid].index))
-    for uid in order:
-        if st.fits(st.total):
-            break
-        if st.is_floor(st.units[uid]):
-            continue
-        st.prune(uid)
+    # unit ids already run in (layer, kind, index) order, so a stable sort
+    # breaks ties as documented
+    cands = st.removable(np.argsort(st.score / st.cost, kind="stable"))
+    freed = np.concatenate(([0], np.cumsum(st.cost[cands])))
+    fitting = np.flatnonzero(st.total - freed <= math.floor(st.cap))
+    st.set_kept(cands[:int(fitting[0]) if fitting.size else cands.size], False)
     if not st.fits(st.total):
         floor = st.total / st.baseline
         raise InfeasibleBudgetError(
             f"budget {budget} infeasible: keeping one head and one neuron per "
             f"layer already needs ratio {floor:.6f}")
-    return st.to_masks(scores)
+    return st.to_masks()
 
 
 def _sweep_unprune(st: _Search) -> bool:
     changed = False
-    for uid, u in enumerate(st.units):
-        if not st.kept[uid] and u.score > 0.0 and st.fits(st.total + u.cost):
-            st.unprune(uid)
+    for uid in np.flatnonzero(~st.kept & (st.score > 0.0)).tolist():
+        if st.fits(st.total + int(st.cost[uid])):
+            st.set_kept(uid, True)
             changed = True
     return changed
 
 
 def _sweep_swaps(st: _Search) -> bool:
-    """1-for-1 swaps, any layer or kind: keep the more important unit."""
-    changed = False
-    for uid, u in enumerate(st.units):
-        if not st.kept[uid] or st.is_floor(u):
-            continue
-        for vid, v in enumerate(st.units):
-            if st.kept[vid] or v.score <= u.score:
-                continue
-            if st.fits(st.total - u.cost + v.cost):
-                st.prune(uid)
-                st.unprune(vid)
-                changed = True
-                break
-    return changed
+    """1-for-1 swaps, any layer or kind: keep the more important unit.
+
+    Kept units are visited in id order; each swaps with the first pruned unit
+    of higher score that fits in its place. Whether a swap fits depends only
+    on the two kinds, so between moves one scan finds the next unit to move.
+    """
+    changed, start = False, 0
+    while True:
+        pruned = ~st.kept
+        fit = np.array([[st.fits(st.total - cu + cv) for cv in st.kind_cost]
+                        for cu in st.kind_cost])
+        best = np.array([st.score[pruned & (st.kind == k)].max(initial=-np.inf)
+                         for k in (_HEAD, _NEURON)])
+        # highest score a unit of each kind could be swapped for
+        reach = np.where(fit, best, -np.inf).max(axis=1)
+        uid = _first(st.kept & ~st.floor() & (st.score < reach[st.kind]), start)
+        if uid < 0:
+            return changed
+        vid = _first(pruned & (st.score > st.score[uid]) & fit[st.kind[uid]][st.kind], 0)
+        st.set_kept(uid, False)
+        st.set_kept(vid, True)
+        changed, start = True, uid + 1
 
 
-def _sweep_rebalance(st: _Search) -> bool:
-    """Trade one head against the ACs-equivalent set of neurons, both ways."""
+def _sweep_rebalance(st: _Search, ascending: np.ndarray, descending: np.ndarray) -> bool:
+    """Trade one head against the ACs-equivalent set of neurons, both ways.
+
+    `ascending`/`descending` hold the neuron ids by (score, layer, index) and
+    (-score, layer, index). A head goes when the best pruned neurons that fit
+    in its place sum to more than its score; a pruned head returns when the
+    worst kept neurons that free its cost sum to less. All neurons cost the
+    same, so both sets are prefixes of one order, and they change only when a
+    move is made. Sums are taken left to right, as a running total would.
+    """
+    head_cost, neuron_cost = st.kind_cost
+    heads = st.kind == _HEAD
     changed = False
     # head out, neurons in
-    for uid, u in enumerate(st.units):
-        if u.kind != _HEAD or not st.kept[uid] or st.is_floor(u):
-            continue
-        slack = st.cap - (st.total - u.cost)
-        cands = sorted((vid for vid, v in enumerate(st.units)
-                        if v.kind == _NEURON and not st.kept[vid] and v.score > 0.0),
-                       key=lambda vid: (-st.units[vid].score, st.units[vid].layer,
-                                        st.units[vid].index))
-        take, gain, used = [], 0.0, 0
-        for vid in cands:
-            if used + st.units[vid].cost <= slack:
-                take.append(vid)
-                gain += st.units[vid].score
-                used += st.units[vid].cost
-        if take and gain > u.score:
-            st.prune(uid)
-            for vid in take:
-                st.unprune(vid)
-            changed = True
+    start = 0
+    while True:
+        take = descending[~st.kept[descending] & (st.score[descending] > 0.0)]
+        slack = st.cap - (st.total - head_cost)
+        # k neurons fit iff k * cost <= slack, i.e. k <= floor(slack) // cost
+        take = take[:max(0, math.floor(slack) // neuron_cost)]
+        if not take.size:
+            break
+        gain = np.cumsum(st.score[take])[-1]
+        uid = _first(heads & st.kept & ~st.floor() & (st.score < gain), start)
+        if uid < 0:
+            break
+        st.set_kept(uid, False)
+        st.set_kept(take, True)
+        changed, start = True, uid + 1
     # neurons out, head in
-    for vid, v in enumerate(st.units):
-        if v.kind != _HEAD or st.kept[vid]:
-            continue
-        needed = (st.total + v.cost) - st.cap
-        cands = sorted((uid for uid, u in enumerate(st.units)
-                        if u.kind == _NEURON and st.kept[uid]),
-                       key=lambda uid: (st.units[uid].score, st.units[uid].layer,
-                                        st.units[uid].index))
-        drop, lost, freed = [], 0.0, 0
-        dropped_per_layer = {}
-        for uid in cands:
-            if freed >= needed:
-                break
-            u = st.units[uid]
-            would_drop = dropped_per_layer.get(u.layer, 0) + 1
-            if st.kept_count[(u.layer, _NEURON)] - would_drop < 1:
-                continue
-            drop.append(uid)
-            dropped_per_layer[u.layer] = would_drop
-            lost += u.score
-            freed += u.cost
-        if freed >= needed and lost < v.score:
-            for uid in drop:
-                st.prune(uid)
-            st.unprune(vid)
-            changed = True
+    start = 0
+    while True:
+        drop = st.removable(ascending[st.kept[ascending]])
+        needed = (st.total + head_cost) - st.cap
+        # fewest neurons with count * cost >= needed, in exact integers
+        count = max(0, -(-math.ceil(needed) // neuron_cost))
+        if count > drop.size:
+            break
+        drop = drop[:count]
+        lost = np.cumsum(st.score[drop])[-1] if count else 0.0
+        vid = _first(heads & ~st.kept & (st.score > lost), start)
+        if vid < 0:
+            break
+        st.set_kept(drop, False)
+        st.set_kept(vid, True)
+        changed, start = True, vid + 1
     return changed
 
 
@@ -211,21 +222,25 @@ def refine_masks(masks: MaskSet, scores: ImportanceScores, config: ModelConfig,
 
     Neighborhood per sweep: re-add pruned units that now fit, 1-for-1 swaps
     (same kind or across kinds and layers), and head-versus-neuron-set
-    rebalances. Stops at a local optimum or after max_iters sweeps; output
-    never violates the budget and never has higher pruned importance than
-    the input.
+    rebalances. Each sweep recomputes its candidates once per move, not once
+    per unit visited. Stops at a local optimum or after max_iters sweeps;
+    output never violates the budget and never has higher pruned importance
+    than the input.
     """
     st = _Search(scores, config, 1, budget)
     st.load_masks(masks)
     if not st.fits(st.total):
         raise InvalidInputError("input masks do not satisfy the budget")
+    neurons = np.flatnonzero(st.kind == _NEURON)
+    ascending = neurons[np.argsort(st.score[neurons], kind="stable")]
+    descending = neurons[np.argsort(-st.score[neurons], kind="stable")]
     for _ in range(max_iters):
         changed = _sweep_unprune(st)
         changed = _sweep_swaps(st) or changed
-        changed = _sweep_rebalance(st) or changed
+        changed = _sweep_rebalance(st, ascending, descending) or changed
         if not changed:
             break
-    return st.to_masks(scores)
+    return st.to_masks()
 
 
 def pruned_importance(scores: ImportanceScores, masks: MaskSet) -> float:

@@ -1,13 +1,22 @@
-"""Shared helpers: tiny model factories and an instrumented MAC counter.
+"""Shared helpers: tiny model factories, an instrumented MAC counter and a
+reference mask search.
 
 The counter is the independent route for checking the closed-form ACs
 formulas: it walks the per-timestep dataflow and tallies multiply-accumulate
 slots for every matrix product the masked forward pass would execute.
+
+The reference search is the plain-Python selection and refinement, one
+object per unit and one candidate scan per unit visited; `spatial`'s array
+search must return the same masks.
 """
+
+import dataclasses
 
 import numpy as np
 
-from spikeprune import ModelConfig, RandomStream, init_model
+from spikeprune import (ImportanceScores, InfeasibleBudgetError, InvalidInputError,
+                        MaskSet, ModelConfig, RandomStream, TimestepPlan, init_model)
+from spikeprune.cost import unit_costs
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -75,3 +84,209 @@ def brute_force_acs(config: ModelConfig, head_keep, neuron_keep, plan) -> int:
         for _ in range(plan.get(l, "output")):
             counter.matmul(n, dn, d)
     return counter.total
+
+
+# --- reference mask search ---------------------------------------------------
+
+_HEAD, _NEURON = 0, 1
+
+
+@dataclasses.dataclass
+class _RefUnit:
+    layer: int
+    kind: int
+    index: int
+    score: float
+    cost: int
+
+
+class _RefSearch:
+    """Kept/pruned state of the reference search, one object per unit."""
+
+    def __init__(self, scores: ImportanceScores, config: ModelConfig, t_uniform: int,
+                 budget: float):
+        if not (0.0 < budget <= 1.0):
+            raise InvalidInputError("budget must be in (0, 1]")
+        if len(scores.head_scores) != config.num_layers:
+            raise InvalidInputError("scores layer count does not match config")
+        plan = TimestepPlan.uniform(config.num_layers, max(1, int(t_uniform)))
+        head_cost, neuron_cost = unit_costs(config, plan)
+        self.units = []
+        for l in range(config.num_layers):
+            for i, s in enumerate(np.asarray(scores.head_scores[l], dtype=np.float64)):
+                self.units.append(_RefUnit(l, _HEAD, i, float(s), int(head_cost[l])))
+            for j, s in enumerate(np.asarray(scores.neuron_scores[l], dtype=np.float64)):
+                self.units.append(_RefUnit(l, _NEURON, j, float(s), int(neuron_cost[l])))
+        if any(u.score < 0 for u in self.units):
+            raise InvalidInputError("importance scores must be non-negative")
+        self.kept = np.ones(len(self.units), dtype=bool)
+        self.total = sum(u.cost for u in self.units)
+        self.baseline = self.total
+        # relative slack absorbs float rounding in budget * baseline
+        self.cap = budget * self.baseline * (1.0 + 1e-12)
+        self.kept_count = {}
+        for u in self.units:
+            key = (u.layer, u.kind)
+            self.kept_count[key] = self.kept_count.get(key, 0) + 1
+
+    def fits(self, new_total: float) -> bool:
+        return new_total <= self.cap
+
+    def is_floor(self, u: _RefUnit) -> bool:
+        return self.kept_count[(u.layer, u.kind)] <= 1
+
+    def prune(self, uid: int) -> None:
+        u = self.units[uid]
+        self.kept[uid] = False
+        self.total -= u.cost
+        self.kept_count[(u.layer, u.kind)] -= 1
+
+    def unprune(self, uid: int) -> None:
+        u = self.units[uid]
+        self.kept[uid] = True
+        self.total += u.cost
+        self.kept_count[(u.layer, u.kind)] += 1
+
+    def to_masks(self, scores: ImportanceScores) -> MaskSet:
+        heads = [np.ones(len(h)) for h in scores.head_scores]
+        neurons = [np.ones(len(n)) for n in scores.neuron_scores]
+        for uid, u in enumerate(self.units):
+            if not self.kept[uid]:
+                (heads if u.kind == _HEAD else neurons)[u.layer][u.index] = 0.0
+        return MaskSet(heads, neurons)
+
+    def load_masks(self, masks: MaskSet) -> None:
+        for uid, u in enumerate(self.units):
+            group = masks.heads if u.kind == _HEAD else masks.neurons
+            if group[u.layer][u.index] == 0.0:
+                self.prune(uid)
+
+
+def reference_select_masks(scores: ImportanceScores, config: ModelConfig,
+                           t_uniform: int, budget: float) -> MaskSet:
+    """Prune lowest importance-per-AC units until ACs ratio <= budget.
+
+    Candidates are sorted ascending by score/cost (ties: lower layer, heads
+    before neurons, lower unit index). Raises InfeasibleBudgetError when
+    even one head plus one neuron per layer exceeds the budget.
+    """
+    st = _RefSearch(scores, config, t_uniform, budget)
+    order = sorted(range(len(st.units)),
+                   key=lambda uid: (st.units[uid].score / st.units[uid].cost,
+                                    st.units[uid].layer, st.units[uid].kind,
+                                    st.units[uid].index))
+    for uid in order:
+        if st.fits(st.total):
+            break
+        if st.is_floor(st.units[uid]):
+            continue
+        st.prune(uid)
+    if not st.fits(st.total):
+        floor = st.total / st.baseline
+        raise InfeasibleBudgetError(
+            f"budget {budget} infeasible: keeping one head and one neuron per "
+            f"layer already needs ratio {floor:.6f}")
+    return st.to_masks(scores)
+
+
+def _ref_sweep_unprune(st: _RefSearch) -> bool:
+    changed = False
+    for uid, u in enumerate(st.units):
+        if not st.kept[uid] and u.score > 0.0 and st.fits(st.total + u.cost):
+            st.unprune(uid)
+            changed = True
+    return changed
+
+
+def _ref_sweep_swaps(st: _RefSearch) -> bool:
+    """1-for-1 swaps, any layer or kind: keep the more important unit."""
+    changed = False
+    for uid, u in enumerate(st.units):
+        if not st.kept[uid] or st.is_floor(u):
+            continue
+        for vid, v in enumerate(st.units):
+            if st.kept[vid] or v.score <= u.score:
+                continue
+            if st.fits(st.total - u.cost + v.cost):
+                st.prune(uid)
+                st.unprune(vid)
+                changed = True
+                break
+    return changed
+
+
+def _ref_sweep_rebalance(st: _RefSearch) -> bool:
+    """Trade one head against the ACs-equivalent set of neurons, both ways."""
+    changed = False
+    # head out, neurons in
+    for uid, u in enumerate(st.units):
+        if u.kind != _HEAD or not st.kept[uid] or st.is_floor(u):
+            continue
+        slack = st.cap - (st.total - u.cost)
+        cands = sorted((vid for vid, v in enumerate(st.units)
+                        if v.kind == _NEURON and not st.kept[vid] and v.score > 0.0),
+                       key=lambda vid: (-st.units[vid].score, st.units[vid].layer,
+                                        st.units[vid].index))
+        take, gain, used = [], 0.0, 0
+        for vid in cands:
+            if used + st.units[vid].cost <= slack:
+                take.append(vid)
+                gain += st.units[vid].score
+                used += st.units[vid].cost
+        if take and gain > u.score:
+            st.prune(uid)
+            for vid in take:
+                st.unprune(vid)
+            changed = True
+    # neurons out, head in
+    for vid, v in enumerate(st.units):
+        if v.kind != _HEAD or st.kept[vid]:
+            continue
+        needed = (st.total + v.cost) - st.cap
+        cands = sorted((uid for uid, u in enumerate(st.units)
+                        if u.kind == _NEURON and st.kept[uid]),
+                       key=lambda uid: (st.units[uid].score, st.units[uid].layer,
+                                        st.units[uid].index))
+        drop, lost, freed = [], 0.0, 0
+        dropped_per_layer = {}
+        for uid in cands:
+            if freed >= needed:
+                break
+            u = st.units[uid]
+            would_drop = dropped_per_layer.get(u.layer, 0) + 1
+            if st.kept_count[(u.layer, _NEURON)] - would_drop < 1:
+                continue
+            drop.append(uid)
+            dropped_per_layer[u.layer] = would_drop
+            lost += u.score
+            freed += u.cost
+        if freed >= needed and lost < v.score:
+            for uid in drop:
+                st.prune(uid)
+            st.unprune(vid)
+            changed = True
+    return changed
+
+
+def reference_refine_masks(masks: MaskSet, scores: ImportanceScores,
+                           config: ModelConfig, budget: float,
+                           max_iters: int = 100) -> MaskSet:
+    """Hill-climb from feasible masks, strictly decreasing pruned importance.
+
+    Neighborhood per sweep: re-add pruned units that now fit, 1-for-1 swaps
+    (same kind or across kinds and layers), and head-versus-neuron-set
+    rebalances. Stops at a local optimum or after max_iters sweeps; output
+    never violates the budget and never has higher pruned importance than
+    the input.
+    """
+    st = _RefSearch(scores, config, 1, budget)
+    st.load_masks(masks)
+    if not st.fits(st.total):
+        raise InvalidInputError("input masks do not satisfy the budget")
+    for _ in range(max_iters):
+        changed = _ref_sweep_unprune(st)
+        changed = _ref_sweep_swaps(st) or changed
+        changed = _ref_sweep_rebalance(st) or changed
+        if not changed:
+            break
+    return st.to_masks(scores)

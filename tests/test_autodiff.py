@@ -6,6 +6,9 @@ compares against finite_difference_gradient of the same scalar viewed as a
 function of one input at a time.
 """
 
+import gc
+import operator
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,17 @@ class TestArithmetic:
         # batch on the left only; gradient must reduce back to (4, 2)
         a, b = _rand((2, 3, 4), 13), _rand((4, 2), 14)
         _grad_vs_fd(lambda vs: _contract(vs[0] @ vs[1], 16), [a, b])
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.matmul])
+    def test_array_on_the_left_defers_to_var(self, op):
+        """`array <op> var` is one Var node, never an object array of Vars."""
+        left = _rand((3, 3), 17)
+        b = _rand((3, 3), 18, low=0.5, high=2.0)
+        out = op(left, ad.Var(b))
+        assert isinstance(out, ad.Var)
+        assert np.array_equal(out.value, op(left, b))
+        _grad_vs_fd(lambda vs: _contract(op(left, vs[0]), 19), [b])
 
 
 class TestShapeOps:
@@ -156,6 +170,24 @@ class TestGathers:
 
 
 class TestGraphStructure:
+    def test_dropped_graph_needs_no_cycle_collector(self):
+        """No node is reachable from its own vjp, so dropping the root frees
+        the whole graph, arrays included, by reference counting alone."""
+        x = ad.Var(_rand((3, 4), 35, low=0.5, high=2.0))
+        labels = np.array([0, 3, 1])
+        gc.collect()
+        gc.disable()
+        try:
+            h = ad.sqrt(ad.square(x) + 1.0) @ ad.Var(_rand((4, 4), 36))
+            h = ad.clip01(ad.sigmoid(h[:, :2].reshape(3, 2).swapaxes(0, 1)))
+            out = (ad.softmax(h, axis=0).mean() + ad.logsumexp(h).sum()
+                   + ad.take_labels(ad.Var(_rand((3, 4), 37)) / x, labels).sum())
+            ad.backward(out)
+            del h, out
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_shared_subexpression_accumulates(self):
         x = ad.Var(np.array([2.0, 3.0]))
         y = x * x + x

@@ -86,6 +86,15 @@ class TestRandomStream:
                                   RandomStream(1).uniform((20,)))
 
 
+def _svd_count(mat, theta):
+    """Explained-variance component count from singular values."""
+    centered = mat - mat.mean(axis=0)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    var = sv**2 / (mat.shape[0] - 1)
+    ratios = np.cumsum(var) / var.sum()
+    return int(np.nonzero(ratios + 1e-12 >= theta)[0][0]) + 1
+
+
 class TestPcaComponentCount:
     def test_matches_svd_oracle(self):
         """Eigendecomposition route equals SVD explained-variance counting."""
@@ -93,12 +102,17 @@ class TestPcaComponentCount:
             stream = RandomStream(seed)
             mat = stream.uniform((30, 6)) * stream.uniform((6,)) * 5.0
             for theta in (0.5, 0.9, 0.99, 0.99999, 1.0):
-                centered = mat - mat.mean(axis=0)
-                sv = np.linalg.svd(centered, compute_uv=False)
-                var = sv**2 / (mat.shape[0] - 1)
-                ratios = np.cumsum(var) / var.sum()
-                oracle = int(np.nonzero(ratios + 1e-12 >= theta)[0][0]) + 1
-                assert pca_component_count(mat, theta) == oracle
+                assert pca_component_count(mat, theta) == _svd_count(mat, theta)
+
+    @pytest.mark.parametrize("rows, cols", [(8, 40), (40, 1536)])
+    def test_wide_inputs_match_svd_oracle(self, rows, cols):
+        """Fewer rows than columns, as a T x units trace has: the row-side
+        Gram matrix gives the same count as the SVD."""
+        for seed in range(8):
+            stream = RandomStream(seed)
+            mat = stream.uniform((rows, cols)) * stream.uniform((cols,)) * 5.0
+            for theta in (0.5, 0.9, 0.99, 0.99999, 1.0):
+                assert pca_component_count(mat, theta) == _svd_count(mat, theta)
 
     def test_rank_one_needs_one_component(self):
         u = np.linspace(-1, 1, 20).reshape(-1, 1)
@@ -119,6 +133,12 @@ class TestPcaComponentCount:
         stream = RandomStream(2)
         basis = stream.uniform((3, 8))
         coeffs = stream.uniform((40, 3)) * 2 - 1
+        assert pca_component_count(coeffs @ basis, 1.0) <= 3
+
+    def test_wide_exact_low_rank_at_threshold_one(self):
+        stream = RandomStream(3)
+        basis = stream.uniform((3, 200))
+        coeffs = stream.uniform((12, 3)) * 2 - 1
         assert pca_component_count(coeffs @ basis, 1.0) <= 3
 
     def test_validation(self):

@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import tiny_config
-from spikeprune import (InfeasibleBudgetError, InvalidInputError, MaskSet,
-                        RandomStream, TimestepPlan, acs_baseline, acs_total,
+from conftest import reference_refine_masks, reference_select_masks, tiny_config
+from spikeprune import (ImportanceScores, InfeasibleBudgetError, InvalidInputError,
+                        MaskSet, RandomStream, TimestepPlan, acs_baseline, acs_total,
                         combine, refine_masks, select_masks)
 from spikeprune.spatial import pruned_importance
 
@@ -154,6 +155,18 @@ class TestRefineMasks:
         refined = refine_masks(bad, scores, cfg, 0.5)
         assert pruned_importance(scores, refined) <= pruned_importance(scores, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("group", ["heads", "neurons"])
+    def test_non_finite_scores_rejected(self, bad, group):
+        cfg = tiny_config()
+        hs, ns = [np.array([0.5, 0.7])], [np.linspace(0.1, 0.6, 6)]
+        (hs if group == "heads" else ns)[0][1] = bad
+        scores = ImportanceScores(hs, ns, hs, ns, hs, ns)
+        with pytest.raises(InvalidInputError, match="finite"):
+            select_masks(scores, cfg, cfg.t_conv, 0.8)
+        with pytest.raises(InvalidInputError, match="finite"):
+            refine_masks(MaskSet([np.ones(2)], [np.ones(6)]), scores, cfg, 1.0)
+
     def test_infeasible_start_rejected(self):
         cfg = tiny_config()
         scores = _scores(cfg, RandomStream(4))
@@ -168,6 +181,84 @@ class TestRefineMasks:
         refined = refine_masks(start, scores, cfg, 1.0)
         assert refined.heads[0].sum() == 2
         assert refined.neurons[0].sum() == 6
+
+
+def _same_masks(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.heads + a.neurons,
+                                                     b.heads + b.neurons))
+
+
+def _draw_scores(rng, size, kind):
+    if kind == "distinct":
+        return rng.random(size)
+    if kind == "tied":
+        return rng.integers(0, 3, size) / 2.0
+    if kind == "sparse":
+        return np.where(rng.random(size) < 0.3, 0.0, rng.random(size))
+    return np.zeros(size)
+
+
+class TestAgainstReference:
+    """The array search returns the reference search's masks exactly."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(layers=st.integers(1, 4), heads=st.sampled_from([1, 2, 4]),
+           neurons=st.integers(1, 24), seq_len=st.integers(2, 5),
+           kind=st.sampled_from(["distinct", "tied", "sparse", "zero"]),
+           head_range=st.sampled_from([(0.0, 1.0), (0.0, 10.0), (1.0, 2.0)]),
+           start=st.sampled_from(["select", (0.5, 0.5), (1.0, 0.3), (0.0, 1.0)]),
+           budget=st.floats(0.3, 1.0), max_iters=st.sampled_from([1, 2, 100]),
+           seed=st.integers(0, 10_000))
+    def test_same_masks_as_the_reference(self, layers, heads, neurons, seq_len, kind,
+                                         head_range, start, budget, max_iters, seed):
+        """Head scores span [low, low + span): heads just above every neuron
+        make head-for-neurons trades pay. A start is either the selection at
+        `budget` or random masks keeping a (head, neuron) share, refined at
+        0 to 21% above their own ratio; 1-head layers and the forced one kept
+        unit per layer put layers at their floor."""
+        cfg = tiny_config(num_layers=layers, hidden_size=4 * heads,
+                          num_heads=heads, intermediate_size=neurons,
+                          seq_len=seq_len)
+        rng = np.random.default_rng(seed)
+        low, span = head_range
+        hs = [low + _draw_scores(rng, heads, kind) * span for _ in range(layers)]
+        ns = [_draw_scores(rng, neurons, kind) for _ in range(layers)]
+        scores = ImportanceScores(hs, ns, hs, ns, hs, ns)
+        if start == "select":
+            try:
+                begin = reference_select_masks(scores, cfg, cfg.t_conv, budget)
+            except InfeasibleBudgetError:
+                with pytest.raises(InfeasibleBudgetError):
+                    select_masks(scores, cfg, cfg.t_conv, budget)
+                return
+            assert _same_masks(select_masks(scores, cfg, cfg.t_conv, budget), begin)
+        else:
+            head_share, neuron_share = start
+            hm = [(rng.random(heads) < head_share).astype(float) for _ in range(layers)]
+            nm = [(rng.random(neurons) < neuron_share).astype(float) for _ in range(layers)]
+            for l in range(layers):
+                hm[l][rng.integers(heads)] = 1.0
+                nm[l][rng.integers(neurons)] = 1.0
+            begin = MaskSet(hm, nm)
+            slack = 1.0 + 0.3 * (1.0 - budget)
+            budget = min(1.0, _ratio(cfg, begin, cfg.t_conv) * slack)
+        want = reference_refine_masks(begin, scores, cfg, budget, max_iters)
+        got = refine_masks(begin, scores, cfg, budget, max_iters)
+        assert _same_masks(got, want)
+
+    def test_trade_gain_is_a_running_sum(self):
+        """A head worth 1.0 against pruned neurons [1.0, 2**-53 x 20]: the
+        left-to-right sum stays 1.0, so the head stays; a pairwise sum would
+        exceed 1.0 and trade it away."""
+        cfg = tiny_config(hidden_size=32, num_heads=2, intermediate_size=40)
+        hs = [np.array([1.0, 5.0])]
+        ns = [np.concatenate(([1.0], np.full(20, 2.0**-53), np.full(19, 10.0)))]
+        scores = ImportanceScores(hs, ns, hs, ns, hs, ns)
+        begin = MaskSet([np.ones(2)], [(ns[0] == 10.0).astype(float)])
+        budget = _ratio(cfg, begin, cfg.t_conv)
+        want = reference_refine_masks(begin, scores, cfg, budget)
+        assert _same_masks(want, begin)
+        assert _same_masks(refine_masks(begin, scores, cfg, budget), want)
 
 
 class TestAgainstExhaustive:
