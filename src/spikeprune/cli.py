@@ -218,14 +218,21 @@ def _base_arg(value: str) -> float:
     return base
 
 
-def _batch_arg(value: str) -> int:
-    try:
-        batch = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid batch size {value!r}") from None
-    if batch < 1:
-        raise argparse.ArgumentTypeError("batch must be a positive integer")
-    return batch
+def _positive_int(what: str):
+    """argparse type for a positive integer; `what` names it in the usage error."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {value!r}") from None
+        if number < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be a positive integer")
+        return number
+    return parse
+
+
+_batch_arg = _positive_int("batch")
+_epochs_arg = _positive_int("epochs")
 
 
 def _rho_arg(value: str) -> float:
@@ -360,13 +367,12 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _ablate_activity(cfg: RunConfig, seed: int, epochs) -> dict:
+def _ablate_activity(cfg: RunConfig, seed: int, epochs: int) -> dict:
     mcfg = cfg.model_config()
     results = {}
     for label, eta in (("with_activity", cfg.eta), ("without_activity", 0.0)):
         _, model, train_data, test_data = _synthetic_run(cfg, seed)
-        tcfg = cfg.train_config(seed=seed, eta=eta,
-                                **({"epochs": epochs} if epochs else {}))
+        tcfg = cfg.train_config(seed=seed, eta=eta, epochs=epochs)
         masks = MaskSet.all_ones(model)
         plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
         model, masks, plan, history = train(model, masks, plan, train_data, tcfg,
@@ -389,13 +395,13 @@ def _ablate_activity(cfg: RunConfig, seed: int, epochs) -> dict:
     return results
 
 
-def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs) -> dict:
+def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs: int) -> dict:
     mcfg = cfg.model_config()
     master, model, train_data, test_data = _synthetic_run(cfg, seed)
     eval_lane = master.derive(_LANE_EVAL)
     masks = MaskSet.all_ones(model)
     plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
-    tcfg = cfg.train_config(seed=seed, **({"epochs": epochs} if epochs else {}))
+    tcfg = cfg.train_config(seed=seed, epochs=epochs)
     model, masks, plan, _ = train(model, masks, plan, train_data, tcfg,
                                   eval_data=test_data)
     base_acc = _seq_accuracy(model, masks, plan, test_data, eval_lane.derive(0))
@@ -412,8 +418,7 @@ def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs) -> dict:
     for lane, (label, adaptive) in enumerate(
             (("adaptive_vth", True), ("fixed_vth", False)), start=2):
         rcfg = cfg.train_config(seed=seed + 1, adaptive_vth=adaptive,
-                                learning_rate=retrain_lr,
-                                **({"epochs": epochs} if epochs else {}))
+                                learning_rate=retrain_lr, epochs=epochs)
         m, k, p, _ = train(model, masks, short, train_data, rcfg,
                            eval_data=test_data)
         acc = _seq_accuracy(m, k, p, test_data, eval_lane.derive(lane))
@@ -425,15 +430,14 @@ def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs) -> dict:
     return results
 
 
-def _ablate_joint(cfg: RunConfig, seed: int, epochs) -> dict:
+def _ablate_joint(cfg: RunConfig, seed: int, epochs: int) -> dict:
     mcfg = cfg.model_config()
     _, model0, train_data, test_data = _synthetic_run(cfg, seed)
     plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
-    n_epochs = epochs if epochs else cfg.epochs
     results = {}
 
     # two-stage: train, importance-prune to the budget, recover
-    tcfg = cfg.train_config(seed=seed, epochs=n_epochs)
+    tcfg = cfg.train_config(seed=seed, epochs=epochs)
     model, masks, _, _ = train(model0, MaskSet.all_ones(model0), plan,
                                train_data, tcfg, eval_data=test_data)
     calib = Dataset(train_data.tokens[:cfg.train_batch * 4],
@@ -442,7 +446,7 @@ def _ablate_joint(cfg: RunConfig, seed: int, epochs) -> dict:
     pruned = refine_masks(
         select_masks(scores, mcfg, mcfg.t_conv, cfg.acs_constraint),
         scores, mcfg, cfg.acs_constraint)
-    rcfg = cfg.train_config(seed=seed + 1, epochs=max(1, n_epochs // 2))
+    rcfg = cfg.train_config(seed=seed + 1, epochs=max(1, epochs // 2))
     model_a, masks_a, _, _ = train(model, pruned, plan, train_data, rcfg,
                                    eval_data=test_data)
     results["two_stage"] = {
@@ -455,8 +459,8 @@ def _ablate_joint(cfg: RunConfig, seed: int, epochs) -> dict:
     neurons = [np.ones(mcfg.intermediate_size) for _ in range(mcfg.num_layers)]
     soft = MaskSet([h.copy() for h in heads], [n.copy() for n in neurons],
                    [0.7 * h for h in heads], [0.7 * n for n in neurons])
-    jcfg = cfg.train_config(seed=seed, epochs=n_epochs,
-                            penalty_epochs=max(1, n_epochs // 2))
+    jcfg = cfg.train_config(seed=seed, epochs=epochs,
+                            penalty_epochs=max(1, epochs // 2))
     model_b, masks_b, _, _ = train(model0, soft, plan, train_data, jcfg,
                                    eval_data=test_data)
     results["joint"] = {
@@ -472,7 +476,10 @@ def cmd_ablate(args) -> int:
     runners = {"activity": _ablate_activity,
                "adaptive-vth": _ablate_adaptive_vth,
                "joint": _ablate_joint}
-    results = runners[args.study](cfg, seed, args.epochs)
+    epochs = args.epochs if args.epochs is not None else cfg.epochs
+    if epochs < 1:
+        raise InvalidInputError(f"ablate needs at least one epoch, got epochs = {epochs}")
+    results = runners[args.study](cfg, seed, epochs)
     results["study"] = args.study
     results["seed"] = seed
     _write_result(results, args.out)
@@ -562,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["activity", "adaptive-vth", "joint"])
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None,
+    p.add_argument("--epochs", type=_epochs_arg, default=None,
                    help="override epochs for quicker studies")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ablate)

@@ -15,7 +15,9 @@ alike. Three walks read the same tables:
 * `run_sequential`, layer-major: each sublayer runs for its own budget
   from a TimestepPlan on a fresh Bernoulli spike train regenerated from
   its source's converged rates, which is what makes per-sublayer timestep
-  budgets independent knobs.
+  budgets independent knobs. The train is drawn one batch-wide plane per
+  timestep as it is consumed, so memory is O(batch x width), independent
+  of the plan.
 * the rate walk, where each LIF sublayer is replaced by its steady-state
   rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
   (training and Fisher importance differentiate it), `rate_proxy_forward`
@@ -314,14 +316,27 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
     return logits, traces
 
 
-def _regen(rates: np.ndarray, t: int, streams) -> np.ndarray:
-    """Fresh Bernoulli spike trains, one substream per sample: (B, t, ...)."""
-    b = rates.shape[0]
-    out = np.empty((b, t) + rates.shape[1:])
-    flat = rates.reshape(b, -1)
-    for i in range(b):
-        out[i] = bernoulli_matrix(flat[i], t, streams[i]).reshape((t,) + rates.shape[1:])
-    return out
+def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams):
+    """Input current of each of a sublayer's t timesteps, drawn as it is used.
+
+    A spike input draws one (batch, units) plane per timestep, sample i from
+    streams[i], so draw tau of unit j sits at the same counter as in a
+    (t, units) matrix of that stream; a mean input keeps the running sum of
+    those planes. A rates-only input is the same current every step.
+    """
+    if stage.entry == _RATES:
+        fixed = stage.current(None, rates)
+        for _ in range(t):
+            yield fixed
+        return
+    source = rates[stage.source]
+    total = np.zeros_like(source) if stage.entry == _MEAN else None
+    for tau in range(1, t + 1):
+        x = bernoulli_matrix(source, 1, streams).reshape(source.shape)
+        if total is not None:
+            total += x
+            x = total / tau
+        yield stage.current(x, rates)
 
 
 def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
@@ -332,9 +347,10 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     budget on the converged rates of the stages before it. A spike input
     (or its running mean) is a Bernoulli train regenerated from its
     source's converged rates (clipped rates are valid probabilities by
-    construction), drawn in SUBLAYERS order; a rates-only input is constant.
-    Sample i draws from stream.derive(i), so results do not depend on batch
-    splitting as long as sample indices are stable.
+    construction), drawn in SUBLAYERS order one batch-wide plane per
+    timestep, so memory is O(batch x width) whatever the plan; a rates-only
+    input is constant. Sample i draws from stream.derive(i), so results do
+    not depend on batch splitting as long as sample indices are stable.
 
     Returns (logits, traces); traces are per-sublayer cumulative rates of
     length equal to that sublayer's own budget.
@@ -353,15 +369,8 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
         for j, stage in enumerate(stages):
             t = int(plan.steps[li, j])
             pop = _Population(f"L{li}.{stage.name}", stage, cfg.leak, record_traces)
-            if stage.entry == _RATES:
-                fixed = stage.current(None, rates)
-                currents = (fixed for _ in range(t))
-            else:
-                drawn = _regen(rates[stage.source], t, streams)
-                if stage.entry == _MEAN:
-                    drawn = np.cumsum(drawn, axis=1) / np.arange(1, t + 1).reshape(1, -1, 1, 1)
-                currents = (stage.current(drawn[:, tau], rates) for tau in range(t))
-            for tau, current in enumerate(currents, start=1):
+            for tau, current in enumerate(_sublayer_currents(stage, rates, t, streams),
+                                          start=1):
                 pop.step(current, tau)
             rates[stage.name] = pop.total / t
             if record_traces:

@@ -38,15 +38,28 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 arrays (wraps mod 2^64)."""
-    z = x.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array (wraps mod 2^64); returns z."""
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        if mult is not None:
+            z *= mult
     return z
+
+
+def _splitmix(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
+    """Draws counter+1 .. counter+n of each (seed, counter) stream: (rows, n) uint64.
+
+    Draw k of the stream with seed s is _mix64(s + k * GAMMA); this is the
+    one place that formula is written.
+    """
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    steps *= _GAMMA
+    z = np.empty((seeds.size, n), dtype=np.uint64)
+    np.add((seeds + counters * _GAMMA)[:, None], steps, out=z)
+    return _mix64(z)
 
 
 class RandomStream:
@@ -66,15 +79,16 @@ class RandomStream:
         self.counter = int(counter)
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        bits = _splitmix(np.array([self.seed]), np.array([self.counter], dtype=np.uint64), n)
         self.counter += n
-        return _mix64(self.seed + idx * _GAMMA)
+        return bits[0]
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1) with 53-bit resolution."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        bits = self._raw(n) >> np.uint64(11)
-        u = bits.astype(np.float64) * (2.0 ** -53)
+        bits = self._raw(n)
+        bits >>= np.uint64(11)
+        u = bits * (2.0 ** -53)
         return u.reshape(shape) if shape else float(u[0])
 
     def integers(self, bound: int, shape=()) -> np.ndarray:
@@ -126,21 +140,45 @@ def pca_component_count(x, variance_threshold: float) -> int:
     return int(hits[0]) + 1
 
 
-def bernoulli_matrix(p, t: int, stream: RandomStream) -> np.ndarray:
+def bernoulli_matrix(p, t: int, stream) -> np.ndarray:
     """Sample a (t x units) binary matrix, column j ~ Bernoulli(p[j]) i.i.d.
 
     p may have any shape; it is flattened to the unit axis. p == 0 and
-    p == 1 are exact (never / always spike), not merely almost sure.
+    p == 1 are exact (never / always spike), not merely almost sure. Entry
+    (tau, j) is 1.0 where draw tau * units + j of the stream, as a uniform
+    u in [0, 1), is below p[j]; the stream advances by t * units.
+
+    stream may also be a sequence of streams, one per row of p: p is then
+    (rows, ...) and the result (rows, t, units), row i equal to
+    bernoulli_matrix(p[i], t, stream[i]), drawn in one pass.
     """
-    probs = np.asarray(p, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(probs)):
-        raise InvalidInputError("probabilities contain non-finite entries")
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise InvalidInputError("probabilities must lie in [0, 1]")
+    single = isinstance(stream, RandomStream)
+    streams = [stream] if single else list(stream)
+    probs = np.asarray(p, dtype=np.float64)
+    if single:
+        probs = probs.reshape(1, probs.size)
+    elif probs.ndim < 1 or probs.shape[0] != len(streams):
+        raise InvalidInputError(
+            f"need one stream per row of p, got {len(streams)} for shape {probs.shape}")
+    else:
+        probs = probs.reshape(len(streams), int(np.prod(probs.shape[1:], dtype=np.int64)))
+    # min and max propagate NaN, which fails both comparisons
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        raise InvalidInputError("probabilities must be finite and lie in [0, 1]")
     if t < 0:
         raise InvalidInputError("t must be non-negative")
-    u = stream.uniform((int(t), probs.size))
-    return (u < probs).astype(np.float64)
+    rows, units = probs.shape
+    t = int(t)
+    bits = _splitmix(np.array([s.seed for s in streams], dtype=np.uint64),
+                     np.array([s.counter for s in streams], dtype=np.uint64),
+                     t * units).reshape(rows, t, units)
+    for s in streams:
+        s.counter += t * units
+    bits >>= np.uint64(11)
+    out = np.empty((rows, t, units))
+    # u = bits * 2**-53 < p  <=>  bits < p * 2**53: both scalings are exact
+    np.less(bits, probs[:, None, :] * 2.0 ** 53, out=out)
+    return out[0] if single else out
 
 
 def finite_difference_gradient(f, x, eps: float = 1e-5) -> np.ndarray:

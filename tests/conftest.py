@@ -8,6 +8,11 @@ slots for every matrix product the masked forward pass would execute.
 The reference search is the plain-Python selection and refinement, one
 object per unit and one candidate scan per unit visited; `spatial`'s array
 search must return the same masks.
+
+The reference sequential simulator materialises every sublayer's whole
+spike train, (batch, t, seq, units), one bernoulli_matrix call per sample,
+and takes running means with a cumsum over the time axis; the streamed
+`engine.run_sequential` must return the same bytes.
 """
 
 import dataclasses
@@ -17,6 +22,9 @@ import numpy as np
 from spikeprune import (ImportanceScores, InfeasibleBudgetError, InvalidInputError,
                         MaskSet, ModelConfig, RandomStream, TimestepPlan, init_model)
 from spikeprune.cost import unit_costs
+from spikeprune.engine import (_MEAN, _RATES, _Population, _input_currents,
+                               _stage_tables)
+from spikeprune.numerics import bernoulli_matrix
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -290,3 +298,55 @@ def reference_refine_masks(masks: MaskSet, scores: ImportanceScores,
         if not changed:
             break
     return st.to_masks(scores)
+
+
+# --- reference sequential simulator ------------------------------------------
+
+
+def _regen(rates: np.ndarray, t: int, streams) -> np.ndarray:
+    """Fresh Bernoulli spike trains, one substream per sample: (B, t, ...)."""
+    b = rates.shape[0]
+    out = np.empty((b, t) + rates.shape[1:])
+    flat = rates.reshape(b, -1)
+    for i in range(b):
+        out[i] = bernoulli_matrix(flat[i], t, streams[i]).reshape((t,) + rates.shape[1:])
+    return out
+
+
+def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
+                             tokens, stream: RandomStream, record_traces: bool = False):
+    """run_sequential with each sublayer's spike train drawn whole up front.
+
+    Returns (logits, traces) as engine.run_sequential does.
+    """
+    masks.validate_for(model)
+    cfg = model.config
+    if plan.num_layers != cfg.num_layers:
+        raise InvalidInputError("plan layer count does not match model")
+    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
+    streams = [stream.derive(i) for i in range(cur_in.shape[0])]
+    a_x = np.clip(cur_in, 0.0, 1.0)
+    traces = []
+
+    for li, stages in enumerate(_stage_tables(model, masks)):
+        rates = {"in": a_x}
+        for j, stage in enumerate(stages):
+            t = int(plan.steps[li, j])
+            pop = _Population(f"L{li}.{stage.name}", stage, cfg.leak, record_traces)
+            if stage.entry == _RATES:
+                fixed = stage.current(None, rates)
+                currents = (fixed for _ in range(t))
+            else:
+                drawn = _regen(rates[stage.source], t, streams)
+                if stage.entry == _MEAN:
+                    drawn = np.cumsum(drawn, axis=1) / np.arange(1, t + 1).reshape(1, -1, 1, 1)
+                currents = (stage.current(drawn[:, tau], rates) for tau in range(t))
+            for tau, current in enumerate(currents, start=1):
+                pop.step(current, tau)
+            rates[stage.name] = pop.total / t
+            if record_traces:
+                traces.append(pop.trace())
+        a_x = rates["output"]
+
+    logits = a_x[:, 0, :] @ model.cls_w + model.cls_b
+    return logits, traces

@@ -292,6 +292,27 @@ class TestAblate:
             cli.main(["ablate", "--study", "bogus", "--config", ws["cfg"]])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("epochs", ["0", "-1", "one"])
+    def test_non_positive_epochs_is_usage_error(self, ws, tmp_path, capsys, epochs):
+        out = tmp_path / "act.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--study", "activity", "--config", ws["cfg"],
+                      "--epochs", epochs, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_from_config_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(FAST_CFG.replace("epochs = 1", "epochs = 0"))
+        out = tmp_path / "act.json"
+        rc = cli.main(["ablate", "--study", "activity", "--config", str(cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epoch" in err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_unknown_command(self):

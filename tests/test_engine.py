@@ -1,11 +1,15 @@
 """LIF dynamics, the two simulators, the rate proxy, and their agreement."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
-from conftest import tiny_config, tiny_model, token_batch
+from conftest import reference_run_sequential, tiny_config, tiny_model, token_batch
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         evaluate_proxy, fisher_diagonal, init_model,
                         rate_proxy_forward, run_sequential, run_unrolled)
@@ -243,6 +247,65 @@ class TestRunSequential:
             run_sequential(model, MaskSet.all_ones(model),
                            TimestepPlan.uniform(2, 5),
                            np.zeros((1, 4), dtype=np.int64), RandomStream(0))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_streamed_draws_equal_the_materialised_reference(self, data):
+        """Plane-per-timestep draws give the bytes of whole (B, t, ...) trains."""
+        layers = data.draw(st.integers(1, 2))
+        leak = data.draw(st.sampled_from([1.0, 0.9]))
+        seed = data.draw(st.integers(0, 1000))
+        batch = data.draw(st.integers(0, 5))
+        record = data.draw(st.booleans())
+        model = tiny_model(seed, num_layers=layers, leak=leak)
+
+        def binary(n):
+            return np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                               min_size=n, max_size=n)))
+
+        masks = MaskSet([binary(2) for _ in range(layers)],
+                        [binary(6) for _ in range(layers)])
+        t_max = data.draw(st.integers(1, 12))
+        steps = np.array(data.draw(st.lists(st.integers(1, t_max), min_size=6 * layers,
+                                            max_size=6 * layers)))
+        steps[data.draw(st.integers(0, steps.size - 1))] = 1
+        plan = TimestepPlan(steps.reshape(layers, 6))
+        tokens, _ = token_batch(model.config, batch, RandomStream(seed + 1))
+
+        with warnings.catch_warnings():
+            # an empty batch averages no samples into its trace rows
+            warnings.simplefilter("ignore", RuntimeWarning)
+            logits, traces = run_sequential(model, masks, plan, tokens,
+                                            RandomStream(seed + 2), record_traces=record)
+        if batch == 0:
+            # the materialised trains cannot reshape an empty batch
+            assert logits.shape == (0, model.config.num_classes)
+            assert [tr.asr.shape[0] for tr in traces] == (plan.flat().tolist() if record else [])
+            return
+        want_logits, want_traces = reference_run_sequential(
+            model, masks, plan, tokens, RandomStream(seed + 2), record_traces=record)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert [tr.name for tr in traces] == [tr.name for tr in want_traces]
+        for got, want in zip(traces, want_traces):
+            assert got.asr.shape == want.asr.shape
+            assert got.asr.tobytes() == want.asr.tobytes()
+
+    def test_memory_does_not_grow_with_the_plan(self):
+        """Draws stream one timestep plane at a time: peak memory is O(batch x width)."""
+        model = tiny_model(2)
+        masks = MaskSet.all_ones(model)
+        tokens, _ = token_batch(model.config, 8, RandomStream(3))
+
+        def peak(t):
+            plan = TimestepPlan.uniform(1, t)
+            tracemalloc.start()
+            try:
+                run_sequential(model, masks, plan, tokens, RandomStream(4))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) < 2 * peak(10)
 
 
 class TestProxyGraph:

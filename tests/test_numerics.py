@@ -203,6 +203,44 @@ class TestBernoulliMatrix:
         with pytest.raises(InvalidInputError):
             bernoulli_matrix(np.array([0.5]), -1, s)
 
+    @pytest.mark.parametrize("t", [0, 1, 3, 8])
+    def test_equals_uniform_below_p_at_the_edges(self, t):
+        """The integer-threshold kernel is exactly u < p, also at p's edges."""
+        edges = [0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324]
+        # at timestep 0, p[j] equal to draw j itself, or the double just
+        # below or above it
+        u = RandomStream(21).uniform((23,))
+        p = np.concatenate([edges, u[5:11], np.nextafter(u[11:17], 0.0),
+                            np.nextafter(u[17:], 1.0)])
+        a, b = RandomStream(21), RandomStream(21)
+        got = bernoulli_matrix(p, t, a)
+        want = (b.uniform((t, p.size)) < p).astype(np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert a.counter == b.counter == t * p.size
+
+    @pytest.mark.parametrize("rows, t", [(0, 3), (1, 1), (3, 1), (4, 5)])
+    def test_per_row_streams_equal_row_by_row_calls(self, rows, t):
+        p = RandomStream(4).uniform((rows, 2, 3))
+        p[:, 0, 0] = 0.0
+        p[:, 1, 2] = 1.0
+        streams, singles = ([RandomStream(40 + i, counter=7 * i) for i in range(rows)]
+                            for _ in range(2))
+        got = bernoulli_matrix(p, t, streams)
+        assert got.shape == (rows, t, 6)
+        for i in range(rows):
+            assert np.array_equal(got[i], bernoulli_matrix(p[i], t, singles[i]))
+            assert streams[i].counter == singles[i].counter
+        # a second call continues every stream where the first left off
+        again = bernoulli_matrix(p, t, streams)
+        for i in range(rows):
+            assert np.array_equal(again[i], bernoulli_matrix(p[i], t, singles[i]))
+
+    def test_per_row_streams_need_one_stream_per_row(self):
+        with pytest.raises(InvalidInputError):
+            bernoulli_matrix(np.full((3, 2), 0.5), 1, [RandomStream(0), RandomStream(1)])
+        with pytest.raises(InvalidInputError):
+            bernoulli_matrix(np.array([[0.5, 1.5]]), 1, [RandomStream(0)])
+
 
 class TestFiniteDifference:
     def test_quadratic(self):
