@@ -107,10 +107,10 @@ def _print_history(history: list) -> None:
 
 
 def _importance_scores(model, masks, calib: Dataset, batch_size: int):
+    """Importance scores on calib, and the calibration traces that weight them."""
     fisher = fisher_diagonal(model, iter_batches(calib, batch_size))
     _, traces = run_unrolled(model, masks, calib.tokens, model.config.t_conv)
-    asr = asr_factors(traces, model.config)
-    return combine(fisher, asr)
+    return combine(fisher, asr_factors(traces, model.config)), traces
 
 
 def _group_asr(rates: dict, num_layers: int) -> dict:
@@ -163,9 +163,8 @@ def _train_and_save(args, cfg: RunConfig, seed: int, model, masks, plan,
 
     train_data = data(args.data, cfg.train_examples, _LANE_TRAIN)
     test_data = data(args.test_data, cfg.test_examples, _LANE_TEST)
-    overrides["seed"] = seed
-    for key, value in (("epochs", args.epochs), ("eta", args.eta),
-                       ("learning_rate", args.lr)):
+    overrides.update(seed=seed, epochs=_epochs(args, cfg))
+    for key, value in (("eta", args.eta), ("learning_rate", args.lr)):
         if value is not None:
             overrides[key] = value
     tcfg = cfg.train_config(**overrides)
@@ -175,9 +174,17 @@ def _train_and_save(args, cfg: RunConfig, seed: int, model, masks, plan,
     if args.history:
         _write_history_csv(args.history, history)
     _print_history(history)
-    final = history[-1]["accuracy"] if history else float("nan")
-    print(f"saved {args.out} (test accuracy {final:.4f})")
+    print(f"saved {args.out} (test accuracy {history[-1]['accuracy']:.4f})")
     return 0
+
+
+def _epochs(args, cfg: RunConfig) -> int:
+    """--epochs, else the config's epochs; training needs at least one."""
+    epochs = args.epochs if args.epochs is not None else cfg.epochs
+    if epochs < 1:
+        raise InvalidInputError(
+            f"{args.command} needs at least one epoch, got epochs = {epochs}")
+    return epochs
 
 
 def cmd_train(args) -> int:
@@ -193,7 +200,7 @@ def cmd_prune_spatial(args) -> int:
     model, masks, plan = load_checkpoint(args.checkpoint)
     master = RandomStream(args.seed)
     calib = _dataset_arg(args.calib, model.config, master.derive(_LANE_CALIB))
-    scores = _importance_scores(model, masks, calib, args.batch)
+    scores, _ = _importance_scores(model, masks, calib, args.batch)
     t_uniform = model.config.t_conv
     selected = select_masks(scores, model.config, t_uniform, args.constraint)
     refined = refine_masks(selected, scores, model.config, args.constraint)
@@ -321,8 +328,9 @@ def cmd_report(args) -> int:
     calib = _dataset_arg(args.calib, cfg, master.derive(_LANE_CALIB))
     os.makedirs(args.out_dir, exist_ok=True)
 
-    # rate-convergence curves: mean cumulative firing rate per encoder layer
-    _, traces = run_unrolled(model, masks, calib.tokens, cfg.t_conv)
+    # rate-convergence curves from the scores' calibration traces: mean
+    # cumulative firing rate per encoder layer
+    scores, traces = _importance_scores(model, masks, calib, args.batch)
     per_layer = len(traces) // cfg.num_layers
     curve_path = os.path.join(args.out_dir, "asr_layers.csv")
     with open(curve_path, "w", encoding="utf-8", newline="") as fh:
@@ -336,7 +344,6 @@ def cmd_report(args) -> int:
             writer.writerow(row)
 
     # accuracy and cost across spatial budgets, from one set of scores
-    scores = _importance_scores(model, masks, calib, args.batch)
     sweep_path = os.path.join(args.out_dir, "constraint_sweep.csv")
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -442,7 +449,7 @@ def _ablate_joint(cfg: RunConfig, seed: int, epochs: int) -> dict:
                                train_data, tcfg, eval_data=test_data)
     calib = Dataset(train_data.tokens[:cfg.train_batch * 4],
                     train_data.labels[:cfg.train_batch * 4])
-    scores = _importance_scores(model, masks, calib, cfg.train_batch)
+    scores, _ = _importance_scores(model, masks, calib, cfg.train_batch)
     pruned = refine_masks(
         select_masks(scores, mcfg, mcfg.t_conv, cfg.acs_constraint),
         scores, mcfg, cfg.acs_constraint)
@@ -476,10 +483,7 @@ def cmd_ablate(args) -> int:
     runners = {"activity": _ablate_activity,
                "adaptive-vth": _ablate_adaptive_vth,
                "joint": _ablate_joint}
-    epochs = args.epochs if args.epochs is not None else cfg.epochs
-    if epochs < 1:
-        raise InvalidInputError(f"ablate needs at least one epoch, got epochs = {epochs}")
-    results = runners[args.study](cfg, seed, epochs)
+    results = runners[args.study](cfg, seed, _epochs(args, cfg))
     results["study"] = args.study
     results["seed"] = seed
     _write_result(results, args.out)
@@ -496,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="config file or preset name")
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=_epochs_arg, default=None)
     p.add_argument("--lr", type=float, default=None,
                    help="override the config learning rate")
     p.add_argument("--eta", type=float, default=None,
@@ -535,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=_epochs_arg, default=None)
     p.add_argument("--penalty-epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None,
                    help="override the config learning rate")

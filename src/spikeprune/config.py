@@ -55,40 +55,26 @@ class RunConfig:
     train_examples: int = 2000
     test_examples: int = 500
 
+    def _split(self, target, **overrides):
+        """A target (ModelConfig or TrainConfig) whose init fields take this
+        config's value under the same name or the name _RENAMED gives; fields
+        with no config key keep their defaults, and overrides win."""
+        ours = {f.name for f in dataclasses.fields(self)}
+        kwargs = {f.name: getattr(self, _RENAMED.get(f.name, f.name))
+                  for f in dataclasses.fields(target)
+                  if f.init and _RENAMED.get(f.name, f.name) in ours}
+        return target(**{**kwargs, **overrides})
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(num_layers=self.num_layers,
-                           hidden_size=self.hidden_size,
-                           num_heads=self.num_heads,
-                           intermediate_size=self.intermediate_size,
-                           seq_len=self.seq_len,
-                           vocab_size=self.vocab_size,
-                           num_classes=self.num_classes,
-                           leak=self.leak,
-                           t_conv=self.t_conv,
-                           variance_threshold=self.pca_components,
-                           pca_base=self.pca_base,
-                           initial_vth=self.initial_vth)
+        return self._split(ModelConfig)
 
     def train_config(self, **overrides) -> TrainConfig:
-        kwargs = dict(learning_rate=self.learning_rate,
-                      epochs=self.epochs,
-                      penalty_epochs=self.penalty_epochs,
-                      lam=self.lam,
-                      eta=self.eta,
-                      pca_interval=self.pca_interval,
-                      kappa=self.kappa,
-                      seed=self.seed,
-                      train_batch=self.train_batch,
-                      test_batch=self.test_batch,
-                      budget=self.acs_constraint,
-                      base=self.pca_base,
-                      theta=self.pca_components,
-                      rho=self.rho,
-                      momentum=self.momentum)
-        kwargs.update(overrides)
-        return TrainConfig(**kwargs)
+        return self._split(TrainConfig, **overrides)
 
 
+# ModelConfig and TrainConfig fields that the config file spells differently
+_RENAMED = {"variance_threshold": "pca_components", "theta": "pca_components",
+            "base": "pca_base", "budget": "acs_constraint"}
 _ALIASES = {"lambda": "lam"}
 # every key parses as its RunConfig field's declared type
 _PARSERS = {f.name: (int, "an integer") if f.type == "int" else (float, "a number")

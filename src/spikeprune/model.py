@@ -65,9 +65,7 @@ class ModelConfig:
     head_dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        for name in ("num_layers", "hidden_size", "num_heads",
-                     "intermediate_size", "seq_len", "vocab_size",
-                     "num_classes"):
+        for name in (f.name for f in dataclasses.fields(self) if f.init and f.type == "int"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
@@ -76,8 +74,6 @@ class ModelConfig:
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
         if not (0.0 <= self.leak <= 1.0):
             raise InvalidInputError("leak must lie in [0, 1]")
-        if not isinstance(self.t_conv, int) or self.t_conv < 1:
-            raise InvalidInputError("t_conv must be a positive integer")
         if not (0.0 < self.variance_threshold <= 1.0):
             raise InvalidInputError("variance_threshold must be in (0, 1]")
         if self.pca_base < 1.0:
@@ -97,8 +93,8 @@ class ModelConfig:
         unknown = set(d) - fields
         if unknown:
             raise CheckpointError(f"{path}: unknown keys {sorted(unknown)}")
-        missing = {"num_layers", "hidden_size", "num_heads", "intermediate_size",
-                   "seq_len", "vocab_size"} - set(d)
+        missing = {f.name for f in dataclasses.fields(cls)
+                   if f.init and f.default is dataclasses.MISSING} - set(d)
         if missing:
             raise CheckpointError(f"{path}: missing keys {sorted(missing)}")
         try:
@@ -107,32 +103,40 @@ class ModelConfig:
             raise CheckpointError(f"{path}: {e}") from e
 
 
+def _v1(key: str, axes: str):
+    """A LayerParams field with its checkpoint layout: the key path inside a
+    v1 checkpoint layer, and one letter per axis (d hidden size, h kept
+    heads x head_dim, n kept neurons, s sublayers)."""
+    return dataclasses.field(metadata={"key": key, "axes": axes})
+
+
 @dataclasses.dataclass
 class LayerParams:
-    """Weights of one encoder layer.
+    """Weights of one encoder layer, and the layout table that checkpoints
+    and apply_masks walk.
 
     Projection shapes follow the kept unit counts, so a structurally pruned
     layer simply has narrower matrices. vth holds one threshold per sublayer
     in SUBLAYERS order.
     """
 
-    w_k: np.ndarray
-    b_k: np.ndarray
-    w_v: np.ndarray
-    b_v: np.ndarray
-    w_q: np.ndarray
-    b_q: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
-    w_inter: np.ndarray
-    b_inter: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    ln1_scale: np.ndarray
-    ln1_shift: np.ndarray
-    ln2_scale: np.ndarray
-    ln2_shift: np.ndarray
-    vth: np.ndarray
+    w_k: np.ndarray = _v1("WK", "dh")
+    b_k: np.ndarray = _v1("biases.k", "h")
+    w_v: np.ndarray = _v1("WV", "dh")
+    b_v: np.ndarray = _v1("biases.v", "h")
+    w_q: np.ndarray = _v1("WQ", "dh")
+    b_q: np.ndarray = _v1("biases.q", "h")
+    w_o: np.ndarray = _v1("WO", "hd")
+    b_o: np.ndarray = _v1("biases.o", "d")
+    w_inter: np.ndarray = _v1("Winter", "dn")
+    b_inter: np.ndarray = _v1("biases.inter", "n")
+    w_out: np.ndarray = _v1("Wout", "nd")
+    b_out: np.ndarray = _v1("biases.out", "d")
+    ln1_scale: np.ndarray = _v1("ln.scale1", "d")
+    ln1_shift: np.ndarray = _v1("ln.shift1", "d")
+    ln2_scale: np.ndarray = _v1("ln.scale2", "d")
+    ln2_shift: np.ndarray = _v1("ln.shift2", "d")
+    vth: np.ndarray = _v1("vth", "s")
 
     def num_heads(self, head_dim: int) -> int:
         return self.w_k.shape[1] // head_dim
@@ -143,6 +147,11 @@ class LayerParams:
     def copy(self) -> "LayerParams":
         return LayerParams(**{f.name: getattr(self, f.name).copy()
                               for f in dataclasses.fields(self)})
+
+
+# field name -> (v1 key path, axes), in LayerParams field order
+_LAYOUT = {f.name: (f.metadata["key"], f.metadata["axes"])
+           for f in dataclasses.fields(LayerParams)}
 
 
 @dataclasses.dataclass
@@ -213,18 +222,16 @@ class MaskSet:
                        else [n.copy() for n in self.relaxed_neurons])
 
     def validate_for(self, model: SpikingModel) -> None:
-        heads = model.head_counts()
-        neurons = model.neuron_counts()
-        if len(self.heads) != len(heads) or len(self.neurons) != len(neurons):
-            raise InvalidInputError("mask layer count does not match model")
-        for l, (m, n_units) in enumerate(zip(self.heads, heads)):
-            if m.size != n_units:
-                raise InvalidInputError(
-                    f"heads[{l}] has {m.size} entries, layer has {n_units} heads")
-        for l, (m, n_units) in enumerate(zip(self.neurons, neurons)):
-            if m.size != n_units:
-                raise InvalidInputError(
-                    f"neurons[{l}] has {m.size} entries, layer has {n_units} neurons")
+        for name, counts in (("heads", model.head_counts()),
+                             ("neurons", model.neuron_counts())):
+            for key in (name, "relaxed_" + name):
+                groups = getattr(self, key)
+                if groups is not None and len(groups) != len(counts):
+                    raise InvalidInputError(f"{key}: mask layer count does not match model")
+                for l, (m, n_units) in enumerate(zip(groups or [], counts)):
+                    if m.shape != (n_units,):
+                        raise InvalidInputError(
+                            f"{key}[{l}] has shape {m.shape}, layer has {n_units} {name}")
 
     def harden(self) -> "MaskSet":
         """Binary masks from the relaxed values (>= 0.5 survives)."""
@@ -291,25 +298,15 @@ def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
     """
     masks.validate_for(model)
     out = model.copy()
-    hd = model.config.head_dim
     for l, layer in enumerate(out.layers):
-        hm = masks.heads[l].astype(bool)
-        nm = masks.neurons[l].astype(bool)
-        if not hm.any():
-            raise InvalidInputError(f"masks remove every head of layer {l}")
-        if not nm.any():
-            raise InvalidInputError(f"masks remove every neuron of layer {l}")
-        col = np.repeat(hm, hd)
-        layer.w_k = layer.w_k[:, col]
-        layer.b_k = layer.b_k[col]
-        layer.w_v = layer.w_v[:, col]
-        layer.b_v = layer.b_v[col]
-        layer.w_q = layer.w_q[:, col]
-        layer.b_q = layer.b_q[col]
-        layer.w_o = layer.w_o[col, :]
-        layer.w_inter = layer.w_inter[:, nm]
-        layer.b_inter = layer.b_inter[nm]
-        layer.w_out = layer.w_out[nm, :]
+        keep = {"h": np.repeat(masks.heads[l].astype(bool), model.config.head_dim),
+                "n": masks.neurons[l].astype(bool)}
+        for axis, unit in (("h", "head"), ("n", "neuron")):
+            if not keep[axis].any():
+                raise InvalidInputError(f"masks remove every {unit} of layer {l}")
+        for name, (_, axes) in _LAYOUT.items():
+            index = tuple(keep.get(a, slice(None)) for a in axes)
+            setattr(layer, name, getattr(layer, name)[index])
     return out
 
 
@@ -321,7 +318,7 @@ def binarize_weights(model: SpikingModel) -> SpikingModel:
     """
     out = model.copy()
     for layer in out.layers:
-        for name in ("w_k", "w_v", "w_q", "w_o", "w_inter", "w_out"):
+        for name in (name for name, (_, axes) in _LAYOUT.items() if len(axes) == 2):
             w = getattr(layer, name)
             alpha = float(np.abs(w).mean())
             setattr(layer, name, alpha * np.sign(w))
@@ -336,6 +333,15 @@ def _plan_to_dict(plan) -> dict:
             for i, name in enumerate(SUBLAYERS)}
 
 
+def _layer_doc(layer: LayerParams) -> dict:
+    doc = {}
+    for name, (key, _) in _LAYOUT.items():
+        group, _, leaf = key.rpartition(".")
+        node = doc.setdefault(group, {}) if group else doc
+        node[leaf] = getattr(layer, name).tolist()
+    return doc
+
+
 def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> None:
     """Write model + masks + timestep plan as one JSON file.
 
@@ -348,7 +354,7 @@ def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> Non
         "config": model.config.to_dict(),
         "input_scale": model.input_scale,
         "embedding": model.embedding.tolist(),
-        "layers": [],
+        "layers": [_layer_doc(layer) for layer in model.layers],
         "classifier": {"weight": model.cls_w.tolist(), "bias": model.cls_b.tolist()},
         "masks": {
             "heads": [h.tolist() for h in masks.heads],
@@ -360,18 +366,6 @@ def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> Non
         },
         "timestep_plan": _plan_to_dict(plan),
     }
-    for layer in model.layers:
-        doc["layers"].append({
-            "WK": layer.w_k.tolist(), "WV": layer.w_v.tolist(),
-            "WQ": layer.w_q.tolist(), "WO": layer.w_o.tolist(),
-            "Winter": layer.w_inter.tolist(), "Wout": layer.w_out.tolist(),
-            "biases": {"k": layer.b_k.tolist(), "v": layer.b_v.tolist(),
-                       "q": layer.b_q.tolist(), "o": layer.b_o.tolist(),
-                       "inter": layer.b_inter.tolist(), "out": layer.b_out.tolist()},
-            "ln": {"scale1": layer.ln1_scale.tolist(), "shift1": layer.ln1_shift.tolist(),
-                   "scale2": layer.ln2_scale.tolist(), "shift2": layer.ln2_shift.tolist()},
-            "vth": layer.vth.tolist(),
-        })
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -379,11 +373,14 @@ def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> Non
 
 
 def _need(doc: dict, key: str, path: str):
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: expected an object")
-    if key not in doc:
-        raise CheckpointError(f"{path}.{key}: missing")
-    return doc[key]
+    """doc's value at the dotted key path `key`; `path` names doc in errors."""
+    for part in key.split("."):
+        if not isinstance(doc, dict):
+            raise CheckpointError(f"{path}: expected an object")
+        if part not in doc:
+            raise CheckpointError(f"{path}.{part}: missing")
+        doc, path = doc[part], f"{path}.{part}"
+    return doc
 
 
 def _arr(value, shape: tuple, path: str) -> np.ndarray:
@@ -434,49 +431,29 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
     raw_layers = _need(doc, "layers", "checkpoint")
     if not isinstance(raw_layers, list) or len(raw_layers) != config.num_layers:
         raise CheckpointError(f"layers: expected {config.num_layers} entries")
+    # a layer's kept head and neuron widths are the column counts of w_k and w_inter
+    probes = (("h", "w_k", "heads", hd, config.num_heads),
+              ("n", "w_inter", "neurons", 1, config.intermediate_size))
     layers = []
     for i, rl in enumerate(raw_layers):
         p = f"layers[{i}]"
-        wk_raw = _need(rl, "WK", p)
-        try:
-            cols = len(wk_raw[0])
-        except (TypeError, IndexError) as e:
-            raise CheckpointError(f"{p}.WK: not a matrix") from e
-        if cols % hd != 0 or cols // hd < 1 or cols // hd > config.num_heads:
-            raise CheckpointError(
-                f"{p}.WK: {cols} columns is not 1..{config.num_heads} heads of width {hd}")
-        kh = cols // hd
-        winter_raw = _need(rl, "Winter", p)
-        try:
-            kn = len(winter_raw[0])
-        except (TypeError, IndexError) as e:
-            raise CheckpointError(f"{p}.Winter: not a matrix") from e
-        if kn < 1 or kn > config.intermediate_size:
-            raise CheckpointError(
-                f"{p}.Winter: {kn} columns, expected 1..{config.intermediate_size}")
-        biases = _need(rl, "biases", p)
-        ln = _need(rl, "ln", p)
-        layers.append(LayerParams(
-            w_k=_arr(wk_raw, (d, kh * hd), f"{p}.WK"),
-            b_k=_arr(_need(biases, "k", f"{p}.biases"), (kh * hd,), f"{p}.biases.k"),
-            w_v=_arr(_need(rl, "WV", p), (d, kh * hd), f"{p}.WV"),
-            b_v=_arr(_need(biases, "v", f"{p}.biases"), (kh * hd,), f"{p}.biases.v"),
-            w_q=_arr(_need(rl, "WQ", p), (d, kh * hd), f"{p}.WQ"),
-            b_q=_arr(_need(biases, "q", f"{p}.biases"), (kh * hd,), f"{p}.biases.q"),
-            w_o=_arr(_need(rl, "WO", p), (kh * hd, d), f"{p}.WO"),
-            b_o=_arr(_need(biases, "o", f"{p}.biases"), (d,), f"{p}.biases.o"),
-            w_inter=_arr(winter_raw, (d, kn), f"{p}.Winter"),
-            b_inter=_arr(_need(biases, "inter", f"{p}.biases"), (kn,), f"{p}.biases.inter"),
-            w_out=_arr(_need(rl, "Wout", p), (kn, d), f"{p}.Wout"),
-            b_out=_arr(_need(biases, "out", f"{p}.biases"), (d,), f"{p}.biases.out"),
-            ln1_scale=_arr(_need(ln, "scale1", f"{p}.ln"), (d,), f"{p}.ln.scale1"),
-            ln1_shift=_arr(_need(ln, "shift1", f"{p}.ln"), (d,), f"{p}.ln.shift1"),
-            ln2_scale=_arr(_need(ln, "scale2", f"{p}.ln"), (d,), f"{p}.ln.scale2"),
-            ln2_shift=_arr(_need(ln, "shift2", f"{p}.ln"), (d,), f"{p}.ln.shift2"),
-            vth=_arr(_need(rl, "vth", p), (len(SUBLAYERS),), f"{p}.vth"),
-        ))
+        raw = {name: _need(rl, key, p) for name, (key, _) in _LAYOUT.items()}
+        sizes = {"d": d, "s": len(SUBLAYERS)}
+        for axis, name, what, width, most in probes:
+            at = f"{p}.{_LAYOUT[name][0]}"
+            try:
+                cols = len(raw[name][0])
+            except (TypeError, IndexError, KeyError) as e:
+                raise CheckpointError(f"{at}: not a matrix") from e
+            if cols % width != 0 or not 1 <= cols // width <= most:
+                raise CheckpointError(
+                    f"{at}: {cols} columns is not 1..{most} {what} of width {width}")
+            sizes[axis] = cols
+        layers.append(LayerParams(**{
+            name: _arr(raw[name], tuple(sizes[a] for a in axes), f"{p}.{key}")
+            for name, (key, axes) in _LAYOUT.items()}))
         if np.any(layers[-1].vth <= 0.0):
-            raise CheckpointError(f"{p}.vth: thresholds must be positive")
+            raise CheckpointError(f"{p}.{_LAYOUT['vth'][0]}: thresholds must be positive")
 
     cls = _need(doc, "classifier", "checkpoint")
     cls_w = _arr(_need(cls, "weight", "classifier"), (d, config.num_classes),

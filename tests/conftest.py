@@ -13,14 +13,23 @@ The reference sequential simulator materialises every sublayer's whole
 spike train, (batch, t, seq, units), one bernoulli_matrix call per sample,
 and takes running means with a cumsum over the time axis; the streamed
 `engine.run_sequential` must return the same bytes.
+
+The reference checkpoint functions spell out every LayerParams field by
+hand; the layout-table versions in `model` must write the same bytes, read
+the same arrays and slice the same values.
 """
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 
-from spikeprune import (ImportanceScores, InfeasibleBudgetError, InvalidInputError,
-                        MaskSet, ModelConfig, RandomStream, TimestepPlan, init_model)
+from spikeprune import (SUBLAYERS, CheckpointError, ImportanceScores,
+                        InfeasibleBudgetError, InvalidInputError, MaskSet,
+                        ModelConfig, RandomStream, SpikingModel, TimestepPlan,
+                        init_model)
+from spikeprune.model import FORMAT_TAG, LayerParams, _arr, _need, _plan_to_dict
 from spikeprune.cost import unit_costs
 from spikeprune.engine import (_MEAN, _RATES, _Population, _input_currents,
                                _stage_tables)
@@ -350,3 +359,202 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
 
     logits = a_x[:, 0, :] @ model.cls_w + model.cls_b
     return logits, traces
+
+
+# --- reference checkpoint layout ---------------------------------------------
+# save_checkpoint, load_checkpoint and apply_masks with every LayerParams field
+# spelled out by hand; `model`'s versions walk the layout table instead.
+
+
+def reference_apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
+    """Fold binary masks into the weights by deleting pruned rows/columns.
+
+    The sliced model computes exactly what the masked model computes; a
+    pruned head loses its K/V/Q columns and its W_O rows, a pruned neuron
+    its W_inter column and W_out row. Mask lengths must match the model's
+    current unit counts, so all-ones masks are a no-op and the call is
+    idempotent. Removing every head or every neuron of a layer is refused.
+    """
+    masks.validate_for(model)
+    out = model.copy()
+    hd = model.config.head_dim
+    for l, layer in enumerate(out.layers):
+        hm = masks.heads[l].astype(bool)
+        nm = masks.neurons[l].astype(bool)
+        if not hm.any():
+            raise InvalidInputError(f"masks remove every head of layer {l}")
+        if not nm.any():
+            raise InvalidInputError(f"masks remove every neuron of layer {l}")
+        col = np.repeat(hm, hd)
+        layer.w_k = layer.w_k[:, col]
+        layer.b_k = layer.b_k[col]
+        layer.w_v = layer.w_v[:, col]
+        layer.b_v = layer.b_v[col]
+        layer.w_q = layer.w_q[:, col]
+        layer.b_q = layer.b_q[col]
+        layer.w_o = layer.w_o[col, :]
+        layer.w_inter = layer.w_inter[:, nm]
+        layer.b_inter = layer.b_inter[nm]
+        layer.w_out = layer.w_out[nm, :]
+    return out
+
+
+def reference_save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> None:
+    """Write model + masks + timestep plan as one JSON file.
+
+    Floats are serialized as shortest round-tripping decimals, so a
+    save/load cycle reproduces every array bit for bit.
+    """
+    masks.validate_for(model)
+    doc = {
+        "format": FORMAT_TAG,
+        "config": model.config.to_dict(),
+        "input_scale": model.input_scale,
+        "embedding": model.embedding.tolist(),
+        "layers": [],
+        "classifier": {"weight": model.cls_w.tolist(), "bias": model.cls_b.tolist()},
+        "masks": {
+            "heads": [h.tolist() for h in masks.heads],
+            "neurons": [n.tolist() for n in masks.neurons],
+            "relaxed_heads": (None if masks.relaxed_heads is None
+                              else [h.tolist() for h in masks.relaxed_heads]),
+            "relaxed_neurons": (None if masks.relaxed_neurons is None
+                                else [n.tolist() for n in masks.relaxed_neurons]),
+        },
+        "timestep_plan": _plan_to_dict(plan),
+    }
+    for layer in model.layers:
+        doc["layers"].append({
+            "WK": layer.w_k.tolist(), "WV": layer.w_v.tolist(),
+            "WQ": layer.w_q.tolist(), "WO": layer.w_o.tolist(),
+            "Winter": layer.w_inter.tolist(), "Wout": layer.w_out.tolist(),
+            "biases": {"k": layer.b_k.tolist(), "v": layer.b_v.tolist(),
+                       "q": layer.b_q.tolist(), "o": layer.b_o.tolist(),
+                       "inter": layer.b_inter.tolist(), "out": layer.b_out.tolist()},
+            "ln": {"scale1": layer.ln1_scale.tolist(), "shift1": layer.ln1_shift.tolist(),
+                   "scale2": layer.ln2_scale.tolist(), "shift2": layer.ln2_shift.tolist()},
+            "vth": layer.vth.tolist(),
+        })
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def reference_load_checkpoint(path: str, expected_config: ModelConfig = None):
+    """Read a checkpoint; returns (model, masks, plan).
+
+    Malformed files raise CheckpointError naming the offending key path.
+    When expected_config is given, the stored architecture must match it
+    field for field.
+    """
+
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise CheckpointError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}: invalid JSON at line {e.lineno}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint: top level must be an object")
+    tag = _need(doc, "format", "checkpoint")
+    if tag != FORMAT_TAG:
+        raise CheckpointError(f"checkpoint.format: {tag!r} is not {FORMAT_TAG!r}")
+    config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
+    if expected_config is not None and config != expected_config:
+        diffs = [f.name for f in dataclasses.fields(ModelConfig)
+                 if f.init and getattr(config, f.name) != getattr(expected_config, f.name)]
+        raise CheckpointError(f"config mismatch in fields {diffs}")
+
+    d, hd = config.hidden_size, config.head_dim
+    scale = _need(doc, "input_scale", "checkpoint")
+    if not isinstance(scale, (int, float)) or not np.isfinite(scale) or scale < 0:
+        raise CheckpointError("input_scale: must be a finite non-negative number")
+    emb = _arr(_need(doc, "embedding", "checkpoint"), (config.vocab_size, d), "embedding")
+
+    raw_layers = _need(doc, "layers", "checkpoint")
+    if not isinstance(raw_layers, list) or len(raw_layers) != config.num_layers:
+        raise CheckpointError(f"layers: expected {config.num_layers} entries")
+    layers = []
+    for i, rl in enumerate(raw_layers):
+        p = f"layers[{i}]"
+        wk_raw = _need(rl, "WK", p)
+        try:
+            cols = len(wk_raw[0])
+        except (TypeError, IndexError) as e:
+            raise CheckpointError(f"{p}.WK: not a matrix") from e
+        if cols % hd != 0 or cols // hd < 1 or cols // hd > config.num_heads:
+            raise CheckpointError(
+                f"{p}.WK: {cols} columns is not 1..{config.num_heads} heads of width {hd}")
+        kh = cols // hd
+        winter_raw = _need(rl, "Winter", p)
+        try:
+            kn = len(winter_raw[0])
+        except (TypeError, IndexError) as e:
+            raise CheckpointError(f"{p}.Winter: not a matrix") from e
+        if kn < 1 or kn > config.intermediate_size:
+            raise CheckpointError(
+                f"{p}.Winter: {kn} columns, expected 1..{config.intermediate_size}")
+        biases = _need(rl, "biases", p)
+        ln = _need(rl, "ln", p)
+        layers.append(LayerParams(
+            w_k=_arr(wk_raw, (d, kh * hd), f"{p}.WK"),
+            b_k=_arr(_need(biases, "k", f"{p}.biases"), (kh * hd,), f"{p}.biases.k"),
+            w_v=_arr(_need(rl, "WV", p), (d, kh * hd), f"{p}.WV"),
+            b_v=_arr(_need(biases, "v", f"{p}.biases"), (kh * hd,), f"{p}.biases.v"),
+            w_q=_arr(_need(rl, "WQ", p), (d, kh * hd), f"{p}.WQ"),
+            b_q=_arr(_need(biases, "q", f"{p}.biases"), (kh * hd,), f"{p}.biases.q"),
+            w_o=_arr(_need(rl, "WO", p), (kh * hd, d), f"{p}.WO"),
+            b_o=_arr(_need(biases, "o", f"{p}.biases"), (d,), f"{p}.biases.o"),
+            w_inter=_arr(winter_raw, (d, kn), f"{p}.Winter"),
+            b_inter=_arr(_need(biases, "inter", f"{p}.biases"), (kn,), f"{p}.biases.inter"),
+            w_out=_arr(_need(rl, "Wout", p), (kn, d), f"{p}.Wout"),
+            b_out=_arr(_need(biases, "out", f"{p}.biases"), (d,), f"{p}.biases.out"),
+            ln1_scale=_arr(_need(ln, "scale1", f"{p}.ln"), (d,), f"{p}.ln.scale1"),
+            ln1_shift=_arr(_need(ln, "shift1", f"{p}.ln"), (d,), f"{p}.ln.shift1"),
+            ln2_scale=_arr(_need(ln, "scale2", f"{p}.ln"), (d,), f"{p}.ln.scale2"),
+            ln2_shift=_arr(_need(ln, "shift2", f"{p}.ln"), (d,), f"{p}.ln.shift2"),
+            vth=_arr(_need(rl, "vth", p), (len(SUBLAYERS),), f"{p}.vth"),
+        ))
+        if np.any(layers[-1].vth <= 0.0):
+            raise CheckpointError(f"{p}.vth: thresholds must be positive")
+
+    cls = _need(doc, "classifier", "checkpoint")
+    cls_w = _arr(_need(cls, "weight", "classifier"), (d, config.num_classes),
+                 "classifier.weight")
+    cls_b = _arr(_need(cls, "bias", "classifier"), (config.num_classes,),
+                 "classifier.bias")
+    model = SpikingModel(config, emb, layers, cls_w, cls_b, float(scale))
+
+    raw_masks = _need(doc, "masks", "checkpoint")
+    def mask_group(key, counts, optional=False):
+        vals = _need(raw_masks, key, "masks")
+        if vals is None and optional:
+            return None
+        if not isinstance(vals, list) or len(vals) != len(counts):
+            raise CheckpointError(f"masks.{key}: expected {len(counts)} layer entries")
+        return [_arr(v, (c,), f"masks.{key}[{i}]")
+                for i, (v, c) in enumerate(zip(vals, counts))]
+    hc, nc = model.head_counts(), model.neuron_counts()
+    try:
+        masks = MaskSet(mask_group("heads", hc), mask_group("neurons", nc),
+                        mask_group("relaxed_heads", hc, optional=True),
+                        mask_group("relaxed_neurons", nc, optional=True))
+    except InvalidInputError as e:
+        raise CheckpointError(f"masks: {e}") from e
+
+    raw_plan = _need(doc, "timestep_plan", "checkpoint")
+    cols = []
+    for name in SUBLAYERS:
+        vals = _need(raw_plan, name, "timestep_plan")
+        if not isinstance(vals, list) or len(vals) != config.num_layers:
+            raise CheckpointError(
+                f"timestep_plan.{name}: expected {config.num_layers} entries")
+        for j, v in enumerate(vals):
+            if not isinstance(v, int) or v < 1:
+                raise CheckpointError(
+                    f"timestep_plan.{name}[{j}]: must be a positive integer")
+        cols.append(vals)
+    plan = TimestepPlan(np.array(cols, dtype=np.int64).T)
+    return model, masks, plan

@@ -348,3 +348,32 @@ class TestUsage:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no examples" in err
+
+    @pytest.mark.parametrize("epochs", ["0", "-1", "one"])
+    @pytest.mark.parametrize("command", ["train", "retrain"])
+    def test_non_positive_training_epochs_is_usage_error(self, ws, tmp_path, capsys,
+                                                         command, epochs):
+        out = tmp_path / "m.json"
+        argv = [command, "--config", ws["cfg"], "--out", str(out), "--epochs", epochs]
+        if command == "retrain":
+            argv += ["--checkpoint", ws["temporal"]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "retrain"])
+    def test_zero_training_epochs_from_config_is_an_error(self, ws, tmp_path, capsys,
+                                                          command):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(FAST_CFG.replace("epochs = 1", "epochs = 0"))
+        out = tmp_path / "m.json"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "retrain":
+            argv += ["--checkpoint", ws["temporal"]]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "epoch" in captured.err
+        assert "nan" not in captured.out
+        assert not out.exists()

@@ -1,8 +1,10 @@
 """Run-configuration parsing, presets, and the derived config objects."""
 
+import dataclasses
+
 import pytest
 
-from spikeprune import InvalidInputError
+from spikeprune import InvalidInputError, ModelConfig, TrainConfig
 from spikeprune.config import (RunConfig, available_presets, load_config,
                                parse_config, resolve_config)
 
@@ -74,6 +76,27 @@ class TestDerivedConfigs:
         tc = cfg.train_config(epochs=2, learning_rate=0.01, seed=9)
         assert tc.epochs == 2 and tc.learning_rate == 0.01 and tc.seed == 9
         assert tc.eta == cfg.eta
+
+    def test_splits_carry_every_field(self):
+        """Each split field reads its RunConfig value, the four renamed ones
+        included; adaptive_vth has no config key and keeps its default."""
+        cfg = RunConfig(num_layers=3, hidden_size=24, num_heads=3, intermediate_size=20,
+                        seq_len=7, vocab_size=11, num_classes=3, leak=0.9, t_conv=17,
+                        initial_vth=1.5, pca_components=0.95, pca_base=1.25,
+                        learning_rate=0.2, epochs=5, penalty_epochs=2, lam=1e-8,
+                        eta=0.003, kappa=7.0, momentum=0.8, pca_interval=3,
+                        train_batch=9, test_batch=13, acs_constraint=0.55, rho=0.5,
+                        seed=4)
+        assert cfg.model_config() == ModelConfig(
+            num_layers=3, hidden_size=24, num_heads=3, intermediate_size=20,
+            seq_len=7, vocab_size=11, num_classes=3, leak=0.9, t_conv=17,
+            variance_threshold=0.95, pca_base=1.25, initial_vth=1.5)
+        assert cfg.train_config() == TrainConfig(
+            learning_rate=0.2, epochs=5, penalty_epochs=2, lam=1e-8, eta=0.003,
+            pca_interval=3, kappa=7.0, seed=4, train_batch=9, test_batch=13,
+            budget=0.55, base=1.25, theta=0.95, rho=0.5, momentum=0.8)
+        assert cfg.train_config(adaptive_vth=False, budget=0.3) == dataclasses.replace(
+            cfg.train_config(), adaptive_vth=False, budget=0.3)
 
 
 class TestPresets:

@@ -2,15 +2,21 @@
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from conftest import tiny_config, tiny_model, token_batch
+from conftest import (reference_apply_masks, reference_load_checkpoint,
+                      reference_save_checkpoint, tiny_config, tiny_model, token_batch)
+from hypothesis import given, settings, strategies as st
 from spikeprune import (SUBLAYERS, CheckpointError, InvalidInputError, MaskSet,
-                        ModelConfig, RandomStream, TimestepPlan, apply_masks,
-                        binarize_weights, init_model, load_checkpoint,
-                        rate_proxy_forward, run_unrolled, save_checkpoint)
+                        ModelConfig, RandomStream, TimestepPlan, TrainConfig,
+                        apply_masks, binarize_weights, gen_keyword_task, init_model,
+                        load_checkpoint, rate_proxy_forward, run_unrolled,
+                        save_checkpoint, train)
+from spikeprune.model import LayerParams
 
 
 class TestModelConfig:
@@ -127,6 +133,22 @@ class TestMaskSet:
         with pytest.raises(InvalidInputError):
             MaskSet([np.ones(2), np.ones(2)],
                     [np.ones(6), np.ones(6)]).validate_for(model)
+
+
+    def test_validate_for_catches_wrong_relaxed_lengths(self):
+        model = tiny_model(0)
+        masks = MaskSet([np.ones(2)], [np.ones(6)],
+                        relaxed_heads=[np.full(3, 0.5)],
+                        relaxed_neurons=[np.full(6, 0.5)])
+        with pytest.raises(InvalidInputError, match=r"relaxed_heads\[0\]"):
+            masks.validate_for(model)
+        data = gen_keyword_task(8, 4, 8, RandomStream(1))
+        with pytest.raises(InvalidInputError, match=r"relaxed_heads\[0\]"):
+            train(model, masks, TimestepPlan.uniform(1, 10), data,
+                  TrainConfig(epochs=1))
+        with pytest.raises(InvalidInputError, match="relaxed_neurons"):
+            MaskSet([np.ones(2)], [np.ones(6)], relaxed_neurons=[np.full(6, 0.5)] * 2
+                    ).validate_for(model)
 
 
 class TestApplyMasks:
@@ -301,3 +323,138 @@ class TestCheckpoint:
         doc = self._doc(tiny_model(0))
         doc["masks"]["heads"] = [[1.0, 1.0, 1.0]]
         self._expect_error(tmp_path, doc, r"masks.heads\[0\]")
+
+
+def _same_arrays(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype == np.float64
+    assert np.array_equal(a, b)
+
+
+def _same_models(got, want, memory_order=False):
+    assert got.config == want.config
+    assert got.input_scale == want.input_scale
+    for name in ("embedding", "cls_w", "cls_b"):
+        _same_arrays(getattr(got, name), getattr(want, name))
+    assert len(got.layers) == len(want.layers)
+    for la, lb in zip(got.layers, want.layers):
+        for f in dataclasses.fields(LayerParams):
+            a, b = getattr(la, f.name), getattr(lb, f.name)
+            _same_arrays(a, b)
+            if memory_order:
+                assert a.flags.c_contiguous == b.flags.c_contiguous, f.name
+                assert a.flags.f_contiguous == b.flags.f_contiguous, f.name
+
+
+class TestLayoutTable:
+    """Checkpoints and slicing that walk LayerParams' layout table, against
+    the hand-written reference versions kept in conftest."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_bytes_arrays_and_slices_as_the_reference(self, data):
+        layers = data.draw(st.integers(1, 2))
+        heads = data.draw(st.sampled_from([1, 2, 4]))
+        inter = data.draw(st.integers(1, 6))
+        seed = data.draw(st.integers(0, 1000))
+        model = tiny_model(seed, num_layers=layers, num_heads=heads,
+                           intermediate_size=inter)
+        # non-trivial biases, norm affines and thresholds (vth stays > 0)
+        stream = RandomStream(seed + 1)
+        for layer in model.layers:
+            for f in dataclasses.fields(LayerParams):
+                value = getattr(layer, f.name)
+                setattr(layer, f.name, value + stream.uniform(value.shape))
+
+        def binary(n):
+            m = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                            min_size=n, max_size=n)))
+            m[data.draw(st.integers(0, n - 1))] = 1.0
+            return m
+
+        def relaxed(counts):
+            if not data.draw(st.booleans()):
+                return None
+            return [np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                                max_size=n))) for n in counts]
+
+        if data.draw(st.booleans()):
+            cut = MaskSet([binary(heads) for _ in range(layers)],
+                          [binary(inter) for _ in range(layers)])
+            sliced = apply_masks(model, cut)
+            want = reference_apply_masks(model, cut)
+            _same_models(sliced, want, memory_order=True)
+            tokens, _ = token_batch(model.config, 3, RandomStream(seed + 2))
+            logits, _ = run_unrolled(sliced, MaskSet.all_ones(sliced), tokens, 3)
+            want_logits, _ = run_unrolled(want, MaskSet.all_ones(want), tokens, 3)
+            assert logits.tobytes() == want_logits.tobytes()
+            model = sliced
+
+        hc, nc = model.head_counts(), model.neuron_counts()
+        masks = MaskSet([binary(h) for h in hc], [binary(n) for n in nc],
+                        relaxed(hc), relaxed(nc))
+        steps = data.draw(st.lists(st.integers(1, 60), min_size=6 * layers,
+                                   max_size=6 * layers))
+        plan = TimestepPlan(np.array(steps, dtype=np.int64).reshape(layers, 6))
+        with tempfile.TemporaryDirectory() as root:
+            got_path = os.path.join(root, "got.json")
+            want_path = os.path.join(root, "want.json")
+            save_checkpoint(got_path, model, masks, plan)
+            reference_save_checkpoint(want_path, model, masks, plan)
+            with open(got_path, "rb") as fa, open(want_path, "rb") as fb:
+                assert fa.read() == fb.read()
+            m_got, k_got, p_got = load_checkpoint(want_path)
+            m_want, k_want, p_want = reference_load_checkpoint(want_path)
+        _same_models(m_got, m_want)
+        _same_models(m_got, model)
+        assert p_got == p_want == plan
+        for group in ("heads", "neurons", "relaxed_heads", "relaxed_neurons"):
+            got, want = getattr(k_got, group), getattr(k_want, group)
+            assert (got is None) == (want is None) == (getattr(masks, group) is None)
+            for a, b in zip(got or [], want or []):
+                _same_arrays(a, b)
+
+    @pytest.mark.parametrize("key_path,corrupt", [
+        ("layers[0].biases.k", lambda l: l["biases"].pop("k")),
+        ("layers[0].ln", lambda l: l.pop("ln")),
+        ("layers[0].biases", lambda l: l.update(biases=[1.0])),
+        ("layers[0].vth", lambda l: l.pop("vth")),
+        ("layers[0].WK", lambda l: l.update(WK=5)),
+        ("layers[0].WK", lambda l: l.update(WK=[[1.0] * 3] * 8)),
+        ("layers[0].WK", lambda l: l.update(WK=[[1.0] * 12] * 8)),
+        ("layers[0].Winter", lambda l: l.update(Winter=[])),
+        ("layers[0].Winter", lambda l: l.update(Winter=[[1.0] * 7] * 8)),
+        ("layers[0].WO", lambda l: l.update(WO=[[1.0] * 8] * 4)),
+        ("layers[0].Wout", lambda l: l.update(Wout=[[1.0] * 8] * 5)),
+        ("layers[0].biases.out", lambda l: l["biases"].update(out="x")),
+        ("layers[0].ln.shift2", lambda l: l["ln"]["shift2"].__setitem__(0, None)),
+        ("layers[0].vth", lambda l: l["vth"].__setitem__(2, 0.0)),
+    ])
+    def test_layer_errors_name_the_key_path_as_before(self, tmp_path, key_path,
+                                                      corrupt):
+        model = tiny_model(0)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, model, MaskSet.all_ones(model),
+                        TimestepPlan.uniform(1, 4))
+        with open(path) as fh:
+            doc = json.load(fh)
+        corrupt(doc["layers"][0])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for load in (load_checkpoint, reference_load_checkpoint):
+            with pytest.raises(CheckpointError) as err:
+                load(path)
+            assert str(err.value).split(": ")[0] == key_path, load.__name__
+
+    def test_width_probe_rejects_a_json_object(self, tmp_path):
+        """A layer matrix stored as an object is 'not a matrix', not a KeyError."""
+        model = tiny_model(0)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, model, MaskSet.all_ones(model), TimestepPlan.uniform(1, 4))
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["layers"][0]["WK"] = {"0": [1.0] * 8}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(CheckpointError, match=r"layers\[0\]\.WK: not a matrix"):
+            load_checkpoint(path)
