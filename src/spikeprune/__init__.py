@@ -9,13 +9,14 @@ everything against the event-driven simulators.
 from .config import RunConfig, load_config, parse_config, resolve_config
 from .cost import AcsReport, acs_baseline, acs_total, normalized_c, per_sublayer_acs, unit_costs
 from .data import Dataset, gen_keyword_task, iter_batches, label_for, load_jsonl, save_jsonl
-from .engine import (AsrTrace, LifState, TimestepPlan, lif_step,
-                     rate_proxy_forward, run_sequential, run_unrolled)
+from .engine import (AsrTrace, LifState, lif_step, rate_proxy_forward,
+                     run_sequential, run_unrolled)
 from .errors import (CheckpointError, InfeasibleBudgetError, InvalidInputError,
                      SpikePruneError, TrainingDivergedError)
 from .importance import ImportanceScores, asr_factors, combine, fisher_diagonal
-from .model import (SUBLAYERS, MaskSet, ModelConfig, SpikingModel, apply_masks,
-                    binarize_weights, init_model, load_checkpoint, save_checkpoint)
+from .model import (SUBLAYERS, MaskSet, ModelConfig, SpikingModel, TimestepPlan,
+                    apply_masks, binarize_weights, init_model, load_checkpoint,
+                    save_checkpoint)
 from .numerics import RandomStream, bernoulli_matrix, finite_difference_gradient, pca_component_count
 from .spatial import pruned_importance, refine_masks, select_masks
 from .temporal import allocate_timesteps, layer_importance, scale_plan, timestep_allocation

@@ -23,11 +23,11 @@ import numpy as np
 from .config import RunConfig, resolve_config
 from .cost import acs_total, normalized_c, per_sublayer_acs
 from .data import Dataset, gen_keyword_task, iter_batches, load_jsonl
-from .engine import TimestepPlan, rate_proxy_forward, run_sequential, run_unrolled
+from .engine import rate_proxy_forward, run_sequential, run_unrolled
 from .errors import InvalidInputError, SpikePruneError
 from .importance import asr_factors, combine, fisher_diagonal
-from .model import (SUBLAYERS, MaskSet, ModelConfig, _plan_to_dict, init_model,
-                    load_checkpoint, save_checkpoint)
+from .model import (SUBLAYERS, MaskSet, ModelConfig, TimestepPlan, _plan_to_dict,
+                    init_model, load_checkpoint, save_checkpoint)
 from .numerics import RandomStream
 from .spatial import refine_masks, select_masks
 from .temporal import allocate_timesteps, layer_importance, scale_plan
@@ -156,10 +156,9 @@ def _train_and_save(args, cfg: RunConfig, seed: int, model, masks, plan,
     mcfg = model.config
     master = RandomStream(seed)
 
-    def data(path, count, lane):
-        if path:
-            return load_jsonl(path, mcfg.seq_len, mcfg.vocab_size, mcfg.num_classes)
-        return _gen_dataset(mcfg, count, master.derive(lane))
+    def data(spec, count, lane):
+        stream = master.derive(lane)
+        return _dataset_arg(spec, mcfg, stream) if spec else _gen_dataset(mcfg, count, stream)
 
     train_data = data(args.data, cfg.train_examples, _LANE_TRAIN)
     test_data = data(args.test_data, cfg.test_examples, _LANE_TEST)
@@ -256,9 +255,6 @@ def cmd_prune_temporal(args) -> int:
     model, masks, plan = load_checkpoint(args.checkpoint)
     cfg = model.config
     base = args.base if args.base is not None else cfg.pca_base
-    if base <= 1.0:
-        raise InvalidInputError(
-            "checkpoint pca_base must be greater than 1; pass --base")
     variance = args.variance if args.variance is not None else cfg.variance_threshold
     master = RandomStream(args.seed)
     calib = _dataset_arg(args.calib, cfg, master.derive(_LANE_CALIB))
@@ -505,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the config learning rate")
     p.add_argument("--eta", type=float, default=None,
                    help="override the activity-loss weight")
-    p.add_argument("--data", default=None, help="training JSONL (default: synthetic)")
+    p.add_argument("--data", default=None,
+                   help="training JSONL path or example count (default: config's count)")
     p.add_argument("--test-data", default=None)
     p.add_argument("--history", default=None, help="write per-epoch metrics CSV")
     p.set_defaults(func=cmd_train)

@@ -2,9 +2,10 @@
 
 A config file is plain text: one `key = value` pair per line, `#` comments
 and blank lines ignored. Every key has a default, so a file only states
-what it changes. `lambda` and `acs_constraint` are the on-disk spellings
-for the cost-penalty weight and pruning budget; `pca_components` is the
-explained-variance threshold used for timestep allocation.
+what it changes. `lambda` is the on-disk spelling of the cost-penalty
+weight `lam`; `pca_components` is the model's explained-variance threshold
+for timestep allocation. `acs_constraint` (pruning budget) and `rho`
+(timestep scaling) are read by `ablate` straight from the RunConfig.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ class RunConfig:
     train_examples: int = 2000
     test_examples: int = 500
 
+    def __post_init__(self):
+        for name in ("acs_constraint", "rho"):
+            if not (0 < getattr(self, name) <= 1):
+                raise InvalidInputError(f"{name} must be in (0, 1]")
+
     def _split(self, target, **overrides):
         """A target (ModelConfig or TrainConfig) whose init fields take this
         config's value under the same name or the name _RENAMED gives; fields
@@ -72,9 +78,8 @@ class RunConfig:
         return self._split(TrainConfig, **overrides)
 
 
-# ModelConfig and TrainConfig fields that the config file spells differently
-_RENAMED = {"variance_threshold": "pca_components", "theta": "pca_components",
-            "base": "pca_base", "budget": "acs_constraint"}
+# ModelConfig fields that the config file spells differently
+_RENAMED = {"variance_threshold": "pca_components"}
 _ALIASES = {"lambda": "lam"}
 # every key parses as its RunConfig field's declared type
 _PARSERS = {f.name: (int, "an integer") if f.type == "int" else (float, "a number")

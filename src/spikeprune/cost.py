@@ -19,8 +19,7 @@ import dataclasses
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import SUBLAYERS, MaskSet, ModelConfig
-from .engine import TimestepPlan
+from .model import SUBLAYERS, MaskSet, ModelConfig, TimestepPlan
 
 __all__ = [
     "AcsReport",

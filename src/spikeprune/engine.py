@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
-from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel
+from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan
 from .numerics import RandomStream, bernoulli_matrix
 
 __all__ = [
@@ -76,51 +76,6 @@ def lif_step(state: LifState, input_current: np.ndarray, v_th, leak: float):
     u = leak * state.membrane + input_current - state.spikes * v_th
     spikes = (u - v_th >= 0.0).astype(np.float64)
     return LifState(u, spikes), spikes
-
-
-class TimestepPlan:
-    """Per-sublayer timestep budgets: integer array (num_layers, 6).
-
-    Columns follow SUBLAYERS order. Every entry is at least 1.
-    """
-
-    def __init__(self, steps):
-        arr = np.asarray(steps)
-        if arr.ndim != 2 or arr.shape[1] != len(SUBLAYERS):
-            raise InvalidInputError(
-                f"plan must be (layers, {len(SUBLAYERS)}), got {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidInputError("plan entries must be integers")
-        if arr.min() < 1:
-            raise InvalidInputError("plan entries must be >= 1")
-        self.steps = arr.astype(np.int64)
-
-    @classmethod
-    def uniform(cls, num_layers: int, t: int) -> "TimestepPlan":
-        return cls(np.full((num_layers, len(SUBLAYERS)), int(t), dtype=np.int64))
-
-    def get(self, layer: int, name: str) -> int:
-        return int(self.steps[layer, SUBLAYERS.index(name)])
-
-    @property
-    def num_layers(self) -> int:
-        return self.steps.shape[0]
-
-    def mean_timesteps(self) -> float:
-        return float(self.steps.mean())
-
-    def max_timesteps(self) -> int:
-        return int(self.steps.max())
-
-    def flat(self) -> np.ndarray:
-        """Budgets in trace order: L0.key, L0.value, ..., L1.key, ..."""
-        return self.steps.ravel()
-
-    def copy(self) -> "TimestepPlan":
-        return TimestepPlan(self.steps.copy())
-
-    def __eq__(self, other):
-        return isinstance(other, TimestepPlan) and np.array_equal(self.steps, other.steps)
 
 
 @dataclasses.dataclass

@@ -7,8 +7,9 @@ proxy in `engine` both read the weights defined here.
 
 Pruning state lives outside the weights: a MaskSet holds binary head and
 neuron masks (plus optional relaxed values used while mask variables are
-being trained), and masks can be folded into the weights structurally with
-`apply_masks`, which slices the corresponding rows and columns.
+being trained), a TimestepPlan the per-sublayer timestep budgets. Masks
+can be folded into the weights structurally with `apply_masks`, which
+slices the corresponding rows and columns.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "LayerParams",
     "SpikingModel",
     "MaskSet",
+    "TimestepPlan",
     "init_model",
     "apply_masks",
     "binarize_weights",
@@ -65,10 +67,14 @@ class ModelConfig:
     head_dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        for name in (f.name for f in dataclasses.fields(self) if f.init and f.type == "int"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise InvalidInputError(f"{name} must be a positive integer, got {v!r}")
+        # bool is an int subclass; the negated range checks below fail on NaN
+        for f in (f for f in dataclasses.fields(self) if f.init):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                    raise InvalidInputError(f"{f.name} must be a positive integer, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise InvalidInputError(f"{f.name} must be a number, got {v!r}")
         if self.hidden_size % self.num_heads != 0:
             raise InvalidInputError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
@@ -76,9 +82,9 @@ class ModelConfig:
             raise InvalidInputError("leak must lie in [0, 1]")
         if not (0.0 < self.variance_threshold <= 1.0):
             raise InvalidInputError("variance_threshold must be in (0, 1]")
-        if self.pca_base < 1.0:
-            raise InvalidInputError("pca_base must be >= 1")
-        if self.initial_vth <= 0.0:
+        if not self.pca_base > 1.0:
+            raise InvalidInputError("pca_base must be greater than 1")
+        if not self.initial_vth > 0.0:
             raise InvalidInputError("initial_vth must be positive")
         object.__setattr__(self, "head_dim", self.hidden_size // self.num_heads)
 
@@ -89,6 +95,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "config") -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise CheckpointError(f"{path}: expected an object")
         fields = {f.name for f in dataclasses.fields(cls) if f.init}
         unknown = set(d) - fields
         if unknown:
@@ -188,12 +196,12 @@ class MaskSet:
     """
 
     def __init__(self, heads, neurons, relaxed_heads=None, relaxed_neurons=None):
-        self.heads = [np.asarray(h, dtype=np.float64) for h in heads]
-        self.neurons = [np.asarray(n, dtype=np.float64) for n in neurons]
+        self.heads = [np.array(h, dtype=np.float64) for h in heads]
+        self.neurons = [np.array(n, dtype=np.float64) for n in neurons]
         self.relaxed_heads = (None if relaxed_heads is None
-                              else [np.asarray(h, dtype=np.float64) for h in relaxed_heads])
+                              else [np.array(h, dtype=np.float64) for h in relaxed_heads])
         self.relaxed_neurons = (None if relaxed_neurons is None
-                                else [np.asarray(n, dtype=np.float64) for n in relaxed_neurons])
+                                else [np.array(n, dtype=np.float64) for n in relaxed_neurons])
         for name, groups in (("heads", self.heads), ("neurons", self.neurons)):
             for l, m in enumerate(groups):
                 if m.ndim != 1 or m.size == 0:
@@ -214,12 +222,7 @@ class MaskSet:
                    [np.ones(n) for n in model.neuron_counts()])
 
     def copy(self) -> "MaskSet":
-        return MaskSet([h.copy() for h in self.heads],
-                       [n.copy() for n in self.neurons],
-                       None if self.relaxed_heads is None
-                       else [h.copy() for h in self.relaxed_heads],
-                       None if self.relaxed_neurons is None
-                       else [n.copy() for n in self.relaxed_neurons])
+        return MaskSet(self.heads, self.neurons, self.relaxed_heads, self.relaxed_neurons)
 
     def validate_for(self, model: SpikingModel) -> None:
         for name, counts in (("heads", model.head_counts()),
@@ -237,14 +240,58 @@ class MaskSet:
         """Binary masks from the relaxed values (>= 0.5 survives)."""
         if self.relaxed_heads is None or self.relaxed_neurons is None:
             return self.copy()
-        return MaskSet([(h >= 0.5).astype(np.float64) for h in self.relaxed_heads],
-                       [(n >= 0.5).astype(np.float64) for n in self.relaxed_neurons],
-                       [h.copy() for h in self.relaxed_heads],
-                       [n.copy() for n in self.relaxed_neurons])
+        return MaskSet([h >= 0.5 for h in self.relaxed_heads],
+                       [n >= 0.5 for n in self.relaxed_neurons],
+                       self.relaxed_heads, self.relaxed_neurons)
 
     def active_counts(self) -> tuple:
         return ([int(h.sum()) for h in self.heads],
                 [int(n.sum()) for n in self.neurons])
+
+
+class TimestepPlan:
+    """Per-sublayer timestep budgets: integer array (num_layers, 6).
+
+    Columns follow SUBLAYERS order. Every entry is at least 1.
+    """
+
+    def __init__(self, steps):
+        arr = np.asarray(steps)
+        if arr.ndim != 2 or arr.shape[1] != len(SUBLAYERS):
+            raise InvalidInputError(
+                f"plan must be (layers, {len(SUBLAYERS)}), got {arr.shape}")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise InvalidInputError("plan entries must be integers")
+        if arr.min() < 1:
+            raise InvalidInputError("plan entries must be >= 1")
+        self.steps = arr.astype(np.int64)
+
+    @classmethod
+    def uniform(cls, num_layers: int, t: int) -> "TimestepPlan":
+        return cls(np.full((num_layers, len(SUBLAYERS)), int(t), dtype=np.int64))
+
+    def get(self, layer: int, name: str) -> int:
+        return int(self.steps[layer, SUBLAYERS.index(name)])
+
+    @property
+    def num_layers(self) -> int:
+        return self.steps.shape[0]
+
+    def mean_timesteps(self) -> float:
+        return float(self.steps.mean())
+
+    def max_timesteps(self) -> int:
+        return int(self.steps.max())
+
+    def flat(self) -> np.ndarray:
+        """Budgets in trace order: L0.key, L0.value, ..., L1.key, ..."""
+        return self.steps.ravel()
+
+    def copy(self) -> "TimestepPlan":
+        return TimestepPlan(self.steps.copy())
+
+    def __eq__(self, other):
+        return isinstance(other, TimestepPlan) and np.array_equal(self.steps, other.steps)
 
 
 def _draw(stream: RandomStream, rows: int, cols: int, scale: float) -> np.ndarray:
@@ -402,8 +449,6 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
     When expected_config is given, the stored architecture must match it
     field for field.
     """
-    from .engine import TimestepPlan
-
     try:
         with open(path) as fh:
             doc = json.load(fh)

@@ -18,10 +18,9 @@ import math
 import numpy as np
 
 from .cost import unit_costs
-from .engine import TimestepPlan
 from .errors import InfeasibleBudgetError, InvalidInputError
 from .importance import ImportanceScores
-from .model import MaskSet, ModelConfig
+from .model import MaskSet, ModelConfig, TimestepPlan
 
 __all__ = ["select_masks", "refine_masks", "pruned_importance"]
 

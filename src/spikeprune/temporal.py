@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import TimestepPlan
 from .errors import InvalidInputError
-from .model import SUBLAYERS
+from .model import SUBLAYERS, TimestepPlan
 from .numerics import pca_component_count
 
 __all__ = ["layer_importance", "timestep_allocation", "allocate_timesteps",

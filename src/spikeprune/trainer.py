@@ -22,10 +22,10 @@ import numpy as np
 from . import autodiff as ad
 from . import temporal
 from .cost import acs_baseline, acs_total, acs_value, normalized_c, per_sublayer_acs
-from .engine import (TimestepPlan, _model_arrays, cross_entropy, proxy_graph,
-                     rate_proxy_forward, run_unrolled)
+from .engine import (_model_arrays, cross_entropy, proxy_graph, rate_proxy_forward,
+                     run_unrolled)
 from .errors import InvalidInputError, TrainingDivergedError
-from .model import MaskSet, ModelConfig, SpikingModel
+from .model import MaskSet, ModelConfig, SpikingModel, TimestepPlan
 from .numerics import RandomStream, bernoulli_matrix, finite_difference_gradient
 
 __all__ = ["TrainConfig", "total_loss", "train", "gradcheck", "evaluate_proxy"]
@@ -46,10 +46,6 @@ class TrainConfig:
     seed: int = 0
     train_batch: int = 32
     test_batch: int = 128
-    budget: float = 0.6
-    base: float = 1.02
-    theta: float = 0.99999
-    rho: float = 1.0
     momentum: float = 0.9
     adaptive_vth: bool = True
 
@@ -66,12 +62,6 @@ class TrainConfig:
             raise InvalidInputError("lam and eta must be non-negative")
         if self.train_batch < 1 or self.test_batch < 1:
             raise InvalidInputError("batch sizes must be positive")
-        if not (0 < self.budget <= 1):
-            raise InvalidInputError("budget must be in (0, 1]")
-        if not (0 < self.theta <= 1):
-            raise InvalidInputError("theta must be in (0, 1]")
-        if not (0 < self.rho <= 1):
-            raise InvalidInputError("rho must be in (0, 1]")
         if self.pca_interval < 0:
             raise InvalidInputError("pca_interval must be non-negative")
 
@@ -100,6 +90,18 @@ def _mask_sums(masks: MaskSet):
     return ([float(np.sum(h)) for h in heads], [float(np.sum(n)) for n in neurons])
 
 
+def _objective(logits, labels, lam, unit_sums, plan, model_config, eta, layer_outs):
+    """L_pred + lam * M(unit_sums, plan) + eta * sum_l ||a*_l||_2, over graph
+    Vars (_batch_graph) or values (total_loss). unit_sums is per-layer (head
+    sums, neuron sums); layer_outs holds the batched per-layer rates."""
+    loss = cross_entropy(logits, labels)
+    if lam:
+        loss = loss + lam * acs_value(model_config, *unit_sums, plan)
+    if eta and len(layer_outs):
+        loss = loss + eta * _activity_graph(layer_outs)
+    return loss
+
+
 def total_loss(logits, labels, masks: MaskSet, plan: TimestepPlan,
                config: TrainConfig, model_config: ModelConfig = None,
                layer_asr=()) -> float:
@@ -112,18 +114,13 @@ def total_loss(logits, labels, masks: MaskSet, plan: TimestepPlan,
     obtained by building the same objective over the rate-proxy graph, as
     train() and gradcheck() do.
     """
-    value = float(cross_entropy(logits, labels).value)
-    if config.lam:
-        if model_config is None:
-            raise InvalidInputError("model_config required when lam > 0")
-        h_sums, n_sums = _mask_sums(masks)
-        value += config.lam * acs_value(model_config, h_sums, n_sums, plan)
-    if config.eta and len(layer_asr):
-        # an unbatched rate array is one sample
-        rates = [np.asarray(a, dtype=np.float64) for a in layer_asr]
-        activity = _activity_graph([ad.Var(a if a.ndim >= 3 else a[None]) for a in rates])
-        value += config.eta * float(activity.value)
-    return value
+    if config.lam and model_config is None:
+        raise InvalidInputError("model_config required when lam > 0")
+    # an unbatched rate array is one sample
+    rates = [np.asarray(a, dtype=np.float64) for a in layer_asr]
+    outs = [ad.Var(a if a.ndim >= 3 else a[None]) for a in rates]
+    return float(_objective(logits, labels, config.lam, _mask_sums(masks), plan,
+                            model_config, config.eta, outs).value)
 
 
 def _logits_relaxed(z) -> np.ndarray:
@@ -181,17 +178,10 @@ def _batch_graph(model, arrays, binary_masks, tokens, labels, plan, tcfg, lam_no
         nm = [ad.Var(m) for m in binary_masks.neurons]
     logits, _, layer_outs = proxy_graph(params, model.config, model.input_scale,
                                         tokens, hm, nm, stage_noise)
-    loss = cross_entropy(logits, labels)
-    if lam_now and frac_h is not None:
-        m_frac = acs_value(model.config, [s.sum() for s in frac_h],
-                           [s.sum() for s in frac_n], plan)
-        loss = loss + lam_now * m_frac
-    elif lam_now:
-        h_sums, n_sums = _mask_sums(binary_masks)
-        loss = loss + lam_now * acs_value(model.config, h_sums, n_sums, plan)
-    if tcfg.eta:
-        loss = loss + tcfg.eta * _activity_graph(layer_outs)
-    return loss, params
+    sums = (_mask_sums(binary_masks) if frac_h is None
+            else ([s.sum() for s in frac_h], [s.sum() for s in frac_n]))
+    return _objective(logits, labels, lam_now, sums, plan, model.config, tcfg.eta,
+                      layer_outs), params
 
 
 def evaluate_proxy(model: SpikingModel, masks: MaskSet, dataset,
@@ -209,8 +199,7 @@ def evaluate_proxy(model: SpikingModel, masks: MaskSet, dataset,
     return hits / n
 
 
-def _epoch_metrics(model, masks, plan, dataset, eval_data, tcfg, mean_loss, epoch):
-    hard = masks.harden()
+def _epoch_metrics(model, hard, plan, dataset, eval_data, tcfg, mean_loss, epoch):
     acc_data = eval_data if eval_data is not None else dataset
     accuracy = evaluate_proxy(model, hard, acc_data, tcfg.test_batch)
     report = acs_total(model.config, hard, plan)
@@ -280,8 +269,7 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
             return masks_out
         sig_h = [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_heads]
         sig_n = [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_neurons]
-        return MaskSet([(h >= 0.5).astype(float) for h in sig_h],
-                       [(n >= 0.5).astype(float) for n in sig_n], sig_h, sig_n)
+        return MaskSet(masks_out.heads, masks_out.neurons, sig_h, sig_n).harden()
 
     for epoch in range(config.epochs):
         lam_now = config.lam if epoch < config.penalty_epochs else 0.0
@@ -322,12 +310,11 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
         if config.pca_interval > 0 and (epoch + 1) % config.pca_interval == 0:
             ceiling = plan.max_timesteps()
             calib = data.tokens[:min(config.train_batch, n)]
-            _, traces = run_unrolled(work, masks_now.harden(), calib, ceiling)
-            c = temporal.layer_importance(traces, config.theta)
-            plan = temporal.allocate_timesteps(c, config.base, ceiling)
+            _, traces = run_unrolled(work, masks_now, calib, ceiling)
+            c = temporal.layer_importance(traces, work.config.variance_threshold)
+            plan = temporal.allocate_timesteps(c, work.config.pca_base, ceiling)
 
-    masks_final = current_masks().harden() if train_masks else masks_out
-    return work, masks_final, plan, history
+    return work, current_masks(), plan, history
 
 
 def gradcheck(model: SpikingModel, batch, config: TrainConfig = None) -> float:

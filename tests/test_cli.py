@@ -89,6 +89,13 @@ class TestTrain:
         assert rc == 0
         assert "test accuracy" in capsys.readouterr().out
 
+    def test_example_counts_accepted(self, ws, tmp_path):
+        """--data and --test-data take a synthetic example count, as eval's --data does."""
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "--config", ws["cfg"], "--out", str(out),
+                       "--data", "40", "--test-data", "12"])
+        assert rc == 0 and out.exists()
+
     def test_unknown_config_fails(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", "no_such_preset",
                        "--out", str(tmp_path / "x.json")])
@@ -339,15 +346,23 @@ class TestUsage:
         ["eval", "--data"], ["prune-spatial", "--out", "x.json", "--calib"],
         ["prune-temporal", "--out", "x.json", "--calib"],
         ["report", "--out-dir", "x", "--calib"],
+        ["train", "--config", "fast", "--out", "x.json", "--test-data"],
+        ["retrain", "--config", "fast", "--out", "x.json", "--data"],
     ])
     def test_empty_dataset_exits_1(self, ws, tmp_path, capsys, argv):
+        """The empty file is refused, by path, before any training runs."""
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        argv = [a if a not in ("x.json", "x") else str(tmp_path / a) for a in argv]
-        rc = cli.main(argv + [str(empty), "--checkpoint", ws["temporal"]])
+        subs = {"x.json": str(tmp_path / "x.json"), "x": str(tmp_path / "x"),
+                "fast": ws["cfg"]}
+        argv = [subs.get(a, a) for a in argv] + [str(empty)]
+        if argv[0] != "train":
+            argv += ["--checkpoint", ws["temporal"]]
+        rc = cli.main(argv)
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "no examples" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "no examples" in captured.err
+        assert str(empty) in captured.err and "epoch" not in captured.out
 
     @pytest.mark.parametrize("epochs", ["0", "-1", "one"])
     @pytest.mark.parametrize("command", ["train", "retrain"])

@@ -65,10 +65,6 @@ class TestDerivedConfigs:
         cfg = parse_config("acs_constraint = 0.55\npca_base = 1.25\n"
                            "pca_components = 0.95\nrho = 0.5\nlambda = 1e-8\n")
         tc = cfg.train_config()
-        assert tc.budget == 0.55
-        assert tc.base == 1.25
-        assert tc.theta == 0.95
-        assert tc.rho == 0.5
         assert tc.lam == 1e-8
 
     def test_train_config_overrides(self):
@@ -78,7 +74,7 @@ class TestDerivedConfigs:
         assert tc.eta == cfg.eta
 
     def test_splits_carry_every_field(self):
-        """Each split field reads its RunConfig value, the four renamed ones
+        """Each split field reads its RunConfig value, the renamed one
         included; adaptive_vth has no config key and keeps its default."""
         cfg = RunConfig(num_layers=3, hidden_size=24, num_heads=3, intermediate_size=20,
                         seq_len=7, vocab_size=11, num_classes=3, leak=0.9, t_conv=17,
@@ -94,9 +90,21 @@ class TestDerivedConfigs:
         assert cfg.train_config() == TrainConfig(
             learning_rate=0.2, epochs=5, penalty_epochs=2, lam=1e-8, eta=0.003,
             pca_interval=3, kappa=7.0, seed=4, train_batch=9, test_batch=13,
-            budget=0.55, base=1.25, theta=0.95, rho=0.5, momentum=0.8)
-        assert cfg.train_config(adaptive_vth=False, budget=0.3) == dataclasses.replace(
-            cfg.train_config(), adaptive_vth=False, budget=0.3)
+            momentum=0.8)
+        assert cfg.train_config(adaptive_vth=False, kappa=3.0) == dataclasses.replace(
+            cfg.train_config(), adaptive_vth=False, kappa=3.0)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("acs_constraint", 0.0), ("acs_constraint", 1.5), ("rho", 0.0), ("rho", 1.2),
+    ])
+    def test_rejects_out_of_range_fractions(self, field, value):
+        """Only ablate reads these, so they are checked where a config is parsed."""
+        with pytest.raises(InvalidInputError, match=field):
+            RunConfig(**{field: value})
+        with pytest.raises(InvalidInputError, match=field):
+            parse_config(f"{field} = {value}\n")
 
 
 class TestPresets:

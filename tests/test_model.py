@@ -36,6 +36,10 @@ class TestModelConfig:
         ("leak", 1.5), ("leak", -0.1), ("t_conv", 0),
         ("variance_threshold", 0.0), ("variance_threshold", 1.1),
         ("pca_base", 0.9), ("initial_vth", 0.0),
+        ("pca_base", 1.0), ("pca_base", float("nan")), ("initial_vth", float("nan")),
+        ("leak", float("nan")), ("variance_threshold", float("nan")),
+        ("leak", "0.5"), ("pca_base", None), ("num_layers", True), ("leak", True),
+        ("hidden_size", 8.0),
     ])
     def test_field_validation(self, field, value):
         kwargs = dict(num_layers=1, hidden_size=8, num_heads=2,
@@ -117,6 +121,16 @@ class TestMaskSet:
         hard = masks.harden()
         assert np.array_equal(hard.heads[0], np.array([0.0, 1.0, 1.0]))
         assert np.array_equal(hard.neurons[0], np.array([0.0, 1.0]))
+
+    def test_constructor_copies_its_inputs(self):
+        """Changing a caller's array afterwards does not change the masks."""
+        heads, neurons = np.ones(2), np.ones(3)
+        rel_h, rel_n = np.full(2, 0.7), np.full(3, 0.7)
+        masks = MaskSet([heads], [neurons], [rel_h], [rel_n])
+        for arr in (heads, neurons, rel_h, rel_n):
+            arr[0] = 0.0
+        assert masks.active_counts() == ([2], [3])
+        assert masks.relaxed_heads[0][0] == 0.7 and masks.relaxed_neurons[0][0] == 0.7
 
     def test_harden_without_relaxed_copies(self):
         masks = MaskSet([np.ones(2)], [np.ones(3)])
@@ -291,6 +305,19 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=pattern):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("leak", "0.5"), ("num_layers", True), ("pca_base", 1.0),
+    ])
+    def test_bad_config_value_is_a_checkpoint_error(self, tmp_path, field, value):
+        doc = self._doc(tiny_model(0))
+        doc["config"][field] = value
+        self._expect_error(tmp_path, doc, f"config: {field}")
+
+    def test_config_must_be_an_object(self, tmp_path):
+        doc = self._doc(tiny_model(0))
+        doc["config"] = 7
+        self._expect_error(tmp_path, doc, "config: expected an object")
 
     def test_error_messages_name_the_key_path(self, tmp_path):
         model = tiny_model(0)

@@ -8,7 +8,8 @@ import pytest
 from conftest import tiny_model, token_batch
 from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
                         TimestepPlan, TrainConfig, TrainingDivergedError,
-                        gradcheck, total_loss, train)
+                        allocate_timesteps, gradcheck, layer_importance,
+                        run_unrolled, total_loss, train)
 from spikeprune import autodiff as ad
 from spikeprune.cost import acs_value
 from spikeprune.engine import cross_entropy, rate_proxy_forward
@@ -109,11 +110,11 @@ class TestTrainConfig:
         dict(eta=-0.1),
         dict(train_batch=0),
         dict(test_batch=0),
-        dict(budget=0.0),
-        dict(budget=1.5),
-        dict(theta=0.0),
-        dict(rho=0.0),
-        dict(rho=1.2),
+        dict(penalty_epochs=-1),
+        dict(epochs=0, penalty_epochs=1),
+        dict(kappa=-1.0),
+        dict(learning_rate=-0.05),
+        dict(train_batch=-3),
         dict(pca_interval=-1),
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -298,13 +299,27 @@ class TestTrain:
         assert not np.allclose(masks_out.relaxed_heads[0], 0.7)
 
     def test_pca_interval_refreshes_plan_within_ceiling(self):
-        model = tiny_model(11)
+        model = tiny_model(11, pca_base=1.3)
         data = _dataset(model.config, 16, 10)
-        cfg = TrainConfig(epochs=2, pca_interval=1, base=1.3, seed=0,
+        cfg = TrainConfig(epochs=2, pca_interval=1, seed=0,
                           train_batch=8, learning_rate=0.02)
         _, _, plan_out, _ = train(model, _ones(model), _uniform(model), data, cfg)
         assert plan_out.max_timesteps() <= model.config.t_conv
         assert plan_out.steps.min() >= 1
+
+    def test_plan_refresh_reads_the_model_config(self):
+        """The refresh allocates with the model's own PCA threshold and base."""
+        model = tiny_model(11, pca_base=1.3, variance_threshold=0.9)
+        data = _dataset(model.config, 16, 10)
+        cfg = TrainConfig(epochs=1, pca_interval=1, seed=0, train_batch=8,
+                          learning_rate=0.02)
+        ceiling = model.config.t_conv
+        model_out, masks_out, plan_out, _ = train(model, _ones(model), _uniform(model),
+                                                  data, cfg)
+        _, traces = run_unrolled(model_out, masks_out, data.tokens[:8], ceiling)
+        want = allocate_timesteps(layer_importance(traces, 0.9), 1.3, ceiling)
+        assert plan_out == want
+        assert plan_out != _uniform(model)
 
 
 class TestEvaluateProxy:
