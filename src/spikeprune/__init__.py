@@ -7,7 +7,8 @@ everything against the event-driven simulators.
 """
 
 from .config import RunConfig, load_config, parse_config, resolve_config
-from .cost import AcsReport, acs_baseline, acs_total, normalized_c, per_sublayer_acs, unit_costs
+from .cost import (AcsReport, acs_baseline, acs_total, cost_summary, normalized_c,
+                   per_sublayer_acs, unit_costs)
 from .data import Dataset, gen_keyword_task, iter_batches, label_for, load_jsonl, save_jsonl
 from .engine import (AsrTrace, LifState, lif_step, rate_proxy_forward,
                      run_sequential, run_unrolled)
@@ -30,7 +31,7 @@ __all__ = [
     "ModelConfig", "RandomStream", "RunConfig", "SUBLAYERS", "SpikePruneError",
     "SpikingModel", "TimestepPlan", "TrainConfig", "TrainingDivergedError",
     "acs_baseline", "acs_total", "allocate_timesteps", "apply_masks",
-    "asr_factors", "bernoulli_matrix", "binarize_weights", "combine",
+    "asr_factors", "bernoulli_matrix", "binarize_weights", "combine", "cost_summary",
     "evaluate_proxy", "finite_difference_gradient", "fisher_diagonal",
     "gen_keyword_task", "gradcheck", "init_model", "iter_batches", "label_for",
     "layer_importance", "lif_step", "load_checkpoint", "load_config",

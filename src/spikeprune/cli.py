@@ -15,19 +15,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .config import RunConfig, resolve_config
-from .cost import acs_total, normalized_c, per_sublayer_acs
+from .cost import acs_total, cost_summary
 from .data import Dataset, gen_keyword_task, iter_batches, load_jsonl
 from .engine import rate_proxy_forward, run_sequential, run_unrolled
 from .errors import InvalidInputError, SpikePruneError
 from .importance import asr_factors, combine, fisher_diagonal
-from .model import (SUBLAYERS, MaskSet, ModelConfig, TimestepPlan, _plan_to_dict,
-                    init_model, load_checkpoint, save_checkpoint)
+from .model import (MaskSet, ModelConfig, TimestepPlan, _plan_to_dict, init_model,
+                    load_checkpoint, save_checkpoint)
 from .numerics import RandomStream
 from .spatial import refine_masks, select_masks
 from .temporal import allocate_timesteps, layer_importance, scale_plan
@@ -75,11 +76,9 @@ def _synthetic_run(cfg: RunConfig, seed: int):
 
 def _write_result(result: dict, path) -> None:
     """Print a JSON result and, when path is given, also write it there."""
-    text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(result, indent=2, sort_keys=True))
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(path, result)
 
 
 def _dataset_arg(spec: str, mcfg: ModelConfig, stream: RandomStream) -> Dataset:
@@ -106,6 +105,12 @@ def _print_history(history: list) -> None:
               f"mean_timesteps={row['mean_timesteps']:.2f}")
 
 
+def _unpruned(model):
+    """All-ones masks and a uniform T_conv plan: the state before pruning."""
+    return MaskSet.all_ones(model), TimestepPlan.uniform(model.config.num_layers,
+                                                         model.config.t_conv)
+
+
 def _importance_scores(model, masks, calib: Dataset, batch_size: int):
     """Importance scores on calib, and the calibration traces that weight them."""
     fisher = fisher_diagonal(model, iter_batches(calib, batch_size))
@@ -123,21 +128,18 @@ def _group_asr(rates: dict, num_layers: int) -> dict:
     return out
 
 
-def _proxy_normalized_c(model, masks, plan, tokens) -> float:
-    _, rates = rate_proxy_forward(model, masks, tokens)
-    acs_list = per_sublayer_acs(model.config, masks, plan)
-    return normalized_c([r.mean() for r in rates.values()],
-                        [v for _, v in acs_list])
-
-
 def _unrolled_group_stats(model, masks, plan, tokens):
     """Converged simulated rates: (per-group means, normalized #C)."""
     _, traces = run_unrolled(model, masks, tokens, model.config.t_conv)
     conv = {tr.name: tr.converged for tr in traces}
-    acs_list = per_sublayer_acs(model.config, masks, plan)
-    nc = normalized_c([float(conv[name].mean()) for name, _ in acs_list],
-                      [v for _, v in acs_list])
-    return _group_asr(conv, model.config.num_layers), nc
+    summary = cost_summary(model.config, masks, plan, conv)
+    return _group_asr(conv, model.config.num_layers), summary["normalized_c"]
+
+
+def _prune(scores, config: ModelConfig, budget: float) -> MaskSet:
+    """Masks under the ACs budget: greedy selection, then swap refinement."""
+    return refine_masks(select_masks(scores, config, config.t_conv, budget),
+                        scores, config, budget)
 
 
 def _seq_accuracy(model, masks, plan, data: Dataset, stream: RandomStream,
@@ -189,10 +191,8 @@ def _epochs(args, cfg: RunConfig) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    mcfg = cfg.model_config()
-    model = init_model(mcfg, RandomStream(seed).derive(_LANE_INIT))
-    return _train_and_save(args, cfg, seed, model, MaskSet.all_ones(model),
-                           TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv), {})
+    model = init_model(cfg.model_config(), RandomStream(seed).derive(_LANE_INIT))
+    return _train_and_save(args, cfg, seed, model, *_unpruned(model), {})
 
 
 def cmd_prune_spatial(args) -> int:
@@ -200,9 +200,7 @@ def cmd_prune_spatial(args) -> int:
     master = RandomStream(args.seed)
     calib = _dataset_arg(args.calib, model.config, master.derive(_LANE_CALIB))
     scores, _ = _importance_scores(model, masks, calib, args.batch)
-    t_uniform = model.config.t_conv
-    selected = select_masks(scores, model.config, t_uniform, args.constraint)
-    refined = refine_masks(selected, scores, model.config, args.constraint)
+    refined = _prune(scores, model.config, args.constraint)
     save_checkpoint(args.out, model, refined, plan)
     report = acs_total(model.config, refined, plan)
     heads, neurons = refined.active_counts()
@@ -214,41 +212,27 @@ def cmd_prune_spatial(args) -> int:
     return 0
 
 
-def _base_arg(value: str) -> float:
-    try:
-        base = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid base {value!r}") from None
-    if base <= 1.0:
-        raise argparse.ArgumentTypeError("base must be greater than 1")
-    return base
-
-
-def _positive_int(what: str):
-    """argparse type for a positive integer; `what` names it in the usage error."""
-    def parse(value: str) -> int:
+def _checked(what: str, parse, ok, rule: str):
+    """argparse type: parse(value) must succeed ("invalid <what>") and pass ok,
+    written so that NaN fails it (else the usage error `rule`)."""
+    def check(value: str):
         try:
-            number = int(value)
+            parsed = parse(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {what} {value!r}") from None
-        if number < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be a positive integer")
-        return number
-    return parse
+        if not ok(parsed):
+            raise argparse.ArgumentTypeError(rule)
+        return parsed
+    return check
 
 
-_batch_arg = _positive_int("batch")
-_epochs_arg = _positive_int("epochs")
-
-
-def _rho_arg(value: str) -> float:
-    try:
-        rho = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid rho {value!r}") from None
-    if not (0 < rho <= 1):
-        raise argparse.ArgumentTypeError("rho must be in (0, 1]")
-    return rho
+_batch_arg = _checked("batch", int, lambda n: n >= 1, "batch must be a positive integer")
+_epochs_arg = _checked("epochs", int, lambda n: n >= 1, "epochs must be a positive integer")
+_base_arg = _checked("base", float, lambda b: 1 < b < math.inf,
+                     "base must be finite and greater than 1")
+_rho_arg = _checked("rho", float, lambda r: 0 < r <= 1, "rho must be in (0, 1]")
+_variance_arg = _checked("variance", float, lambda v: 0 < v <= 1,
+                         "variance must be in (0, 1]")
 
 
 def cmd_prune_temporal(args) -> int:
@@ -264,9 +248,8 @@ def cmd_prune_temporal(args) -> int:
     if args.rho < 1.0:
         new_plan = scale_plan(new_plan, args.rho)
     save_checkpoint(args.out, model, masks, new_plan)
-    names = [f"L{l}.{n}" for l in range(cfg.num_layers) for n in SUBLAYERS]
-    for name, ci, ti in zip(names, c, new_plan.flat()):
-        print(f"{name}: c={int(ci)} t={int(ti)}")
+    for tr, ci, ti in zip(traces, c, new_plan.flat()):
+        print(f"{tr.name}: c={int(ci)} t={int(ti)}")
     print(f"mean timesteps: {plan.mean_timesteps():.2f} -> "
           f"{new_plan.mean_timesteps():.2f} (max {new_plan.max_timesteps()})")
     print(f"saved {args.out}")
@@ -289,8 +272,7 @@ def cmd_eval(args) -> int:
     master = RandomStream(args.seed)
     data = _dataset_arg(args.data, cfg, master.derive(_LANE_TEST))
     hits = 0
-    sums = None
-    names = None
+    sums = {}
     for chunk_idx, start in enumerate(range(0, len(data), args.batch)):
         tokens = data.tokens[start:start + args.batch]
         labels = data.labels[start:start + args.batch]
@@ -298,19 +280,12 @@ def cmd_eval(args) -> int:
         logits, traces = run_sequential(model, masks, plan, tokens, stream,
                                         record_traces=True)
         hits += int((logits.argmax(axis=1) == labels).sum())
-        if sums is None:
-            names = [t.name for t in traces]
-            sums = np.zeros(len(traces))
-        sums += np.array([t.converged.mean() for t in traces]) * len(labels)
-    a_means = sums / len(data)
-    acs_list = per_sublayer_acs(cfg, masks, plan)
-    if names != [n for n, _ in acs_list]:
-        raise InvalidInputError("trace order does not match cost order")
+        for t in traces:
+            sums[t.name] = sums.get(t.name, 0.0) + t.converged.mean() * len(labels)
+    rates = {name: total / len(data) for name, total in sums.items()}
     result = {
         "accuracy": hits / len(data),
-        "acs_ratio": acs_total(cfg, masks, plan).ratio,
-        "normalized_c": normalized_c(list(a_means), [v for _, v in acs_list]),
-        "mean_timesteps": plan.mean_timesteps(),
+        **cost_summary(cfg, masks, plan, rates),
         "examples": len(data),
     }
     _write_result(result, args.out)
@@ -345,24 +320,20 @@ def cmd_report(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["constraint", "acs_ratio", "accuracy"])
         for constraint in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]:
-            swept = refine_masks(
-                select_masks(scores, cfg, cfg.t_conv, constraint),
-                scores, cfg, constraint)
+            swept = _prune(scores, cfg, constraint)
             ratio = acs_total(cfg, swept, plan).ratio
             acc = evaluate_proxy(model, swept, calib, args.batch)
             writer.writerow([constraint, ratio, acc])
 
     heads, neurons = masks.active_counts()
-    report = acs_total(cfg, masks, plan)
+    _, rates = rate_proxy_forward(model, masks, calib.tokens)
     payload = {
         "config": cfg.to_dict(),
         "active_heads": heads,
         "active_neurons": neurons,
         "timestep_plan": _plan_to_dict(plan),
-        "acs_total": report.total,
-        "acs_ratio": report.ratio,
-        "normalized_c": _proxy_normalized_c(model, masks, plan, calib.tokens),
-        "mean_timesteps": plan.mean_timesteps(),
+        "acs_total": acs_total(cfg, masks, plan).total,
+        **cost_summary(cfg, masks, plan, rates),
         "proxy_accuracy": evaluate_proxy(model, masks, calib, args.batch),
     }
     _write_json(os.path.join(args.out_dir, "report.json"), payload)
@@ -371,14 +342,11 @@ def cmd_report(args) -> int:
 
 
 def _ablate_activity(cfg: RunConfig, seed: int, epochs: int) -> dict:
-    mcfg = cfg.model_config()
     results = {}
     for label, eta in (("with_activity", cfg.eta), ("without_activity", 0.0)):
         _, model, train_data, test_data = _synthetic_run(cfg, seed)
         tcfg = cfg.train_config(seed=seed, eta=eta, epochs=epochs)
-        masks = MaskSet.all_ones(model)
-        plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
-        model, masks, plan, history = train(model, masks, plan, train_data, tcfg,
+        model, masks, plan, history = train(model, *_unpruned(model), train_data, tcfg,
                                             eval_data=test_data)
         groups, nc = _unrolled_group_stats(model, masks, plan,
                                            test_data.tokens[:64])
@@ -399,11 +367,9 @@ def _ablate_activity(cfg: RunConfig, seed: int, epochs: int) -> dict:
 
 
 def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs: int) -> dict:
-    mcfg = cfg.model_config()
     master, model, train_data, test_data = _synthetic_run(cfg, seed)
     eval_lane = master.derive(_LANE_EVAL)
-    masks = MaskSet.all_ones(model)
-    plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
+    masks, plan = _unpruned(model)
     tcfg = cfg.train_config(seed=seed, epochs=epochs)
     model, masks, plan, _ = train(model, masks, plan, train_data, tcfg,
                                   eval_data=test_data)
@@ -436,19 +402,17 @@ def _ablate_adaptive_vth(cfg: RunConfig, seed: int, epochs: int) -> dict:
 def _ablate_joint(cfg: RunConfig, seed: int, epochs: int) -> dict:
     mcfg = cfg.model_config()
     _, model0, train_data, test_data = _synthetic_run(cfg, seed)
-    plan = TimestepPlan.uniform(mcfg.num_layers, mcfg.t_conv)
+    ones, plan = _unpruned(model0)
     results = {}
 
     # two-stage: train, importance-prune to the budget, recover
     tcfg = cfg.train_config(seed=seed, epochs=epochs)
-    model, masks, _, _ = train(model0, MaskSet.all_ones(model0), plan,
-                               train_data, tcfg, eval_data=test_data)
+    model, masks, _, _ = train(model0, ones, plan, train_data, tcfg,
+                               eval_data=test_data)
     calib = Dataset(train_data.tokens[:cfg.train_batch * 4],
                     train_data.labels[:cfg.train_batch * 4])
     scores, _ = _importance_scores(model, masks, calib, cfg.train_batch)
-    pruned = refine_masks(
-        select_masks(scores, mcfg, mcfg.t_conv, cfg.acs_constraint),
-        scores, mcfg, cfg.acs_constraint)
+    pruned = _prune(scores, mcfg, cfg.acs_constraint)
     rcfg = cfg.train_config(seed=seed + 1, epochs=max(1, epochs // 2))
     model_a, masks_a, _, _ = train(model, pruned, plan, train_data, rcfg,
                                    eval_data=test_data)
@@ -458,10 +422,8 @@ def _ablate_joint(cfg: RunConfig, seed: int, epochs: int) -> dict:
     }
 
     # joint: soft masks trained with the cost penalty from the start
-    heads = [np.ones(mcfg.num_heads) for _ in range(mcfg.num_layers)]
-    neurons = [np.ones(mcfg.intermediate_size) for _ in range(mcfg.num_layers)]
-    soft = MaskSet([h.copy() for h in heads], [n.copy() for n in neurons],
-                   [0.7 * h for h in heads], [0.7 * n for n in neurons])
+    soft = MaskSet(ones.heads, ones.neurons,
+                   [0.7 * h for h in ones.heads], [0.7 * n for n in ones.neurons])
     jcfg = cfg.train_config(seed=seed, epochs=epochs,
                             penalty_epochs=max(1, epochs // 2))
     model_b, masks_b, _, _ = train(model0, soft, plan, train_data, jcfg,
@@ -492,77 +454,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build, prune, and evaluate spiking transformer encoders.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model from scratch")
-    p.add_argument("--config", required=True, help="config file or preset name")
-    p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=_epochs_arg, default=None)
-    p.add_argument("--lr", type=float, default=None,
-                   help="override the config learning rate")
-    p.add_argument("--eta", type=float, default=None,
-                   help="override the activity-loss weight")
-    p.add_argument("--data", default=None,
-                   help="training JSONL path or example count (default: config's count)")
-    p.add_argument("--test-data", default=None)
-    p.add_argument("--history", default=None, help="write per-epoch metrics CSV")
+    # arguments shared by train/retrain, by checkpoint stages, by calibrating stages
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--config", required=True, help="config file or preset name")
+    training.add_argument("--out", required=True, help="checkpoint path to write")
+    training.add_argument("--seed", type=int, default=None)
+    training.add_argument("--epochs", type=_epochs_arg, default=None)
+    training.add_argument("--lr", type=float, default=None,
+                          help="override the config learning rate")
+    training.add_argument("--eta", type=float, default=None,
+                          help="override the activity-loss weight")
+    training.add_argument("--data", default=None,
+                          help="training JSONL path or example count (default: config's count)")
+    training.add_argument("--test-data", default=None)
+    training.add_argument("--history", default=None, help="write per-epoch metrics CSV")
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("--checkpoint", required=True)
+    stage.add_argument("--seed", type=int, default=0)
+    calib = argparse.ArgumentParser(add_help=False)
+    calib.add_argument("--calib", default="256",
+                       help="calibration JSONL path or synthetic example count")
+
+    p = sub.add_parser("train", parents=[training], help="train a model from scratch")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("prune-spatial", help="mask heads and neurons to a budget")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("prune-spatial", parents=[stage, calib],
+                       help="mask heads and neurons to a budget")
     p.add_argument("--out", required=True)
     p.add_argument("--constraint", type=float, default=0.6,
                    help="ACs budget as a fraction of the dense cost")
-    p.add_argument("--calib", default="256",
-                   help="calibration JSONL path or synthetic example count")
     p.add_argument("--batch", type=_batch_arg, default=32)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prune_spatial)
 
-    p = sub.add_parser("prune-temporal", help="allocate per-sublayer timesteps")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("prune-temporal", parents=[stage, calib],
+                       help="allocate per-sublayer timesteps")
     p.add_argument("--out", required=True)
     p.add_argument("--base", type=_base_arg, default=None,
                    help="allocation base, must be > 1 (default: checkpoint value)")
-    p.add_argument("--variance", type=float, default=None,
+    p.add_argument("--variance", type=_variance_arg, default=None,
                    help="explained-variance threshold (default: checkpoint value)")
     p.add_argument("--rho", type=_rho_arg, default=1.0,
                    help="extra uniform timestep scaling in (0, 1]")
-    p.add_argument("--calib", default="256")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_prune_temporal)
 
-    p = sub.add_parser("retrain", help="continue training a checkpoint")
+    p = sub.add_parser("retrain", parents=[training], help="continue training a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=_epochs_arg, default=None)
     p.add_argument("--penalty-epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None,
-                   help="override the config learning rate")
-    p.add_argument("--eta", type=float, default=None)
     p.add_argument("--fixed-vth", action="store_true",
                    help="freeze thresholds instead of training them")
-    p.add_argument("--data", default=None)
-    p.add_argument("--test-data", default=None)
-    p.add_argument("--history", default=None)
     p.set_defaults(func=cmd_retrain)
 
-    p = sub.add_parser("eval", help="run the event-driven simulator on a test set")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("eval", parents=[stage],
+                       help="run the event-driven simulator on a test set")
     p.add_argument("--data", default="500",
                    help="test JSONL path or synthetic example count")
     p.add_argument("--batch", type=_batch_arg, default=128)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the JSON result here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="write rate curves, budget sweep, and summary")
-    p.add_argument("--checkpoint", required=True)
+    p = sub.add_parser("report", parents=[stage, calib],
+                       help="write rate curves, budget sweep, and summary")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--calib", default="256")
     p.add_argument("--batch", type=_batch_arg, default=32)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("ablate", help="paired comparison studies")

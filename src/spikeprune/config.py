@@ -104,7 +104,10 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             values[key] = parse(val)
         except ValueError:
             raise InvalidInputError(f"{source}:{lineno}: {key} must be {kind}") from None
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{source}: {e}") from None
 
 
 def available_presets():

@@ -29,6 +29,7 @@ __all__ = [
     "per_sublayer_acs",
     "unit_costs",
     "normalized_c",
+    "cost_summary",
 ]
 
 
@@ -151,3 +152,17 @@ def normalized_c(traces, layer_acs) -> float:
         raise InvalidInputError("total ACs must be positive")
     num = sum(a_means[i] * acs[i + 1] for i in range(1, s - 1))
     return num / denom
+
+
+def cost_summary(config: ModelConfig, masks: MaskSet, plan: TimestepPlan, rates) -> dict:
+    """The run summary: ACs ratio, normalized #C and mean timesteps. rates maps
+    each trace name (L0.key, L0.value, ...) to its rates or their mean."""
+    acs_list = per_sublayer_acs(config, masks, plan)
+    missing = [name for name, _ in acs_list if name not in rates]
+    if missing:
+        raise InvalidInputError(f"no rates for sublayers {missing}")
+    return {
+        "acs_ratio": acs_total(config, masks, plan).ratio,
+        "normalized_c": normalized_c([rates[name] for name, _ in acs_list], acs_list),
+        "mean_timesteps": plan.mean_timesteps(),
+    }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -67,14 +68,15 @@ class ModelConfig:
     head_dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        # bool is an int subclass; the negated range checks below fail on NaN
+        # bool is an int subclass; float fields must be finite numbers
         for f in (f for f in dataclasses.fields(self) if f.init):
             v = getattr(self, f.name)
             if f.type == "int":
                 if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                     raise InvalidInputError(f"{f.name} must be a positive integer, got {v!r}")
-            elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InvalidInputError(f"{f.name} must be a number, got {v!r}")
+            elif (isinstance(v, bool) or not isinstance(v, (int, float))
+                  or not math.isfinite(v)):
+                raise InvalidInputError(f"{f.name} must be a finite number, got {v!r}")
         if self.hidden_size % self.num_heads != 0:
             raise InvalidInputError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
@@ -190,9 +192,9 @@ class MaskSet:
     """Binary head and neuron masks per layer, with optional relaxed values.
 
     heads[l] has one 0/1 entry per head of layer l, neurons[l] one per
-    intermediate neuron. relaxed_heads/relaxed_neurons, when present, hold
-    the sigmoid-relaxed values in (0, 1) that mask training maintains; the
-    binary masks are their 0.5 thresholding.
+    intermediate neuron. relaxed_heads/relaxed_neurons, both present or
+    both absent, hold the sigmoid-relaxed values in (0, 1) that mask
+    training maintains; the binary masks are their 0.5 thresholding.
     """
 
     def __init__(self, heads, neurons, relaxed_heads=None, relaxed_neurons=None):
@@ -202,6 +204,8 @@ class MaskSet:
                               else [np.array(h, dtype=np.float64) for h in relaxed_heads])
         self.relaxed_neurons = (None if relaxed_neurons is None
                                 else [np.array(n, dtype=np.float64) for n in relaxed_neurons])
+        if (self.relaxed_heads is None) != (self.relaxed_neurons is None):
+            raise InvalidInputError("relaxed_heads and relaxed_neurons go together")
         for name, groups in (("heads", self.heads), ("neurons", self.neurons)):
             for l, m in enumerate(groups):
                 if m.ndim != 1 or m.size == 0:
@@ -238,7 +242,7 @@ class MaskSet:
 
     def harden(self) -> "MaskSet":
         """Binary masks from the relaxed values (>= 0.5 survives)."""
-        if self.relaxed_heads is None or self.relaxed_neurons is None:
+        if self.relaxed_heads is None:
             return self.copy()
         return MaskSet([h >= 0.5 for h in self.relaxed_heads],
                        [n >= 0.5 for n in self.relaxed_neurons],
@@ -403,14 +407,9 @@ def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> Non
         "embedding": model.embedding.tolist(),
         "layers": [_layer_doc(layer) for layer in model.layers],
         "classifier": {"weight": model.cls_w.tolist(), "bias": model.cls_b.tolist()},
-        "masks": {
-            "heads": [h.tolist() for h in masks.heads],
-            "neurons": [n.tolist() for n in masks.neurons],
-            "relaxed_heads": (None if masks.relaxed_heads is None
-                              else [h.tolist() for h in masks.relaxed_heads]),
-            "relaxed_neurons": (None if masks.relaxed_neurons is None
-                                else [n.tolist() for n in masks.relaxed_neurons]),
-        },
+        "masks": {key: None if getattr(masks, key) is None
+                  else [m.tolist() for m in getattr(masks, key)]
+                  for key in ("heads", "neurons", "relaxed_heads", "relaxed_neurons")},
         "timestep_plan": _plan_to_dict(plan),
     }
     tmp = path + ".tmp"

@@ -39,8 +39,8 @@ def timestep_allocation(c, base: float, t_conv: int) -> np.ndarray:
     Entries are clamped to >= 1; the largest-complexity entry gets exactly
     t_conv. Invariant to adding a constant to every c.
     """
-    if base <= 1.0:
-        raise InvalidInputError("base must be greater than 1")
+    if not 1.0 < base < np.inf:
+        raise InvalidInputError("base must be finite and greater than 1")
     if t_conv < 1:
         raise InvalidInputError("t_conv must be >= 1")
     carr = np.asarray(c, dtype=np.float64)

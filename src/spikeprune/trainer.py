@@ -16,16 +16,17 @@ then switches off so accuracy recovers under the chosen masks.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from . import autodiff as ad
 from . import temporal
-from .cost import acs_baseline, acs_total, acs_value, normalized_c, per_sublayer_acs
+from .cost import acs_baseline, acs_value, cost_summary
 from .engine import (_model_arrays, cross_entropy, proxy_graph, rate_proxy_forward,
                      run_unrolled)
 from .errors import InvalidInputError, TrainingDivergedError
-from .model import MaskSet, ModelConfig, SpikingModel, TimestepPlan
+from .model import SUBLAYERS, MaskSet, ModelConfig, SpikingModel, TimestepPlan
 from .numerics import RandomStream, bernoulli_matrix, finite_difference_gradient
 
 __all__ = ["TrainConfig", "total_loss", "train", "gradcheck", "evaluate_proxy"]
@@ -50,16 +51,22 @@ class TrainConfig:
     adaptive_vth: bool = True
 
     def __post_init__(self):
+        # floats must be finite, and each range check is written so that NaN fails it
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidInputError(f"{f.name} must be finite")
         if self.epochs < 0 or self.penalty_epochs < 0:
             raise InvalidInputError("epoch counts must be non-negative")
         if self.penalty_epochs > self.epochs:
             raise InvalidInputError("penalty_epochs must not exceed epochs")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise InvalidInputError("kappa must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise InvalidInputError("learning_rate must be positive")
-        if self.lam < 0 or self.eta < 0:
+        if not (self.lam >= 0 and self.eta >= 0):
             raise InvalidInputError("lam and eta must be non-negative")
+        if not 0 <= self.momentum < 1:
+            raise InvalidInputError("momentum must be in [0, 1)")
         if self.train_batch < 1 or self.test_batch < 1:
             raise InvalidInputError("batch sizes must be positive")
         if self.pca_interval < 0:
@@ -84,9 +91,8 @@ def _activity_graph(layer_outputs) -> ad.Var:
 
 
 def _mask_sums(masks: MaskSet):
-    heads = masks.relaxed_heads if masks.relaxed_heads is not None else masks.heads
-    neurons = (masks.relaxed_neurons if masks.relaxed_neurons is not None
-               else masks.neurons)
+    heads, neurons = ((masks.heads, masks.neurons) if masks.relaxed_heads is None
+                      else (masks.relaxed_heads, masks.relaxed_neurons))
     return ([float(np.sum(h)) for h in heads], [float(np.sum(n)) for n in neurons])
 
 
@@ -202,25 +208,16 @@ def evaluate_proxy(model: SpikingModel, masks: MaskSet, dataset,
 def _epoch_metrics(model, hard, plan, dataset, eval_data, tcfg, mean_loss, epoch):
     acc_data = eval_data if eval_data is not None else dataset
     accuracy = evaluate_proxy(model, hard, acc_data, tcfg.test_batch)
-    report = acs_total(model.config, hard, plan)
     calib = dataset.tokens[:min(tcfg.train_batch, len(dataset.labels))]
     _, rates = rate_proxy_forward(model, hard, calib)
-    acs_list = per_sublayer_acs(model.config, hard, plan)
-    nc = normalized_c([r.mean() for r in rates.values()],
-                      [v for _, v in acs_list])
     row = {
         "epoch": epoch,
         "loss": mean_loss,
         "accuracy": accuracy,
-        "acs_ratio": report.ratio,
-        "normalized_c": nc,
-        "mean_timesteps": plan.mean_timesteps(),
+        **cost_summary(model.config, hard, plan, rates),
     }
-    values = list(rates.values())
-    per_layer = len(values) // model.config.num_layers
     for li in range(model.config.num_layers):
-        chunk = values[li * per_layer:(li + 1) * per_layer]
-        row[f"asr_layer_{li}"] = float(np.mean([c.mean() for c in chunk]))
+        row[f"asr_layer_{li}"] = float(np.mean([rates[f"L{li}.{n}"].mean() for n in SUBLAYERS]))
     return row
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests, all in-process through cli.main."""
 
+import argparse
 import json
 import re
 
@@ -169,6 +170,7 @@ class TestPruneTemporal:
     @pytest.mark.parametrize("flag,value", [
         ("--base", "1.0"), ("--base", "0.9"), ("--base", "x"),
         ("--rho", "0"), ("--rho", "1.5"), ("--rho", "y"),
+        ("--base", "nan"), ("--base", "inf"), ("--variance", "0"), ("--variance", "nan"),
     ])
     def test_bad_flag_values_are_usage_errors(self, ws, tmp_path, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -392,3 +394,47 @@ class TestUsage:
         assert captured.err.startswith("error:") and "epoch" in captured.err
         assert "nan" not in captured.out
         assert not out.exists()
+
+
+# every subcommand's (option strings, default, required), written out literally
+# so that moving declarations between parsers cannot change the interface
+PARSER_TABLE = {
+    "train": [("--config", None, True), ("--data", None, False),
+              ("--epochs", None, False), ("--eta", None, False),
+              ("--history", None, False), ("--lr", None, False),
+              ("--out", None, True), ("--seed", None, False),
+              ("--test-data", None, False)],
+    "prune-spatial": [("--batch", 32, False), ("--calib", "256", False),
+                      ("--checkpoint", None, True), ("--constraint", 0.6, False),
+                      ("--out", None, True), ("--seed", 0, False)],
+    "prune-temporal": [("--base", None, False), ("--calib", "256", False),
+                       ("--checkpoint", None, True), ("--out", None, True),
+                       ("--rho", 1.0, False), ("--seed", 0, False),
+                       ("--variance", None, False)],
+    "retrain": [("--checkpoint", None, True), ("--config", None, True),
+                ("--data", None, False), ("--epochs", None, False),
+                ("--eta", None, False), ("--fixed-vth", False, False),
+                ("--history", None, False), ("--lr", None, False),
+                ("--out", None, True), ("--penalty-epochs", None, False),
+                ("--seed", None, False), ("--test-data", None, False)],
+    "eval": [("--batch", 128, False), ("--checkpoint", None, True),
+             ("--data", "500", False), ("--out", None, False), ("--seed", 0, False)],
+    "report": [("--batch", 32, False), ("--calib", "256", False),
+               ("--checkpoint", None, True), ("--out-dir", None, True),
+               ("--seed", 0, False)],
+    "ablate": [("--config", None, True), ("--epochs", None, False),
+               ("--out", None, False), ("--seed", None, False),
+               ("--study", None, True)],
+}
+
+
+def test_parser_table():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted((*p.option_strings, p.default, p.required)
+                        for p in command._actions if p.dest != "help")
+           for name, command in sub.choices.items()}
+    assert got == PARSER_TABLE
+    study = next(a for a in sub.choices["ablate"]._actions if a.dest == "study")
+    assert study.choices == ["activity", "adaptive-vth", "joint"]

@@ -103,8 +103,8 @@ class TestRunConfig:
         """Only ablate reads these, so they are checked where a config is parsed."""
         with pytest.raises(InvalidInputError, match=field):
             RunConfig(**{field: value})
-        with pytest.raises(InvalidInputError, match=field):
-            parse_config(f"{field} = {value}\n")
+        with pytest.raises(InvalidInputError, match=f"^runs.cfg: {field} must be"):
+            parse_config(f"{field} = {value}\n", "runs.cfg")
 
 
 class TestPresets:

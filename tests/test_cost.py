@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_acs, tiny_config
+from conftest import brute_force_acs, tiny_config, tiny_model
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
-                        acs_baseline, acs_total, normalized_c,
-                        per_sublayer_acs, unit_costs)
+                        acs_baseline, acs_total, cost_summary, gen_keyword_task,
+                        normalized_c, per_sublayer_acs, rate_proxy_forward,
+                        run_unrolled, unit_costs)
 from spikeprune.cost import acs_value
 
 
@@ -178,3 +179,49 @@ class TestNormalizedC:
             normalized_c([1.0] * 3, [1.0] * 4)
         with pytest.raises(InvalidInputError):
             normalized_c([1.0] * 3, [0.0] * 3)
+
+
+class TestCostSummary:
+    """cost_summary against the summary written out by hand: rates listed in
+    per_sublayer_acs order, ratio from acs_total, mean from the plan."""
+
+    def _state(self):
+        model = tiny_model(3, num_layers=2)
+        masks = MaskSet([np.array([1.0, 0.0]), np.ones(2)],
+                        [np.array([1, 1, 0, 1, 0, 1.0]), np.ones(6)])
+        plan = TimestepPlan(np.array([[10, 7, 9, 4, 10, 2], [3, 10, 10, 6, 8, 5]]))
+        tokens = gen_keyword_task(8, 4, 12, RandomStream(5)).tokens
+        return model, masks, plan, tokens
+
+    @staticmethod
+    def _by_hand(config, masks, plan, means):
+        acs_list = per_sublayer_acs(config, masks, plan)
+        return {"acs_ratio": acs_total(config, masks, plan).ratio,
+                "normalized_c": normalized_c(means, [v for _, v in acs_list]),
+                "mean_timesteps": plan.mean_timesteps()}
+
+    def test_proxy_rate_arrays_bit_for_bit(self):
+        model, masks, plan, tokens = self._state()
+        _, rates = rate_proxy_forward(model, masks, tokens)
+        want = self._by_hand(model.config, masks, plan,
+                             [r.mean() for r in rates.values()])
+        got = cost_summary(model.config, masks, plan, rates)
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is float for v in got.values())
+
+    def test_scalar_means_bit_for_bit(self):
+        model, masks, plan, tokens = self._state()
+        _, traces = run_unrolled(model, masks, tokens, model.config.t_conv)
+        means = {tr.name: float(tr.converged.mean()) for tr in traces}
+        want = self._by_hand(model.config, masks, plan, list(means.values()))
+        # lookup is by name, so the map's order does not matter
+        shuffled = dict(reversed(list(means.items())))
+        assert cost_summary(model.config, masks, plan, shuffled) == want
+        assert cost_summary(model.config, masks, plan, {**means, "extra": 9.0}) == want
+
+    def test_missing_sublayer_is_an_error(self):
+        model, masks, plan, tokens = self._state()
+        _, rates = rate_proxy_forward(model, masks, tokens)
+        del rates["L1.attn"]
+        with pytest.raises(InvalidInputError, match="L1.attn"):
+            cost_summary(model.config, masks, plan, rates)

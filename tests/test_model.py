@@ -40,6 +40,7 @@ class TestModelConfig:
         ("leak", float("nan")), ("variance_threshold", float("nan")),
         ("leak", "0.5"), ("pca_base", None), ("num_layers", True), ("leak", True),
         ("hidden_size", 8.0),
+        ("pca_base", float("inf")), ("initial_vth", float("inf")),
     ])
     def test_field_validation(self, field, value):
         kwargs = dict(num_layers=1, hidden_size=8, num_heads=2,
@@ -113,6 +114,13 @@ class TestMaskSet:
             MaskSet([np.ones(2)], [np.ones(3)],
                     relaxed_heads=[np.array([1.2, 0.5])],
                     relaxed_neurons=[np.full(3, 0.5)])
+
+    @pytest.mark.parametrize("kwargs", [dict(relaxed_heads=[np.full(2, 0.7)]),
+                                        dict(relaxed_neurons=[np.full(6, 0.7)])])
+    def test_relaxed_values_come_in_pairs(self, kwargs):
+        """One relaxed list without the other would reach training half-built."""
+        with pytest.raises(InvalidInputError, match="together"):
+            MaskSet([np.ones(2)], [np.ones(6)], **kwargs)
 
     def test_harden_thresholds_at_half(self):
         masks = MaskSet([np.ones(3)], [np.ones(2)],
@@ -308,11 +316,17 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field,value", [
         ("leak", "0.5"), ("num_layers", True), ("pca_base", 1.0),
+        ("pca_base", float("inf")), ("initial_vth", float("inf")),
     ])
     def test_bad_config_value_is_a_checkpoint_error(self, tmp_path, field, value):
         doc = self._doc(tiny_model(0))
         doc["config"][field] = value
         self._expect_error(tmp_path, doc, f"config: {field}")
+
+    def test_half_relaxed_masks_are_a_checkpoint_error(self, tmp_path):
+        doc = self._doc(tiny_model(0))
+        doc["masks"]["relaxed_heads"] = [[0.7, 0.7]]
+        self._expect_error(tmp_path, doc, "masks: relaxed_heads and relaxed_neurons")
 
     def test_config_must_be_an_object(self, tmp_path):
         doc = self._doc(tiny_model(0))
@@ -399,8 +413,8 @@ class TestLayoutTable:
             m[data.draw(st.integers(0, n - 1))] = 1.0
             return m
 
-        def relaxed(counts):
-            if not data.draw(st.booleans()):
+        def relaxed(counts, present=False):
+            if not (present or data.draw(st.booleans())):
                 return None
             return [np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n,
                                                 max_size=n))) for n in counts]
@@ -418,8 +432,14 @@ class TestLayoutTable:
             model = sliced
 
         hc, nc = model.head_counts(), model.neuron_counts()
-        masks = MaskSet([binary(h) for h in hc], [binary(n) for n in nc],
-                        relaxed(hc), relaxed(nc))
+        rel_h, rel_n = relaxed(hc), relaxed(nc)
+        if (rel_h is None) != (rel_n is None):
+            # masks carry both relaxed lists or neither: refuse, then draw the other
+            with pytest.raises(InvalidInputError, match="together"):
+                MaskSet([np.ones(h) for h in hc], [np.ones(n) for n in nc], rel_h, rel_n)
+            rel_h = relaxed(hc, present=True) if rel_h is None else rel_h
+            rel_n = relaxed(nc, present=True) if rel_n is None else rel_n
+        masks = MaskSet([binary(h) for h in hc], [binary(n) for n in nc], rel_h, rel_n)
         steps = data.draw(st.lists(st.integers(1, 60), min_size=6 * layers,
                                    max_size=6 * layers))
         plan = TimestepPlan(np.array(steps, dtype=np.int64).reshape(layers, 6))

@@ -51,6 +51,9 @@ class TestTimestepAllocation:
             timestep_allocation([1, 2], 1.1, 0)
         with pytest.raises(InvalidInputError):
             timestep_allocation([], 1.1, 10)
+        for base in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="finite"):
+                timestep_allocation([3, 5, 5], base, 40)
 
 
 class TestAllocateTimesteps:

@@ -116,6 +116,15 @@ class TestTrainConfig:
         dict(learning_rate=-0.05),
         dict(train_batch=-3),
         dict(pca_interval=-1),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(kappa=float("inf")),
+        dict(kappa=float("nan")),
+        dict(lam=float("inf")),
+        dict(eta=float("nan")),
+        dict(momentum=float("nan")),
+        dict(momentum=-1.0),
+        dict(momentum=1.0),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError):
