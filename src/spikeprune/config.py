@@ -105,7 +105,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         except ValueError:
             raise InvalidInputError(f"{source}:{lineno}: {key} must be {kind}") from None
     try:
-        return RunConfig(**values)
+        cfg = RunConfig(**values)
+        # the split configs check their own fields; build them here so that
+        # their errors name the source too
+        cfg.model_config()
+        cfg.train_config()
+        return cfg
     except InvalidInputError as e:
         raise InvalidInputError(f"{source}: {e}") from None
 

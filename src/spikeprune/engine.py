@@ -17,7 +17,8 @@ alike. Three walks read the same tables:
   its source's converged rates, which is what makes per-sublayer timestep
   budgets independent knobs. The train is drawn one batch-wide plane per
   timestep as it is consumed, so memory is O(batch x width), independent
-  of the plan.
+  of the plan. It walks the tables of the model sliced to its kept heads
+  and neurons, each kept unit drawing at its masked-run counter.
 * the rate walk, where each LIF sublayer is replaced by its steady-state
   rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
   (training and Fisher importance differentiate it), `rate_proxy_forward`
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
-from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan
+from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan, slice_columns
 from .numerics import RandomStream, bernoulli_matrix
 
 __all__ = [
@@ -112,6 +113,15 @@ def _input_currents(embedding, config, input_scale: float, tokens):
     return embedding[tokens] * factor
 
 
+def _simulation_input(model: SpikingModel, tokens, record_traces: bool) -> np.ndarray:
+    """A simulator's input currents; a trace averages over the batch, so
+    recording one needs at least one sample."""
+    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
+    if record_traces and cur_in.shape[0] == 0:
+        raise InvalidInputError("recording traces needs a non-empty batch")
+    return cur_in
+
+
 def _split_heads(x: np.ndarray, kh: int, hd: int) -> np.ndarray:
     b, n = x.shape[0], x.shape[1]
     return x.reshape(b, n, kh, hd).swapaxes(1, 2)
@@ -167,7 +177,8 @@ class _Stage:
     current(x, rates) is its input current: x is the driving input in the
     form `entry` names (None for _RATES), rates maps "in" (the layer input)
     and every earlier sublayer's name to its averaged rates. vth is its
-    firing threshold; spike_mask, when set, multiplies its spikes before
+    firing threshold; axis is the layout axis its units span (d, h or n, as
+    in LayerParams); spike_mask, when set, multiplies its spikes before
     they are averaged.
     """
 
@@ -175,6 +186,7 @@ class _Stage:
     source: str
     entry: str
     vth: float
+    axis: str
     current: object
     spike_mask: np.ndarray = None
 
@@ -188,15 +200,15 @@ def _layer_stages(layer, head_mask, neuron_mask, head_dim, ops) -> tuple:
     """
     vth = layer.vth
     return (
-        _Stage("key", "in", _SPIKES, vth[0], lambda x, r: x @ layer.w_k + layer.b_k),
-        _Stage("value", "in", _SPIKES, vth[1], lambda x, r: x @ layer.w_v + layer.b_v),
-        _Stage("attn", None, _RATES, vth[2], lambda x, r: _attention_current(
+        _Stage("key", "in", _SPIKES, vth[0], "h", lambda x, r: x @ layer.w_k + layer.b_k),
+        _Stage("value", "in", _SPIKES, vth[1], "h", lambda x, r: x @ layer.w_v + layer.b_v),
+        _Stage("attn", None, _RATES, vth[2], "h", lambda x, r: _attention_current(
             layer, r["in"], r["key"], r["value"], head_mask, head_dim, ops)),
-        _Stage("fc", "attn", _MEAN, vth[3], lambda x, r: _layernorm(
+        _Stage("fc", "attn", _MEAN, vth[3], "d", lambda x, r: _layernorm(
             x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift, ops)),
-        _Stage("inter", "fc", _SPIKES, vth[4],
+        _Stage("inter", "fc", _SPIKES, vth[4], "n",
                lambda x, r: x @ layer.w_inter + layer.b_inter, neuron_mask),
-        _Stage("output", "inter", _MEAN, vth[5], lambda x, r: _layernorm(
+        _Stage("output", "inter", _MEAN, vth[5], "d", lambda x, r: _layernorm(
             x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift, ops)),
     )
 
@@ -247,7 +259,7 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
     if timesteps < 1:
         raise InvalidInputError("timesteps must be >= 1")
     masks.validate_for(model)
-    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
+    cur_in = _simulation_input(model, tokens, record_traces)
     tables = _stage_tables(model, masks)
     pops = [[_Population(f"L{li}.{st.name}", st, model.config.leak, record_traces)
              for st in stages] for li, stages in enumerate(tables)]
@@ -271,13 +283,15 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
     return logits, traces
 
 
-def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams):
+def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
     """Input current of each of a sublayer's t timesteps, drawn as it is used.
 
     A spike input draws one (batch, units) plane per timestep, sample i from
     streams[i], so draw tau of unit j sits at the same counter as in a
-    (t, units) matrix of that stream; a mean input keeps the running sum of
-    those planes. A rates-only input is the same current every step.
+    (t, units) matrix of that stream; keep, when the source is sliced, is its
+    kept-column mask, and its units draw at their full-width counters. A mean
+    input keeps the running sum of those planes. A rates-only input is the
+    same current every step.
     """
     if stage.entry == _RATES:
         fixed = stage.current(None, rates)
@@ -287,49 +301,70 @@ def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams):
     source = rates[stage.source]
     total = np.zeros_like(source) if stage.entry == _MEAN else None
     for tau in range(1, t + 1):
-        x = bernoulli_matrix(source, 1, streams).reshape(source.shape)
+        x = bernoulli_matrix(source, 1, streams, keep=keep).reshape(source.shape)
         if total is not None:
             total += x
             x = total / tau
         yield stage.current(x, rates)
 
 
+def _widened(trace: AsrTrace, keep, seq_len: int) -> AsrTrace:
+    """A sliced sublayer's trace over its full width; pruned columns read 0."""
+    if keep is None:
+        return trace
+    steps = trace.asr.shape[0]
+    asr = np.zeros((steps, seq_len, keep.size))
+    asr[:, :, keep] = trace.asr.reshape(steps, seq_len, int(keep.sum()))
+    return AsrTrace(trace.name, asr.reshape(steps, -1))
+
+
 def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
                    tokens, stream: RandomStream, record_traces: bool = False):
     """Simulate sublayer by sublayer under a per-sublayer timestep plan.
 
-    Layer-major walk of the stage tables: each sublayer runs for its own
-    budget on the converged rates of the stages before it. A spike input
-    (or its running mean) is a Bernoulli train regenerated from its
-    source's converged rates (clipped rates are valid probabilities by
+    Layer-major walk of the stage tables of the model sliced to the columns
+    the masks keep (MaskSet.kept_columns), so no pruned head or neuron is
+    multiplied, integrated or drawn. Each sublayer runs for its own budget
+    on the converged rates of the stages before it. A spike input (or its
+    running mean) is a Bernoulli train regenerated from its source's
+    converged rates (clipped rates are valid probabilities by
     construction), drawn in SUBLAYERS order one batch-wide plane per
     timestep, so memory is O(batch x width) whatever the plan; a rates-only
     input is constant. Sample i draws from stream.derive(i), so results do
-    not depend on batch splitting as long as sample indices are stable.
+    not depend on batch splitting as long as sample indices are stable. A
+    kept unit of a sliced source draws at its counter in the full-width
+    plane, so logits and kept units equal the masked model's run.
 
     Returns (logits, traces); traces are per-sublayer cumulative rates of
-    length equal to that sublayer's own budget.
+    length equal to that sublayer's own budget, over the full (seq x
+    units) width, where pruned units read 0.
     """
     masks.validate_for(model)
     cfg = model.config
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
-    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
+    cur_in = _simulation_input(model, tokens, record_traces)
     streams = [stream.derive(i) for i in range(cur_in.shape[0])]
+    keeps = masks.kept_columns(cfg.head_dim)
+    sliced = slice_columns(model, keeps)
     a_x = np.clip(cur_in, 0.0, 1.0)
     traces = []
 
-    for li, stages in enumerate(_stage_tables(model, masks)):
+    for li, (layer, keep) in enumerate(zip(sliced.layers, keeps)):
+        stages = _layer_stages(layer, np.ones(layer.num_heads(cfg.head_dim)), None,
+                               cfg.head_dim, _NP_OPS)
+        axes = {"in": "d", **{stage.name: stage.axis for stage in stages}}
         rates = {"in": a_x}
         for j, stage in enumerate(stages):
             t = int(plan.steps[li, j])
             pop = _Population(f"L{li}.{stage.name}", stage, cfg.leak, record_traces)
-            for tau, current in enumerate(_sublayer_currents(stage, rates, t, streams),
-                                          start=1):
+            currents = _sublayer_currents(stage, rates, t, streams,
+                                          keep.get(axes.get(stage.source)))
+            for tau, current in enumerate(currents, start=1):
                 pop.step(current, tau)
             rates[stage.name] = pop.total / t
             if record_traces:
-                traces.append(pop.trace())
+                traces.append(_widened(pop.trace(), keep.get(stage.axis), cfg.seq_len))
         a_x = rates["output"]
 
     logits = a_x[:, 0, :] @ model.cls_w + model.cls_b

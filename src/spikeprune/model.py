@@ -252,6 +252,16 @@ class MaskSet:
         return ([int(h.sum()) for h in self.heads],
                 [int(n.sum()) for n in self.neurons])
 
+    def kept_columns(self, head_dim: int) -> list:
+        """The survivor rule: per layer, which columns of each cut layout axis stay.
+
+        {"h": each head's head_dim columns follow its mask, "n": one column
+        per neuron}. Slicing, the sliced simulator's draw counters and its
+        trace columns all read this one rule.
+        """
+        return [{"h": np.repeat(h.astype(bool), head_dim), "n": n.astype(bool)}
+                for h, n in zip(self.heads, self.neurons)]
+
 
 class TimestepPlan:
     """Per-sublayer timestep budgets: integer array (num_layers, 6).
@@ -338,6 +348,17 @@ def init_model(config: ModelConfig, stream: RandomStream) -> SpikingModel:
     return SpikingModel(config, emb, layers, cls_w, cls_b, scale)
 
 
+def slice_columns(model: SpikingModel, keeps: list) -> SpikingModel:
+    """model with every layout axis of layer l cut to keeps[l] (see
+    MaskSet.kept_columns). An axis may keep nothing. Arrays no axis cuts are
+    shared with model, not copied."""
+    layers = [LayerParams(**{name: getattr(layer, name)[tuple(keep.get(a, slice(None))
+                                                              for a in axes)]
+                             for name, (_, axes) in _LAYOUT.items()})
+              for layer, keep in zip(model.layers, keeps)]
+    return dataclasses.replace(model, layers=layers)
+
+
 def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
     """Fold binary masks into the weights by deleting pruned rows/columns.
 
@@ -348,17 +369,12 @@ def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
     idempotent. Removing every head or every neuron of a layer is refused.
     """
     masks.validate_for(model)
-    out = model.copy()
-    for l, layer in enumerate(out.layers):
-        keep = {"h": np.repeat(masks.heads[l].astype(bool), model.config.head_dim),
-                "n": masks.neurons[l].astype(bool)}
+    keeps = masks.kept_columns(model.config.head_dim)
+    for l, keep in enumerate(keeps):
         for axis, unit in (("h", "head"), ("n", "neuron")):
             if not keep[axis].any():
                 raise InvalidInputError(f"masks remove every {unit} of layer {l}")
-        for name, (_, axes) in _LAYOUT.items():
-            index = tuple(keep.get(a, slice(None)) for a in axes)
-            setattr(layer, name, getattr(layer, name)[index])
-    return out
+    return slice_columns(model.copy(), keeps)
 
 
 def binarize_weights(model: SpikingModel) -> SpikingModel:
@@ -414,7 +430,8 @@ def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> Non
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        # one dumps call takes the C encoder; json.dump never does
+        fh.write(json.dumps(doc, sort_keys=True))
     os.replace(tmp, path)
 
 

@@ -8,6 +8,8 @@ identical results on every platform regardless of numpy version.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -49,15 +51,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix(seeds: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
-    """Draws counter+1 .. counter+n of each (seed, counter) stream: (rows, n) uint64.
+def _splitmix(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Draws counter+k, k in offsets, of each (seed, counter) stream: (rows, offsets.size) uint64.
 
     Draw k of the stream with seed s is _mix64(s + k * GAMMA); this is the
-    one place that formula is written.
+    one place that formula is written. offsets, 1-based uint64 draw
+    indices, is scaled in place.
     """
-    steps = np.arange(1, n + 1, dtype=np.uint64)
-    steps *= _GAMMA
-    z = np.empty((seeds.size, n), dtype=np.uint64)
+    steps = np.multiply(offsets, _GAMMA, out=offsets)
+    z = np.empty((seeds.size, steps.size), dtype=np.uint64)
     np.add((seeds + counters * _GAMMA)[:, None], steps, out=z)
     return _mix64(z)
 
@@ -79,7 +81,8 @@ class RandomStream:
         self.counter = int(counter)
 
     def _raw(self, n: int) -> np.ndarray:
-        bits = _splitmix(np.array([self.seed]), np.array([self.counter], dtype=np.uint64), n)
+        bits = _splitmix(np.array([self.seed]), np.array([self.counter], dtype=np.uint64),
+                         np.arange(1, n + 1, dtype=np.uint64))
         self.counter += n
         return bits[0]
 
@@ -140,7 +143,7 @@ def pca_component_count(x, variance_threshold: float) -> int:
     return int(hits[0]) + 1
 
 
-def bernoulli_matrix(p, t: int, stream) -> np.ndarray:
+def bernoulli_matrix(p, t: int, stream, *, keep=None) -> np.ndarray:
     """Sample a (t x units) binary matrix, column j ~ Bernoulli(p[j]) i.i.d.
 
     p may have any shape; it is flattened to the unit axis. p == 0 and
@@ -151,29 +154,51 @@ def bernoulli_matrix(p, t: int, stream) -> np.ndarray:
     stream may also be a sequence of streams, one per row of p: p is then
     (rows, ...) and the result (rows, t, units), row i equal to
     bernoulli_matrix(p[i], t, stream[i]), drawn in one pass.
+
+    keep, a boolean vector, says that p's last axis holds only the kept
+    columns of a wider array whose last axis keep spans. Each kept unit
+    takes the draw it has in the wider array and the stream advances as
+    far as the wider array's draws take it, so
+    bernoulli_matrix(q[..., keep], t, s, keep=keep) equals
+    bernoulli_matrix(q, t, s) at the kept units; no other unit is drawn.
     """
     single = isinstance(stream, RandomStream)
     streams = [stream] if single else list(stream)
     probs = np.asarray(p, dtype=np.float64)
     if single:
-        probs = probs.reshape(1, probs.size)
+        probs = probs[None]
     elif probs.ndim < 1 or probs.shape[0] != len(streams):
         raise InvalidInputError(
             f"need one stream per row of p, got {len(streams)} for shape {probs.shape}")
+    if t < 0:
+        raise InvalidInputError("t must be non-negative")
+    t = int(t)
+    # offsets: the 1-based draw index of each (timestep, unit) in its stream
+    if keep is None:
+        width = units = math.prod(probs.shape[1:])
+        offsets = np.arange(1, t * units + 1, dtype=np.uint64)
     else:
-        probs = probs.reshape(len(streams), int(np.prod(probs.shape[1:], dtype=np.int64)))
+        keep = np.asarray(keep, dtype=bool)
+        kept = np.flatnonzero(keep).astype(np.uint64)
+        if keep.ndim != 1 or probs.ndim < 2 or probs.shape[-1] != kept.size:
+            raise InvalidInputError(
+                f"p's last axis must hold the {kept.size} kept units, got shape {probs.shape}")
+        planes = math.prod(probs.shape[1:-1])
+        width, units = planes * keep.size, planes * kept.size
+        columns = (np.arange(planes, dtype=np.uint64)[:, None] * np.uint64(keep.size)
+                   + kept).ravel()
+        offsets = (np.arange(t, dtype=np.uint64)[:, None] * np.uint64(width)
+                   + columns + np.uint64(1)).ravel()
+    rows = len(streams)
+    probs = probs.reshape(rows, units)
     # min and max propagate NaN, which fails both comparisons
     if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise InvalidInputError("probabilities must be finite and lie in [0, 1]")
-    if t < 0:
-        raise InvalidInputError("t must be non-negative")
-    rows, units = probs.shape
-    t = int(t)
     bits = _splitmix(np.array([s.seed for s in streams], dtype=np.uint64),
                      np.array([s.counter for s in streams], dtype=np.uint64),
-                     t * units).reshape(rows, t, units)
+                     offsets).reshape(rows, t, units)
     for s in streams:
-        s.counter += t * units
+        s.counter += t * width
     bits >>= np.uint64(11)
     out = np.empty((rows, t, units))
     # u = bits * 2**-53 < p  <=>  bits < p * 2**53: both scalings are exact

@@ -1,6 +1,7 @@
 """Run-configuration parsing, presets, and the derived config objects."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -151,6 +152,17 @@ class TestLoadConfig:
         p = tmp_path / "run.cfg"
         p.write_text("epochs = x\n")
         with pytest.raises(InvalidInputError, match="run.cfg:1"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("lr.cfg", "learning_rate = nan\n", "learning_rate must be finite"),
+        ("pb.cfg", "pca_base = 1.0\n", "pca_base must be greater than 1"),
+    ])
+    def test_split_config_errors_name_the_file(self, tmp_path, name, text, message):
+        """ModelConfig and TrainConfig checks fail while the file is parsed."""
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(p))}: {message}$"):
             load_config(str(p))
 
     def test_missing_file(self, tmp_path):

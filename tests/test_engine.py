@@ -13,6 +13,7 @@ from conftest import reference_run_sequential, tiny_config, tiny_model, token_ba
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         evaluate_proxy, fisher_diagonal, init_model,
                         rate_proxy_forward, run_sequential, run_unrolled)
+from spikeprune import SUBLAYERS, engine
 from spikeprune import autodiff as ad
 from spikeprune.engine import (LifState, build_param_vars, cross_entropy,
                                lif_step, proxy_graph)
@@ -197,6 +198,21 @@ class TestProxyAgreement:
         assert np.abs(logits_s - logits_p).max() < 0.05
 
 
+def _without_pruned_units(trace, masks: MaskSet, config):
+    """A masked run's trace rows with the units the sliced model lacks set
+    to 0.0: a pruned head's key, value and attn columns, a pruned neuron's
+    inter column."""
+    layer, name = trace.name[1:].split(".")
+    asr = trace.asr.copy()
+    if name in ("key", "value", "attn"):
+        per_head = asr.reshape(len(asr), config.seq_len, config.num_heads, config.head_dim)
+        per_head[:, :, masks.heads[int(layer)] == 0.0, :] = 0.0
+    elif name == "inter":
+        per_neuron = asr.reshape(len(asr), config.seq_len, config.intermediate_size)
+        per_neuron[:, :, masks.neurons[int(layer)] == 0.0] = 0.0
+    return asr
+
+
 class TestRunSequential:
     def test_deterministic_given_stream(self):
         model = tiny_model(2)
@@ -272,15 +288,18 @@ class TestRunSequential:
         plan = TimestepPlan(steps.reshape(layers, 6))
         tokens, _ = token_batch(model.config, batch, RandomStream(seed + 1))
 
-        with warnings.catch_warnings():
-            # an empty batch averages no samples into its trace rows
-            warnings.simplefilter("ignore", RuntimeWarning)
-            logits, traces = run_sequential(model, masks, plan, tokens,
-                                            RandomStream(seed + 2), record_traces=record)
+        if batch == 0 and record:
+            # a trace averages over the batch, so an empty one has no rows
+            with pytest.raises(InvalidInputError, match="non-empty batch"):
+                run_sequential(model, masks, plan, tokens, RandomStream(seed + 2),
+                               record_traces=True)
+            return
+        logits, traces = run_sequential(model, masks, plan, tokens,
+                                        RandomStream(seed + 2), record_traces=record)
         if batch == 0:
             # the materialised trains cannot reshape an empty batch
             assert logits.shape == (0, model.config.num_classes)
-            assert [tr.asr.shape[0] for tr in traces] == (plan.flat().tolist() if record else [])
+            assert traces == []
             return
         want_logits, want_traces = reference_run_sequential(
             model, masks, plan, tokens, RandomStream(seed + 2), record_traces=record)
@@ -288,7 +307,55 @@ class TestRunSequential:
         assert [tr.name for tr in traces] == [tr.name for tr in want_traces]
         for got, want in zip(traces, want_traces):
             assert got.asr.shape == want.asr.shape
-            assert got.asr.tobytes() == want.asr.tobytes()
+            assert got.asr.tobytes() == _without_pruned_units(want, masks,
+                                                              model.config).tobytes()
+
+    def test_pruned_units_are_not_drawn(self, monkeypatch):
+        """Only kept units draw: fc reads attn's kept head columns, output
+        reads inter's kept neurons; key, value and inter read full-width
+        sources."""
+        model = tiny_model(3, num_layers=2)
+        masks = MaskSet([np.array([1.0, 0.0]), np.zeros(2)],
+                        [np.array([1, 0, 1, 1, 0, 0.0]), np.ones(6)])
+        steps = np.arange(1, 13).reshape(2, 6)
+        tokens, _ = token_batch(model.config, 3, RandomStream(16))
+        draws = []
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            draws.append(out.size)
+            return out
+
+        real = engine.bernoulli_matrix
+        monkeypatch.setattr(engine, "bernoulli_matrix", counting)
+        run_sequential(model, masks, TimestepPlan(steps), tokens, RandomStream(17))
+        cfg = model.config
+        want = 0
+        for li in range(cfg.num_layers):
+            t = dict(zip(SUBLAYERS, steps[li].tolist()))
+            kept_attn = int(masks.heads[li].sum()) * cfg.head_dim
+            kept_inter = int(masks.neurons[li].sum())
+            want += 3 * cfg.seq_len * ((t["key"] + t["value"] + t["inter"]) * cfg.hidden_size
+                                       + t["fc"] * kept_attn + t["output"] * kept_inter)
+        assert sum(draws) == want
+
+    @pytest.mark.parametrize("simulate", [
+        lambda m, k, t, rec: run_unrolled(m, k, t, 3, record_traces=rec),
+        lambda m, k, t, rec: run_sequential(m, k, TimestepPlan.uniform(1, 3), t,
+                                            RandomStream(0), record_traces=rec),
+    ], ids=["run_unrolled", "run_sequential"])
+    def test_empty_batch(self, simulate):
+        """Traces of no samples are refused; logits of no samples are empty."""
+        model = tiny_model(0)
+        masks = MaskSet.all_ones(model)
+        tokens = np.zeros((0, model.config.seq_len), dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-empty batch"):
+                simulate(model, masks, tokens, True)
+            logits, traces = simulate(model, masks, tokens, False)
+        assert logits.shape == (0, model.config.num_classes)
+        assert traces == []
 
     def test_memory_does_not_grow_with_the_plan(self):
         """Draws stream one timestep plane at a time: peak memory is O(batch x width)."""

@@ -253,6 +253,20 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert p2 == plan
 
+    def test_writes_the_bytes_of_the_pure_python_encoder(self, tmp_path):
+        """The one-shot C encoder writes what json.dump's encoder wrote."""
+        model = tiny_model(7, num_layers=2)
+        masks = MaskSet([np.array([1.0, 0.0]), np.ones(2)], [np.ones(6), np.ones(6)],
+                        relaxed_heads=[np.array([0.9, 0.2]), np.full(2, 1 / 3)],
+                        relaxed_neurons=[np.linspace(0.1, 0.9, 6), np.full(6, 5e-324)])
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, model, masks, TimestepPlan(np.arange(1, 13).reshape(2, 6)))
+        with open(path, encoding="utf-8") as fh:
+            written = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert written == "".join(json.JSONEncoder(sort_keys=True).iterencode(doc))
+
     def test_absent_relaxed_masks_stay_absent(self, tmp_path):
         model = tiny_model(0)
         _, masks, _ = self._roundtrip(tmp_path, model, MaskSet.all_ones(model),

@@ -235,6 +235,33 @@ class TestBernoulliMatrix:
         for i in range(rows):
             assert np.array_equal(again[i], bernoulli_matrix(p[i], t, singles[i]))
 
+    @pytest.mark.parametrize("keep", [[1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1],
+                                      [0, 0, 0, 0, 1]])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_kept_columns_draw_what_the_full_array_draws(self, keep, t):
+        """keep draws only the kept units, at their counters in the full array."""
+        keep = np.array(keep, dtype=bool)
+        p = RandomStream(5).uniform((3, 5))
+        p[:, 0] = 1.0
+        streams, full_streams = ([RandomStream(60 + i, counter=3 * i) for i in range(3)]
+                                 for _ in range(2))
+        got = bernoulli_matrix(p[:, keep], t, streams, keep=keep)
+        want = bernoulli_matrix(p, t, full_streams)[..., keep]
+        assert got.tobytes() == want.tobytes()
+        assert [s.counter for s in streams] == [s.counter for s in full_streams]
+        # the kept axis is p's last; the axes before it are whole planes
+        q = RandomStream(6).uniform((2, 4, 5))
+        one, whole = RandomStream(9), RandomStream(9)
+        got = bernoulli_matrix(q[..., keep], t, one, keep=keep)
+        want = bernoulli_matrix(q, t, whole).reshape(t, 2, 4, 5)[..., keep]
+        assert got.tobytes() == want.reshape(t, -1).tobytes()
+        assert one.counter == whole.counter == t * q.size
+
+    def test_keep_must_match_the_last_axis(self):
+        with pytest.raises(InvalidInputError, match="2 kept units"):
+            bernoulli_matrix(np.full((3, 3), 0.5), 1, [RandomStream(i) for i in range(3)],
+                             keep=np.array([True, False, True]))
+
     def test_per_row_streams_need_one_stream_per_row(self):
         with pytest.raises(InvalidInputError):
             bernoulli_matrix(np.full((3, 2), 0.5), 1, [RandomStream(0), RandomStream(1)])
