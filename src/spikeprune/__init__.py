@@ -16,8 +16,7 @@ from .errors import (CheckpointError, InfeasibleBudgetError, InvalidInputError,
                      SpikePruneError, TrainingDivergedError)
 from .importance import ImportanceScores, asr_factors, combine, fisher_diagonal
 from .model import (SUBLAYERS, MaskSet, ModelConfig, SpikingModel, TimestepPlan,
-                    apply_masks, binarize_weights, init_model, load_checkpoint,
-                    save_checkpoint)
+                    apply_masks, init_model, load_checkpoint, save_checkpoint)
 from .numerics import RandomStream, bernoulli_matrix, finite_difference_gradient, pca_component_count
 from .spatial import pruned_importance, refine_masks, select_masks
 from .temporal import allocate_timesteps, layer_importance, scale_plan, timestep_allocation
@@ -31,7 +30,7 @@ __all__ = [
     "ModelConfig", "RandomStream", "RunConfig", "SUBLAYERS", "SpikePruneError",
     "SpikingModel", "TimestepPlan", "TrainConfig", "TrainingDivergedError",
     "acs_baseline", "acs_total", "allocate_timesteps", "apply_masks",
-    "asr_factors", "bernoulli_matrix", "binarize_weights", "combine", "cost_summary",
+    "asr_factors", "bernoulli_matrix", "combine", "cost_summary",
     "evaluate_proxy", "finite_difference_gradient", "fisher_diagonal",
     "gen_keyword_task", "gradcheck", "init_model", "iter_batches", "label_for",
     "layer_importance", "lif_step", "load_checkpoint", "load_config",

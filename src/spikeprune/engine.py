@@ -3,10 +3,10 @@
 Each encoder layer is one stage table (`_layer_stages`): its six spiking
 sublayers in SUBLAYERS order, each with its source, how that input enters
 (this step's spikes, their running mean, or averaged rates only), its
-input current, its threshold column and its mask. The table is written
-with operators plus four primitives (clip, softmax, sqrt, square) passed
-in by its walker, so it computes on numpy arrays and on autodiff Vars
-alike. Three walks read the same tables:
+input current, its threshold column and the layout axis its units span.
+The table is written with operators plus four primitives (clip, softmax,
+sqrt, square) passed in by its walker, so it computes on numpy arrays and
+on autodiff Vars alike. Three walks read the same tables:
 
 * `run_unrolled`, time-major: every sublayer advances together for T
   timesteps, so the nonlinear stages (attention softmax, layer norm),
@@ -17,12 +17,16 @@ alike. Three walks read the same tables:
   its source's converged rates, which is what makes per-sublayer timestep
   budgets independent knobs. The train is drawn one batch-wide plane per
   timestep as it is consumed, so memory is O(batch x width), independent
-  of the plan. It walks the tables of the model sliced to its kept heads
-  and neurons, each kept unit drawing at its masked-run counter.
+  of the plan; each kept unit draws at its masked-run counter.
 * the rate walk, where each LIF sublayer is replaced by its steady-state
   rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
   (training and Fisher importance differentiate it), `rate_proxy_forward`
   on the model's plain arrays.
+
+Both simulators run the compressed model (`_compressed`: the model sliced
+by MaskSet.kept_columns, no masks), so a pruned head or neuron is never
+multiplied, integrated or drawn and reads 0 in every trace. Only the rate
+walk masks: training and Fisher scoring differentiate through the masks.
 
 Rates and spikes are float64 arrays shaped (batch, seq, units).
 """
@@ -113,15 +117,6 @@ def _input_currents(embedding, config, input_scale: float, tokens):
     return embedding[tokens] * factor
 
 
-def _simulation_input(model: SpikingModel, tokens, record_traces: bool) -> np.ndarray:
-    """A simulator's input currents; a trace averages over the batch, so
-    recording one needs at least one sample."""
-    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
-    if record_traces and cur_in.shape[0] == 0:
-        raise InvalidInputError("recording traces needs a non-empty batch")
-    return cur_in
-
-
 def _split_heads(x: np.ndarray, kh: int, hd: int) -> np.ndarray:
     b, n = x.shape[0], x.shape[1]
     return x.reshape(b, n, kh, hd).swapaxes(1, 2)
@@ -153,14 +148,16 @@ def _layernorm(x, scale, shift, ops):
 
 
 def _attention_current(layer, a_in, a_k, a_v, head_mask, head_dim, ops):
-    """Per-head softmax attention over rate-domain K/V; queries are analog."""
+    """Per-head softmax attention over rate-domain K/V; queries are analog.
+    head_mask, when given, multiplies each head's output."""
     q = a_in @ layer.w_q + layer.b_q
     kh = layer.num_heads(head_dim)
     qh = _split_heads(q, kh, head_dim)
     kh_ = _split_heads(a_k, kh, head_dim)
     vh = _split_heads(a_v, kh, head_dim)
     scores = ops.softmax(qh @ kh_.swapaxes(-1, -2) * (1.0 / np.sqrt(head_dim)))
-    return _merge_heads(scores @ vh * head_mask.reshape(1, kh, 1, 1))
+    heads = scores @ vh
+    return _merge_heads(heads if head_mask is None else heads * head_mask.reshape(1, kh, 1, 1))
 
 
 # How a sublayer's driving input enters. _SPIKES: the source's spikes of this
@@ -178,8 +175,7 @@ class _Stage:
     form `entry` names (None for _RATES), rates maps "in" (the layer input)
     and every earlier sublayer's name to its averaged rates. vth is its
     firing threshold; axis is the layout axis its units span (d, h or n, as
-    in LayerParams); spike_mask, when set, multiplies its spikes before
-    they are averaged.
+    in LayerParams).
     """
 
     name: str
@@ -188,15 +184,14 @@ class _Stage:
     vth: float
     axis: str
     current: object
-    spike_mask: np.ndarray = None
 
 
-def _layer_stages(layer, head_mask, neuron_mask, head_dim, ops) -> tuple:
+def _layer_stages(layer, head_mask, head_dim, ops) -> tuple:
     """The six sublayers of one encoder layer in SUBLAYERS order.
 
     Position j is also the sublayer's column in vth and in a TimestepPlan.
-    Pruned heads are zeroed inside the attention current; pruned neurons
-    are zeroed in the intermediate spike average.
+    head_mask, when not None, zeroes pruned heads inside the attention
+    current; the simulators pass None and run a sliced layer instead.
     """
     vth = layer.vth
     return (
@@ -207,16 +202,27 @@ def _layer_stages(layer, head_mask, neuron_mask, head_dim, ops) -> tuple:
         _Stage("fc", "attn", _MEAN, vth[3], "d", lambda x, r: _layernorm(
             x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift, ops)),
         _Stage("inter", "fc", _SPIKES, vth[4], "n",
-               lambda x, r: x @ layer.w_inter + layer.b_inter, neuron_mask),
+               lambda x, r: x @ layer.w_inter + layer.b_inter),
         _Stage("output", "inter", _MEAN, vth[5], "d", lambda x, r: _layernorm(
             x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift, ops)),
     )
 
 
-def _stage_tables(model: SpikingModel, masks: MaskSet) -> list:
-    return [_layer_stages(layer, masks.heads[li], masks.neurons[li],
-                          model.config.head_dim, _NP_OPS)
-            for li, layer in enumerate(model.layers)]
+def _compressed(model: SpikingModel, masks: MaskSet, tokens, record_traces: bool):
+    """Both simulators' prologue: (input currents, kept columns, stage tables).
+
+    The tables are those of the model sliced to MaskSet.kept_columns, with
+    no masks; a layer may keep no head or no neuron. A trace averages over
+    the batch, so recording one needs at least one sample.
+    """
+    masks.validate_for(model)
+    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
+    if record_traces and cur_in.shape[0] == 0:
+        raise InvalidInputError("recording traces needs a non-empty batch")
+    keeps = masks.kept_columns(model.config.head_dim)
+    tables = [_layer_stages(layer, None, model.config.head_dim, _NP_OPS)
+              for layer in slice_columns(model, keeps).layers]
+    return cur_in, keeps, tables
 
 
 class _Population:
@@ -236,31 +242,38 @@ class _Population:
         if self.state is None:
             self.state, self.total = LifState.zeros(current.shape), np.zeros(current.shape)
         self.state, s = lif_step(self.state, current, self.stage.vth, self.leak)
-        mask = self.stage.spike_mask
-        self.total += s if mask is None else s * mask
+        self.total += s
         if self.rows is not None:
             self.rows.append((self.total / t).mean(axis=0).ravel())
         return s
 
-    def trace(self) -> AsrTrace:
-        return AsrTrace(self.name, np.asarray(self.rows))
+    def trace(self, keep, seq_len: int) -> AsrTrace:
+        """The rows over the full width, columns keep drops reading 0; the
+        rows as they are when keep is None or keeps every column."""
+        asr = np.asarray(self.rows)
+        if keep is not None and not keep.all():
+            steps = asr.shape[0]
+            full = np.zeros((steps, seq_len, keep.size))
+            full[:, :, keep] = asr.reshape(steps, seq_len, int(keep.sum()))
+            asr = full.reshape(steps, -1)
+        return AsrTrace(self.name, asr)
 
 
 def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
                  record_traces: bool = True):
     """Simulate all sublayers jointly for `timesteps` steps.
 
-    Time-major walk of the stage tables: at every step each sublayer reads
-    its source's spikes of that step or the averaged rates so far. Returns
-    (logits, traces): logits read the converged rate of the final layer's
-    first token; traces hold one AsrTrace per sublayer in layer-major
-    SUBLAYERS order (empty list when record_traces is False).
+    Time-major walk of the compressed model's stage tables: at every step
+    each sublayer reads its source's spikes of that step or the averaged
+    rates so far. Returns (logits, traces): logits read the converged rate
+    of the final layer's first token; traces hold one AsrTrace per
+    sublayer in layer-major SUBLAYERS order over the full (seq x units)
+    width, where pruned units read 0 (empty list when record_traces is
+    False).
     """
     if timesteps < 1:
         raise InvalidInputError("timesteps must be >= 1")
-    masks.validate_for(model)
-    cur_in = _simulation_input(model, tokens, record_traces)
-    tables = _stage_tables(model, masks)
+    cur_in, keeps, tables = _compressed(model, masks, tokens, record_traces)
     pops = [[_Population(f"L{li}.{st.name}", st, model.config.leak, record_traces)
              for st in stages] for li, stages in enumerate(tables)]
     state_in = LifState.zeros(cur_in.shape)
@@ -279,7 +292,9 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
             spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
 
     logits = rates["in"][:, 0, :] @ model.cls_w + model.cls_b
-    traces = [pop.trace() for layer_pops in pops for pop in layer_pops] if record_traces else []
+    traces = ([pop.trace(keep.get(pop.stage.axis), model.config.seq_len)
+               for layer_pops, keep in zip(pops, keeps) for pop in layer_pops]
+              if record_traces else [])
     return logits, traces
 
 
@@ -308,51 +323,35 @@ def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
         yield stage.current(x, rates)
 
 
-def _widened(trace: AsrTrace, keep, seq_len: int) -> AsrTrace:
-    """A sliced sublayer's trace over its full width; pruned columns read 0."""
-    if keep is None:
-        return trace
-    steps = trace.asr.shape[0]
-    asr = np.zeros((steps, seq_len, keep.size))
-    asr[:, :, keep] = trace.asr.reshape(steps, seq_len, int(keep.sum()))
-    return AsrTrace(trace.name, asr.reshape(steps, -1))
-
-
 def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
                    tokens, stream: RandomStream, record_traces: bool = False):
     """Simulate sublayer by sublayer under a per-sublayer timestep plan.
 
-    Layer-major walk of the stage tables of the model sliced to the columns
-    the masks keep (MaskSet.kept_columns), so no pruned head or neuron is
-    multiplied, integrated or drawn. Each sublayer runs for its own budget
-    on the converged rates of the stages before it. A spike input (or its
-    running mean) is a Bernoulli train regenerated from its source's
-    converged rates (clipped rates are valid probabilities by
-    construction), drawn in SUBLAYERS order one batch-wide plane per
-    timestep, so memory is O(batch x width) whatever the plan; a rates-only
-    input is constant. Sample i draws from stream.derive(i), so results do
-    not depend on batch splitting as long as sample indices are stable. A
-    kept unit of a sliced source draws at its counter in the full-width
-    plane, so logits and kept units equal the masked model's run.
+    Layer-major walk of the compressed model's stage tables. Each sublayer
+    runs for its own budget on the converged rates of the stages before
+    it. A spike input (or its running mean) is a Bernoulli train
+    regenerated from its source's converged rates (clipped rates are valid
+    probabilities by construction), drawn in SUBLAYERS order one
+    batch-wide plane per timestep, so memory is O(batch x width) whatever
+    the plan; a rates-only input is constant. Sample i draws from
+    stream.derive(i), so results do not depend on batch splitting as long
+    as sample indices are stable. A kept unit of a sliced source draws at
+    its counter in the full-width plane, so logits and kept units equal
+    the masked model's run.
 
     Returns (logits, traces); traces are per-sublayer cumulative rates of
     length equal to that sublayer's own budget, over the full (seq x
     units) width, where pruned units read 0.
     """
-    masks.validate_for(model)
+    cur_in, keeps, tables = _compressed(model, masks, tokens, record_traces)
     cfg = model.config
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
-    cur_in = _simulation_input(model, tokens, record_traces)
     streams = [stream.derive(i) for i in range(cur_in.shape[0])]
-    keeps = masks.kept_columns(cfg.head_dim)
-    sliced = slice_columns(model, keeps)
     a_x = np.clip(cur_in, 0.0, 1.0)
     traces = []
 
-    for li, (layer, keep) in enumerate(zip(sliced.layers, keeps)):
-        stages = _layer_stages(layer, np.ones(layer.num_heads(cfg.head_dim)), None,
-                               cfg.head_dim, _NP_OPS)
+    for li, (stages, keep) in enumerate(zip(tables, keeps)):
         axes = {"in": "d", **{stage.name: stage.axis for stage in stages}}
         rates = {"in": a_x}
         for j, stage in enumerate(stages):
@@ -364,7 +363,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
                 pop.step(current, tau)
             rates[stage.name] = pop.total / t
             if record_traces:
-                traces.append(_widened(pop.trace(), keep.get(stage.axis), cfg.seq_len))
+                traces.append(pop.trace(keep.get(stage.axis), cfg.seq_len))
         a_x = rates["output"]
 
     logits = a_x[:, 0, :] @ model.cls_w + model.cls_b
@@ -396,7 +395,7 @@ def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
     params maps the names of _model_arrays to numpy arrays or graph leaves,
     and ops holds the matching primitives. noise(layer_idx, sublayer_name,
     rate), when given, returns an additive perturbation or None; it applies
-    before the stage's spike mask. Returns what proxy_graph returns.
+    before the inter stage's neuron mask. Returns what proxy_graph returns.
     """
     a = ops.clip(_input_currents(params["embedding"], config, input_scale, tokens))
     rates, layer_outputs = [], []
@@ -404,15 +403,14 @@ def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
         layer = LayerParams(**{f.name: params[f"L{i}.{f.name}"]
                                for f in dataclasses.fields(LayerParams)})
         r = {"in": a}
-        for stage in _layer_stages(layer, head_masks[i], neuron_masks[i],
-                                   config.head_dim, ops):
+        for stage in _layer_stages(layer, head_masks[i], config.head_dim, ops):
             x = None if stage.entry == _RATES else r[stage.source]
             rate = ops.clip(stage.current(x, r) / stage.vth)
             delta = None if noise is None else noise(i, stage.name, rate)
             if delta is not None:
                 rate = rate + delta
-            if stage.spike_mask is not None:
-                rate = rate * stage.spike_mask
+            if stage.axis == "n":
+                rate = rate * neuron_masks[i]
             r[stage.name] = rate
             rates.append((f"L{i}.{stage.name}", rate))
         a = r["output"]

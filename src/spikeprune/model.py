@@ -33,7 +33,6 @@ __all__ = [
     "TimestepPlan",
     "init_model",
     "apply_masks",
-    "binarize_weights",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -256,8 +255,8 @@ class MaskSet:
         """The survivor rule: per layer, which columns of each cut layout axis stay.
 
         {"h": each head's head_dim columns follow its mask, "n": one column
-        per neuron}. Slicing, the sliced simulator's draw counters and its
-        trace columns all read this one rule.
+        per neuron}. apply_masks, both simulators' slicing, the sequential
+        simulator's draw counters and the trace columns all read this one rule.
         """
         return [{"h": np.repeat(h.astype(bool), head_dim), "n": n.astype(bool)}
                 for h, n in zip(self.heads, self.neurons)]
@@ -366,7 +365,9 @@ def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
     pruned head loses its K/V/Q columns and its W_O rows, a pruned neuron
     its W_inter column and W_out row. Mask lengths must match the model's
     current unit counts, so all-ones masks are a no-op and the call is
-    idempotent. Removing every head or every neuron of a layer is refused.
+    idempotent. Removing every head or every neuron of a layer is refused,
+    since load_checkpoint cannot read such a layer back; the simulators call
+    slice_columns directly, as they need neither that refusal nor the copy.
     """
     masks.validate_for(model)
     keeps = masks.kept_columns(model.config.head_dim)
@@ -375,21 +376,6 @@ def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
             if not keep[axis].any():
                 raise InvalidInputError(f"masks remove every {unit} of layer {l}")
     return slice_columns(model.copy(), keeps)
-
-
-def binarize_weights(model: SpikingModel) -> SpikingModel:
-    """Binary-weight variant: each projection matrix becomes alpha * sign(W).
-
-    alpha is the matrix's mean absolute value. Embedding, classifier,
-    biases, thresholds and norm parameters stay full precision.
-    """
-    out = model.copy()
-    for layer in out.layers:
-        for name in (name for name, (_, axes) in _LAYOUT.items() if len(axes) == 2):
-            w = getattr(layer, name)
-            alpha = float(np.abs(w).mean())
-            setattr(layer, name, alpha * np.sign(w))
-    return out
 
 
 # --- checkpoint files --------------------------------------------------------

@@ -9,10 +9,14 @@ The reference search is the plain-Python selection and refinement, one
 object per unit and one candidate scan per unit visited; `spatial`'s array
 search must return the same masks.
 
-The reference sequential simulator materialises every sublayer's whole
-spike train, (batch, t, seq, units), one bernoulli_matrix call per sample,
-and takes running means with a cumsum over the time axis; the streamed
-`engine.run_sequential` must return the same bytes.
+The reference simulators run the full-width model under masks: pruned
+heads zeroed inside the attention current, pruned neurons in the inter
+spike sum, so a pruned head's key and value units still integrate and
+spike. The reference sequential simulator also materialises every
+sublayer's whole spike train, (batch, t, seq, units), one bernoulli_matrix
+call per sample, and takes running means with a cumsum over the time axis.
+`engine`'s simulators, which run the model sliced to its kept units, must
+return the same logits and the same traces with pruned units read as 0.
 
 The reference checkpoint functions spell out every LayerParams field by
 hand; the layout-table versions in `model` must write the same bytes, read
@@ -25,14 +29,14 @@ import os
 
 import numpy as np
 
-from spikeprune import (SUBLAYERS, CheckpointError, ImportanceScores,
-                        InfeasibleBudgetError, InvalidInputError, MaskSet,
-                        ModelConfig, RandomStream, SpikingModel, TimestepPlan,
-                        init_model)
+from spikeprune import (SUBLAYERS, AsrTrace, CheckpointError, ImportanceScores,
+                        InfeasibleBudgetError, InvalidInputError, LifState,
+                        MaskSet, ModelConfig, RandomStream, SpikingModel,
+                        TimestepPlan, init_model, lif_step)
 from spikeprune.model import FORMAT_TAG, LayerParams, _arr, _need, _plan_to_dict
 from spikeprune.cost import unit_costs
-from spikeprune.engine import (_MEAN, _RATES, _Population, _input_currents,
-                               _stage_tables)
+from spikeprune.engine import (_MEAN, _NP_OPS, _RATES, _SPIKES, _input_currents,
+                               _layer_stages)
 from spikeprune.numerics import bernoulli_matrix
 
 
@@ -309,7 +313,75 @@ def reference_refine_masks(masks: MaskSet, scores: ImportanceScores,
     return st.to_masks(scores)
 
 
-# --- reference sequential simulator ------------------------------------------
+# --- reference simulators ----------------------------------------------------
+
+
+def _stage_tables(model: SpikingModel, masks: MaskSet) -> list:
+    """Per layer, (stage, spike mask) in SUBLAYERS order: the head mask acts
+    inside the attention current, the neuron mask on the inter spikes."""
+    return [[(stage, masks.neurons[li] if stage.axis == "n" else None)
+             for stage in _layer_stages(layer, masks.heads[li], model.config.head_dim,
+                                        _NP_OPS)]
+            for li, layer in enumerate(model.layers)]
+
+
+class _MaskedPopulation:
+    """One sublayer's LIF state, its spike sum under the stage's spike mask,
+    and its ASR trace rows."""
+
+    def __init__(self, name: str, stage, spike_mask, leak: float, record: bool):
+        self.name, self.stage, self.spike_mask, self.leak = name, stage, spike_mask, leak
+        self.state = self.total = None
+        self.rows = [] if record else None
+
+    def step(self, current: np.ndarray, t: int) -> np.ndarray:
+        if self.state is None:
+            self.state, self.total = LifState.zeros(current.shape), np.zeros(current.shape)
+        self.state, s = lif_step(self.state, current, self.stage.vth, self.leak)
+        mask = self.spike_mask
+        self.total += s if mask is None else s * mask
+        if self.rows is not None:
+            self.rows.append((self.total / t).mean(axis=0).ravel())
+        return s
+
+    def trace(self) -> AsrTrace:
+        return AsrTrace(self.name, np.asarray(self.rows))
+
+
+def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int,
+                           record_traces: bool = True):
+    """run_unrolled on the full-width model under masks.
+
+    Returns (logits, traces) as engine.run_unrolled does; a pruned head's
+    key and value columns hold the spikes of units the sliced model lacks.
+    """
+    if timesteps < 1:
+        raise InvalidInputError("timesteps must be >= 1")
+    masks.validate_for(model)
+    cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
+    if record_traces and cur_in.shape[0] == 0:
+        raise InvalidInputError("recording traces needs a non-empty batch")
+    tables = _stage_tables(model, masks)
+    pops = [[_MaskedPopulation(f"L{li}.{st.name}", st, mask, model.config.leak, record_traces)
+             for st, mask in stages] for li, stages in enumerate(tables)]
+    state_in = LifState.zeros(cur_in.shape)
+    sum_in = np.zeros_like(cur_in)
+
+    for t in range(1, timesteps + 1):
+        state_in, s_in = lif_step(state_in, cur_in, 1.0, model.config.leak)
+        sum_in += s_in
+        spikes, rates = {"in": s_in}, {"in": sum_in / t}
+        for stages, layer_pops in zip(tables, pops):
+            for (stage, _), pop in zip(stages, layer_pops):
+                x = (None if stage.entry == _RATES else
+                     (spikes if stage.entry == _SPIKES else rates)[stage.source])
+                spikes[stage.name] = pop.step(stage.current(x, rates), t)
+                rates[stage.name] = pop.total / t
+            spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
+
+    logits = rates["in"][:, 0, :] @ model.cls_w + model.cls_b
+    traces = [pop.trace() for layer_pops in pops for pop in layer_pops] if record_traces else []
+    return logits, traces
 
 
 def _regen(rates: np.ndarray, t: int, streams) -> np.ndarray:
@@ -324,9 +396,12 @@ def _regen(rates: np.ndarray, t: int, streams) -> np.ndarray:
 
 def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
                              tokens, stream: RandomStream, record_traces: bool = False):
-    """run_sequential with each sublayer's spike train drawn whole up front.
+    """run_sequential on the full-width model under masks, with each
+    sublayer's spike train drawn whole up front.
 
-    Returns (logits, traces) as engine.run_sequential does.
+    Returns (logits, traces) as engine.run_sequential does; a pruned
+    head's key and value columns hold the spikes of units the sliced model
+    lacks.
     """
     masks.validate_for(model)
     cfg = model.config
@@ -339,9 +414,9 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
 
     for li, stages in enumerate(_stage_tables(model, masks)):
         rates = {"in": a_x}
-        for j, stage in enumerate(stages):
+        for j, (stage, mask) in enumerate(stages):
             t = int(plan.steps[li, j])
-            pop = _Population(f"L{li}.{stage.name}", stage, cfg.leak, record_traces)
+            pop = _MaskedPopulation(f"L{li}.{stage.name}", stage, mask, cfg.leak, record_traces)
             if stage.entry == _RATES:
                 fixed = stage.current(None, rates)
                 currents = (fixed for _ in range(t))

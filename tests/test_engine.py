@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
-from conftest import reference_run_sequential, tiny_config, tiny_model, token_batch
+from conftest import (reference_run_sequential, reference_run_unrolled, tiny_config,
+                      tiny_model, token_batch)
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         evaluate_proxy, fisher_diagonal, init_model,
                         rate_proxy_forward, run_sequential, run_unrolled)
@@ -139,9 +140,10 @@ class TestRunUnrolled:
         masks = MaskSet([np.array([0.0, 1.0])], [np.ones(6)])
         tokens, _ = token_batch(model.config, 2, RandomStream(4))
         _, traces = run_unrolled(model, masks, tokens, 8)
-        attn = {t.name: t for t in traces}["L0.attn"].converged
-        per_head = attn.reshape(model.config.seq_len, 2, 4)
-        assert np.array_equal(per_head[:, 0, :], np.zeros((4, 4)))
+        by_name = {t.name: t for t in traces}
+        for name in ("L0.key", "L0.value", "L0.attn"):
+            per_head = by_name[name].asr.reshape(8, model.config.seq_len, 2, 4)
+            assert np.array_equal(per_head[:, :, 0, :], np.zeros((8, 4, 4))), name
 
     # every path from token ids to rates: (model, masks, tokens) -> result
     ENTRY_POINTS = {
@@ -211,6 +213,66 @@ def _without_pruned_units(trace, masks: MaskSet, config):
         per_neuron = asr.reshape(len(asr), config.seq_len, config.intermediate_size)
         per_neuron[:, :, masks.neurons[int(layer)] == 0.0] = 0.0
     return asr
+
+
+class TestRunUnrolledCompressed:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sliced_run_equals_the_masked_reference(self, data):
+        """Logits and kept units of the sliced model equal the masked run."""
+        layers = data.draw(st.integers(1, 2))
+        leak = data.draw(st.sampled_from([1.0, 0.9]))
+        seed = data.draw(st.integers(0, 1000))
+        batch = data.draw(st.integers(1, 5))
+        record = data.draw(st.booleans())
+        timesteps = data.draw(st.integers(1, 12))
+        model = tiny_model(seed, num_layers=layers, leak=leak)
+
+        def binary(n):
+            return np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                               min_size=n, max_size=n)))
+
+        masks = MaskSet([binary(2) for _ in range(layers)],
+                        [binary(6) for _ in range(layers)])
+        tokens, _ = token_batch(model.config, batch, RandomStream(seed + 1))
+        logits, traces = run_unrolled(model, masks, tokens, timesteps, record_traces=record)
+        want_logits, want_traces = reference_run_unrolled(model, masks, tokens, timesteps,
+                                                          record_traces=record)
+        assert logits.tobytes() == want_logits.tobytes()
+        assert [tr.name for tr in traces] == [tr.name for tr in want_traces]
+        for got, want in zip(traces, want_traces):
+            assert got.asr.shape == want.asr.shape
+            if got.name.endswith((".key", ".value")):
+                want_asr = _without_pruned_units(want, masks, model.config)
+            else:
+                want_asr = want.asr
+            assert got.asr.tobytes() == want_asr.tobytes(), got.name
+
+    def test_both_simulators_drop_the_same_columns(self):
+        """Pruned units read exactly 0 in every trace of both simulators,
+        in the columns MaskSet.kept_columns drops."""
+        model = tiny_model(5, num_layers=2)
+        masks = MaskSet([np.array([0.0, 1.0]), np.array([1.0, 0.0])],
+                        [np.array([1, 0, 1, 1, 0, 1.0]), np.array([0, 1, 1, 1, 1, 0.0])])
+        cfg = model.config
+        tokens, _ = token_batch(cfg, 3, RandomStream(18))
+        _, unrolled = run_unrolled(model, masks, tokens, 10)
+        _, sequential = run_sequential(model, masks, TimestepPlan.uniform(2, 10), tokens,
+                                       RandomStream(19), record_traces=True)
+        keeps = masks.kept_columns(cfg.head_dim)
+        axes = {"key": "h", "value": "h", "attn": "h", "inter": "n"}
+        for a, b in zip(unrolled, sequential):
+            layer, name = a.name[1:].split(".")
+            if name not in axes:
+                continue
+            dropped = ~keeps[int(layer)][axes[name]]
+            for trace in (a, b):
+                cols = trace.asr.reshape(len(trace.asr), cfg.seq_len, dropped.size)
+                assert np.array_equal(cols[:, :, dropped],
+                                      np.zeros((len(trace.asr), cfg.seq_len, dropped.sum()))), \
+                    trace.name
+        key = {t.name: t for t in unrolled}["L0.key"]
+        assert key.asr.reshape(10, cfg.seq_len, 2, cfg.head_dim)[:, :, 1].any()
 
 
 class TestRunSequential:

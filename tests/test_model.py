@@ -13,7 +13,7 @@ from conftest import (reference_apply_masks, reference_load_checkpoint,
 from hypothesis import given, settings, strategies as st
 from spikeprune import (SUBLAYERS, CheckpointError, InvalidInputError, MaskSet,
                         ModelConfig, RandomStream, TimestepPlan, TrainConfig,
-                        apply_masks, binarize_weights, gen_keyword_task, init_model,
+                        apply_masks, gen_keyword_task, init_model,
                         load_checkpoint, rate_proxy_forward, run_unrolled,
                         save_checkpoint, train)
 from spikeprune.model import LayerParams
@@ -211,19 +211,6 @@ class TestApplyMasks:
         before = model.layers[0].w_inter.copy()
         apply_masks(model, MaskSet([np.ones(2)], [np.array([1, 0, 1, 1, 1, 1.0])]))
         assert np.array_equal(model.layers[0].w_inter, before)
-
-
-def test_binarize_weights_sign_times_mean_abs():
-    model = tiny_model(4)
-    w = model.layers[0].w_v
-    alpha = np.abs(w).mean()
-    out = binarize_weights(model)
-    assert np.array_equal(out.layers[0].w_v, alpha * np.sign(w))
-    assert set(np.unique(np.abs(out.layers[0].w_v))) == {alpha}
-    # only the six projection matrices are quantized
-    assert np.array_equal(out.embedding, model.embedding)
-    assert np.array_equal(out.layers[0].b_v, model.layers[0].b_v)
-    assert np.array_equal(out.layers[0].ln1_scale, model.layers[0].ln1_scale)
 
 
 class TestCheckpoint:
