@@ -5,13 +5,25 @@ broadcasted arithmetic, matmul with batch dims, softmax, clipping, reductions,
 and indexing (an embedding lookup is `table[ids]`, with a scatter-add
 backward). Values are eagerly computed; each Var remembers a vector-Jacobian
 closure so a single `backward` sweep fills `.grad` fields.
+
+Only nodes that reach a trainable leaf take part in that sweep. A leaf made
+with `Var(x)` requires a gradient; a constant (`Var(x, requires_grad=False)`,
+or a plain array or number lifted into an operation) does not, and a node
+requires one exactly when one of its parents does. A vjp returns None for a
+parent that needs no gradient, and such nodes keep `grad is None`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 __all__ = ["Var", "backward"]
+
+
+_needs_grad = operator.attrgetter("requires_grad")
 
 
 def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -30,16 +42,18 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Var:
     """Node in the computation graph; wraps a float64 ndarray value."""
 
-    __slots__ = ("value", "grad", "parents", "vjp")
+    __slots__ = ("value", "grad", "parents", "vjp", "requires_grad")
     # numpy operators defer to the reflected Var method, so `array * var`
     # builds a graph node instead of an object array of per-element Vars
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), vjp=None):
+    def __init__(self, value, parents=(), vjp=None, *, requires_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = parents
         self.vjp = vjp
+        # a leaf says so itself; any other node needs a gradient iff a parent does
+        self.requires_grad = any(map(_needs_grad, parents)) if parents else requires_grad
 
     @property
     def shape(self):
@@ -50,7 +64,8 @@ class Var:
     def __add__(self, other):
         other = _lift(other)
         out = Var(self.value + other.value, (self, other))
-        out.vjp = lambda g: (_sum_to_shape(g, self.shape), _sum_to_shape(g, other.shape))
+        out.vjp = lambda g: (_sum_to_shape(g, self.shape) if self.requires_grad else None,
+                             _sum_to_shape(g, other.shape) if other.requires_grad else None)
         return out
 
     __radd__ = __add__
@@ -70,8 +85,8 @@ class Var:
         other = _lift(other)
         out = Var(self.value * other.value, (self, other))
         out.vjp = lambda g: (
-            _sum_to_shape(g * other.value, self.shape),
-            _sum_to_shape(g * self.value, other.shape),
+            _sum_to_shape(g * other.value, self.shape) if self.requires_grad else None,
+            _sum_to_shape(g * self.value, other.shape) if other.requires_grad else None,
         )
         return out
 
@@ -81,8 +96,9 @@ class Var:
         other = _lift(other)
         out = Var(self.value / other.value, (self, other))
         out.vjp = lambda g: (
-            _sum_to_shape(g / other.value, self.shape),
-            _sum_to_shape(-g * self.value / (other.value ** 2), other.shape),
+            _sum_to_shape(g / other.value, self.shape) if self.requires_grad else None,
+            (_sum_to_shape(-g * self.value / (other.value ** 2), other.shape)
+             if other.requires_grad else None),
         )
         return out
 
@@ -94,9 +110,11 @@ class Var:
         out = Var(self.value @ other.value, (self, other))
 
         def vjp(g):
-            ga = g @ np.swapaxes(other.value, -1, -2)
-            gb = np.swapaxes(self.value, -1, -2) @ g
-            return _sum_to_shape(ga, self.shape), _sum_to_shape(gb, other.shape)
+            ga = (_sum_to_shape(g @ np.swapaxes(other.value, -1, -2), self.shape)
+                  if self.requires_grad else None)
+            gb = (_sum_to_shape(np.swapaxes(self.value, -1, -2) @ g, other.shape)
+                  if other.requires_grad else None)
+            return ga, gb
 
         out.vjp = vjp
         return out
@@ -145,12 +163,16 @@ class Var:
         return out
 
     def mean(self, axis=None, keepdims=False):
-        count = self.value.size if axis is None else self.value.shape[axis]
+        if axis is None:
+            count = self.value.size
+        else:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            count = math.prod(self.value.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def _lift(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    return x if isinstance(x, Var) else Var(x, requires_grad=False)
 
 
 # --- free functions ---------------------------------------------------------
@@ -230,10 +252,20 @@ def take_labels(logits: Var, labels: np.ndarray) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(node) into .grad over the whole graph (root scalar)."""
+    """Accumulate d(root)/d(node) into .grad over the whole graph (root scalar).
+
+    Only nodes that require a gradient are visited. A node's first
+    contribution is stored as the vjp returned it, which may be an array
+    another node holds as its grad (add passes g on to both parents, reshape
+    returns a view). So backward changes in place only the arrays it made
+    itself: a second contribution makes a new sum, later ones add into it.
+    A leaf starts from +0.0 plus its first contribution, so it owns its grad
+    and reads exactly what a zero-initialised sum reads, signed zeros
+    included.
+    """
     topo: list[Var] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[Var, bool]] = [(root, False)] if root.requires_grad else []
     while stack:
         node, done = stack.pop()
         if done:
@@ -244,16 +276,25 @@ def backward(root: Var) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
     for node in topo:
         node.grad = None
     root.grad = np.ones_like(root.value)
+    owned: set[int] = {id(root)}
     for node in reversed(topo):
         if node.vjp is None or node.grad is None:
             continue
         for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad += g
+            if g is None:
+                continue
+            if parent.grad is None and parent.parents:
+                parent.grad = g
+            elif parent.grad is not None and id(parent) in owned:
+                parent.grad += g
+            else:
+                # a leaf's first contribution or a borrowed grad's second
+                start = 0.0 if parent.grad is None else parent.grad
+                parent.grad = np.add(start, g, out=np.empty_like(parent.value))
+                owned.add(id(parent))

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .engine import build_param_vars, cross_entropy, proxy_graph
+from .engine import _model_arrays, cross_entropy, proxy_graph
 from .errors import InvalidInputError
 from .model import SpikingModel
 
@@ -48,6 +48,8 @@ def fisher_diagonal(model: SpikingModel, calibration_batches):
 
     Mask variables are attached at value 1 (the unpruned operating point);
     the gradient of the mean cross-entropy is taken through the rate proxy.
+    The weights enter as constants, so backward computes only what reaches
+    the masks.
     The mean over batches (not the sum) keeps scores invariant to how many
     calibration batches are supplied.
     """
@@ -57,7 +59,8 @@ def fisher_diagonal(model: SpikingModel, calibration_batches):
     head_acc = [np.zeros(c) for c in model.head_counts()]
     neuron_acc = [np.zeros(c) for c in model.neuron_counts()]
     for tokens, labels in batches:
-        params = build_param_vars(model)
+        params = {name: ad.Var(arr, requires_grad=False)
+                  for name, arr in _model_arrays(model).items()}
         hm = [ad.Var(np.ones(c)) for c in model.head_counts()]
         nm = [ad.Var(np.ones(c)) for c in model.neuron_counts()]
         logits, _, _ = proxy_graph(params, model.config, model.input_scale,

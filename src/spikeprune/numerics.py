@@ -18,6 +18,7 @@ __all__ = [
     "InvalidInputError",
     "RandomStream",
     "as_matrix",
+    "bernoulli_counts",
     "bernoulli_matrix",
     "finite_difference_gradient",
     "pca_component_count",
@@ -40,9 +41,12 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place on a uint64 array (wraps mod 2^64); returns z."""
-    shifted = np.empty_like(z)
+def _mix64(z: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array (wraps mod 2^64); returns z.
+
+    scratch, a uint64 array of z's shape, saves allocating one per call.
+    """
+    shifted = np.empty_like(z) if scratch is None else scratch
     for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
@@ -51,8 +55,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Draws counter+k, k in offsets, of each (seed, counter) stream: (rows, offsets.size) uint64.
+def _words(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Unmixed words of draws counter+k, k in offsets, of each (seed, counter)
+    stream: (rows, offsets.size) uint64.
 
     Draw k of the stream with seed s is _mix64(s + k * GAMMA); this is the
     one place that formula is written. offsets, 1-based uint64 draw
@@ -61,7 +66,12 @@ def _splitmix(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> n
     steps = np.multiply(offsets, _GAMMA, out=offsets)
     z = np.empty((seeds.size, steps.size), dtype=np.uint64)
     np.add((seeds + counters * _GAMMA)[:, None], steps, out=z)
-    return _mix64(z)
+    return z
+
+
+def _splitmix(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Draws counter+k, k in offsets, of each (seed, counter) stream: (rows, offsets.size) uint64."""
+    return _mix64(_words(seeds, counters, offsets))
 
 
 class RandomStream:
@@ -204,6 +214,48 @@ def bernoulli_matrix(p, t: int, stream, *, keep=None) -> np.ndarray:
     # u = bits * 2**-53 < p  <=>  bits < p * 2**53: both scalings are exact
     np.less(bits, probs[:, None, :] * 2.0 ** 53, out=out)
     return out[0] if single else out
+
+
+def bernoulli_counts(p, t: int, stream: RandomStream) -> np.ndarray:
+    """Per unit, how many of t Bernoulli(p) draws spike: int64, in p's shape.
+
+    Exactly bernoulli_matrix(p, t, stream).sum(axis=0), and the stream
+    advances by t * units as that call advances it, but only the units with
+    0 < p < 1 are drawn, each at the counters bernoulli_matrix gives it; a
+    unit with p == 0 or p == 1 counts 0 or t with no draw. The draws are
+    compared one timestep plane at a time against integer thresholds, in
+    buffers of the live units' width.
+    """
+    if t < 0:
+        raise InvalidInputError("t must be non-negative")
+    t = int(t)
+    probs = np.asarray(p, dtype=np.float64)
+    flat = probs.ravel()
+    # min and max propagate NaN, which fails both comparisons
+    if flat.size and not (flat.min() >= 0.0 and flat.max() <= 1.0):
+        raise InvalidInputError("probabilities must be finite and lie in [0, 1]")
+    counts = np.where(flat == 1.0, t, 0).astype(np.int64)
+    live = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    if t and live.size:
+        # (bits >> 11) < p * 2**53  <=>  bits < ceil(p * 2**53) << 11, and
+        # p < 1 keeps the threshold below 2**64
+        thresholds = np.ceil(flat[live] * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+        # at timestep tau unit j takes draw tau * units + j + 1: its plane-0
+        # word advanced by the word of draw tau * units of a zero seed
+        zero = np.zeros(1, dtype=np.uint64)
+        lanes = _words(np.array([stream.seed]), np.array([stream.counter], dtype=np.uint64),
+                       live.astype(np.uint64) + np.uint64(1))[0]
+        advance = _words(zero, zero, np.arange(t, dtype=np.uint64) * np.uint64(flat.size))[0]
+        z, scratch = np.empty_like(lanes), np.empty_like(lanes)
+        hits = np.empty(live.size, dtype=bool)
+        live_counts = np.zeros(live.size, dtype=np.int64)
+        for step in advance:
+            np.add(lanes, step, out=z)
+            np.less(_mix64(z, scratch), thresholds, out=hits)
+            live_counts += hits
+        counts[live] = live_counts
+    stream.counter += t * flat.size
+    return counts.reshape(probs.shape)
 
 
 def finite_difference_gradient(f, x, eps: float = 1e-5) -> np.ndarray:

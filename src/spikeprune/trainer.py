@@ -27,7 +27,7 @@ from .engine import (_model_arrays, cross_entropy, proxy_graph, rate_proxy_forwa
                      run_unrolled)
 from .errors import InvalidInputError, TrainingDivergedError
 from .model import SUBLAYERS, MaskSet, ModelConfig, SpikingModel, TimestepPlan
-from .numerics import RandomStream, bernoulli_matrix, finite_difference_gradient
+from .numerics import RandomStream, bernoulli_counts, finite_difference_gradient
 
 __all__ = ["TrainConfig", "total_loss", "train", "gradcheck", "evaluate_proxy"]
 
@@ -142,7 +142,8 @@ def _stage_noise(plan: TimestepPlan, t_conv: int, stream: RandomStream):
     draws, exactly the error the per-sample sequential simulation exhibits,
     so retraining under a shortened plan sees the same noise as inference.
     Stages still at t_conv are left untouched; a fresh child stream per
-    stage keeps the draws independent of array shapes.
+    stage keeps the draws independent of array shapes. Saturated units
+    (rate 0 or 1) get no noise and draw nothing (bernoulli_counts).
     """
     state = {"calls": 0}
 
@@ -152,23 +153,24 @@ def _stage_noise(plan: TimestepPlan, t_conv: int, stream: RandomStream):
             return None
         sub = stream.derive(state["calls"])
         state["calls"] += 1
-        mean = bernoulli_matrix(value, t, sub).mean(axis=0)
-        return mean.reshape(value.shape) - value
+        return bernoulli_counts(value, t, sub) / t - value
 
     return fn
 
 
 def _batch_graph(model, arrays, binary_masks, tokens, labels, plan, tcfg, lam_now,
-                 mask_mode, stage_noise=None):
+                 mask_mode, stage_noise=None, frozen=()):
     """Loss Var over the rate proxy for one batch; returns (loss, params).
 
-    params holds one graph leaf per entry of arrays. When arrays carries
-    mask logits (zh{l}, zn{l}), masks are sigmoid(kappa * z): mask_mode
-    "hard" thresholds them in the forward pass with the sigmoid backward
+    params holds one graph leaf per entry of arrays; the names in frozen
+    enter as constants and get no gradient. When arrays carries mask
+    logits (zh{l}, zn{l}), masks are sigmoid(kappa * z): mask_mode "hard"
+    thresholds them in the forward pass with the sigmoid backward
     (training), "relaxed" uses the sigmoid values directly (smooth, for
     gradcheck). Without logits the binary masks enter as constants.
     """
-    params = {name: ad.Var(arr) for name, arr in arrays.items()}
+    params = {name: ad.Var(arr, requires_grad=name not in frozen)
+              for name, arr in arrays.items()}
     layers = range(model.config.num_layers)
     frac_h = frac_n = None
     if "zh0" in params:
@@ -180,8 +182,7 @@ def _batch_graph(model, arrays, binary_masks, tokens, labels, plan, tcfg, lam_no
         else:
             hm, nm = frac_h, frac_n
     else:
-        hm = [ad.Var(m) for m in binary_masks.heads]
-        nm = [ad.Var(m) for m in binary_masks.neurons]
+        hm, nm = binary_masks.heads, binary_masks.neurons
     logits, _, layer_outs = proxy_graph(params, model.config, model.input_scale,
                                         tokens, hm, nm, stage_noise)
     sums = (_mask_sums(binary_masks) if frac_h is None
@@ -256,8 +257,8 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
         z_neurons = [_logits_relaxed(m) / config.kappa for m in masks_out.relaxed_neurons]
         arrays.update({f"zh{l}": z for l, z in enumerate(z_heads)})
         arrays.update({f"zn{l}": z for l, z in enumerate(z_neurons)})
-    trainables = [name for name in arrays
-                  if config.adaptive_vth or not name.endswith(".vth")]
+    frozen = set() if config.adaptive_vth else {n for n in arrays if n.endswith(".vth")}
+    trainables = [name for name in arrays if name not in frozen]
     velocity = {name: np.zeros_like(arrays[name]) for name in trainables}
     stream = RandomStream(config.seed)
 
@@ -282,7 +283,7 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
                                   noise_lane.derive(start // config.train_batch))
                      if shortened else None)
             loss, params = _batch_graph(work, arrays, masks_out, tokens, labels,
-                                        plan, config, lam_now, "hard", noise)
+                                        plan, config, lam_now, "hard", noise, frozen)
             value = float(loss.value)
             if not np.isfinite(value):
                 raise TrainingDivergedError(

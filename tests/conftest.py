@@ -21,6 +21,11 @@ return the same logits and the same traces with pruned units read as 0.
 The reference checkpoint functions spell out every LayerParams field by
 hand; the layout-table versions in `model` must write the same bytes, read
 the same arrays and slice the same values.
+
+The reference backward sweeps the whole graph, constants included, and
+starts every node's gradient from zeros; `autodiff.backward`, which visits
+only nodes that need a gradient and borrows first contributions, must give
+every trainable leaf the same bytes.
 """
 
 import dataclasses
@@ -311,6 +316,44 @@ def reference_refine_masks(masks: MaskSet, scores: ImportanceScores,
         if not changed:
             break
     return st.to_masks(scores)
+
+
+# --- reference backward ------------------------------------------------------
+
+
+def reference_backward(root) -> None:
+    """autodiff.backward over every node, each grad started from zeros.
+
+    Every node of the graph is first marked as needing a gradient, so each
+    vjp computes every parent's contribution, constants' included.
+    """
+    topo = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+
+    for node in topo:
+        node.requires_grad = True
+        node.grad = None
+    root.grad = np.ones_like(root.value)
+    for node in reversed(topo):
+        if node.vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node.parents, node.vjp(node.grad)):
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.value)
+            parent.grad += g
 
 
 # --- reference simulators ----------------------------------------------------

@@ -12,6 +12,7 @@ import operator
 import numpy as np
 import pytest
 
+from conftest import reference_backward
 from spikeprune import RandomStream, finite_difference_gradient
 from spikeprune import autodiff as ad
 
@@ -122,6 +123,19 @@ class TestReductions:
         a = _rand((3, 4), 22)
         _grad_vs_fd(lambda vs: _contract(vs[0].mean(axis=-1, keepdims=True), 24), [a])
 
+    @pytest.mark.parametrize("axis, keepdims", [((0, 2), False), ((-1, 0), True),
+                                                ((1,), False), ((), False)])
+    def test_mean_over_a_tuple_of_axes(self, axis, keepdims):
+        """The count is the product of the reduced axes' sizes, as in numpy."""
+        a = _rand((2, 3, 5), 23)
+        x = ad.Var(a)
+        out = x.mean(axis=axis, keepdims=keepdims)
+        assert np.allclose(out.value, a.mean(axis=axis, keepdims=keepdims), rtol=1e-15)
+        ad.backward(out.sum())
+        count = int(np.prod([a.shape[i] for i in axis]))
+        assert np.array_equal(x.grad, np.full(a.shape, 1.0 / count))
+        _grad_vs_fd(lambda vs: _contract(vs[0].mean(axis=axis, keepdims=keepdims), 25), [a])
+
 
 class TestNonlinearities:
     def test_exp_log_sqrt_square(self):
@@ -209,6 +223,86 @@ class TestGraphStructure:
         first = x.grad.copy()
         ad.backward(out)
         assert np.array_equal(x.grad, first)
+
+    def test_constants_get_no_gradient(self):
+        """Lifted arrays and numbers, explicit constants and every node built
+        from constants alone keep grad None; leaves get their gradient."""
+        x = ad.Var(np.array([1.0, -2.0, 3.0]))
+        c = ad.Var(np.array([0.5, 0.25, 2.0]), requires_grad=False)
+        const_only = c * 3.0 + np.ones(3)
+        assert not const_only.requires_grad
+        shifted = x + 1.0
+        lifted = shifted.parents[1]
+        out = (shifted * c + const_only).sum()
+        assert out.requires_grad and not lifted.requires_grad
+        ad.backward(out)
+        assert np.array_equal(x.grad, c.value)
+        for node in (c, lifted, const_only, *const_only.parents):
+            assert node.grad is None
+
+    def test_all_constant_root_fills_nothing_else(self):
+        c = ad.Var(np.array([1.0, 2.0]), requires_grad=False)
+        out = ad.square(c).sum()
+        ad.backward(out)
+        assert out.grad == 1.0 and c.grad is None
+
+    def test_shared_operands_and_views_leave_held_arrays_alone(self):
+        """a + a passes one array to both operands, and reshape/swapaxes pass
+        views: backward must build sums in new arrays, so every node's grad
+        and every array the caller holds keeps its value."""
+        a_val = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.5]])
+        w = np.arange(6.0).reshape(3, 2) - 2.5
+        held = [a_val.copy(), w.copy()]
+        a = ad.Var(a_val)
+        s = a + a
+        chain = [s.reshape(3, 2)]
+        chain.append(chain[-1].swapaxes(0, 1))
+        chain.append(chain[-1].reshape(6))
+        sq = a * a
+        out = (chain[-1] * w.T.ravel()).sum() + sq.sum() + s.sum()
+        ad.backward(out)
+        assert np.array_equal(a_val, held[0]) and np.array_equal(w, held[1])
+        # d out / d chain is w in each view's layout; d out / d s adds the 1
+        assert np.array_equal(chain[2].grad, w.T.ravel())
+        assert np.array_equal(chain[1].grad, w.T)
+        assert np.array_equal(chain[0].grad, w)
+        assert np.array_equal(s.grad, w.reshape(2, 3) + 1.0)
+        assert np.array_equal(sq.grad, np.ones((2, 3)))
+        assert np.array_equal(a.grad, 2.0 * (w.reshape(2, 3) + 1.0) + 2.0 * a_val)
+        # a node reached twice through borrowed arrays: a + a hands it the
+        # sum's grad twice, two views hand it their owners' grads
+        b = a * 2.0
+        doubled = b + b
+        u, v = b.reshape(6), b.swapaxes(0, 1)
+        w2 = w.T.ravel()
+        ad.backward((doubled * a_val).sum() + (u * w2).sum() + (v * w).sum())
+        assert np.array_equal(doubled.grad, a_val)
+        assert np.array_equal(u.grad, w2) and np.array_equal(v.grad, w)
+        assert np.array_equal(b.grad, 2.0 * a_val + w2.reshape(2, 3) + w.T)
+        # a leaf's grad is its own array: a caller's earlier grad survives
+        # a second sweep in which the leaf takes several contributions
+        first = a.grad
+        snapshot = first.copy()
+        ad.backward((a + a).sum() + (a * a).sum())
+        assert np.array_equal(first, snapshot)
+        assert np.array_equal(a.grad, 2.0 + 2.0 * a_val)
+
+    def test_matches_the_reference_sweep_on_signed_zeros(self):
+        """Contributions of -0.0 (a negated zero gradient) reach the leaves
+        with the bytes a zeros-started sum gives them."""
+        def build():
+            x = ad.Var(np.array([0.5, 2.0, -3.0]))
+            y = ad.Var(np.array([1.0, 0.0, -1.0]))
+            gate = ad.clip01(x)
+            out = (-(gate * y)).sum() + (y * 0.0).sum()
+            return out, (x, y)
+
+        out, leaves = build()
+        ad.backward(out)
+        ref_out, ref_leaves = build()
+        reference_backward(ref_out)
+        for got, want in zip(leaves, ref_leaves):
+            assert got.grad.tobytes() == want.grad.tobytes()
 
     def test_composition_matches_fd(self):
         """A layernorm-shaped composite: centered, scaled, clipped."""

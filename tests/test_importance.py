@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_model, token_batch
+from conftest import reference_backward, tiny_model, token_batch
 from spikeprune import (InvalidInputError, MaskSet, RandomStream,
                         asr_factors, combine, fisher_diagonal,
                         rate_proxy_forward, run_unrolled)
@@ -64,6 +64,27 @@ class TestFisherDiagonal:
         for h, n in zip(head_f, neuron_f):
             assert h.shape == (2,) and n.shape == (6,)
             assert (h >= 0).all() and (n >= 0).all()
+
+    def test_mask_grads_equal_the_reference_sweep(self):
+        """Weights as constants change no byte of the squared mask grads:
+        the reference differentiates every weight too, as a graph leaf."""
+        model = tiny_model(6, num_layers=2)
+        s = RandomStream(13)
+        batches = [token_batch(model.config, 4, s.derive(i)) for i in range(3)]
+        head_acc = [np.zeros(c) for c in model.head_counts()]
+        neuron_acc = [np.zeros(c) for c in model.neuron_counts()]
+        for tokens, labels in batches:
+            hm = [ad.Var(np.ones(c)) for c in model.head_counts()]
+            nm = [ad.Var(np.ones(c)) for c in model.neuron_counts()]
+            logits, _, _ = proxy_graph(build_param_vars(model), model.config,
+                                       model.input_scale, tokens, hm, nm)
+            reference_backward(cross_entropy(logits, labels))
+            for l in range(2):
+                head_acc[l] += hm[l].grad ** 2
+                neuron_acc[l] += nm[l].grad ** 2
+        head_f, neuron_f = fisher_diagonal(model, batches)
+        for got, acc in zip(head_f + neuron_f, head_acc + neuron_acc):
+            assert got.tobytes() == (acc * (1.0 / len(batches))).tobytes()
 
     def test_empty_calibration_rejected(self):
         model = tiny_model(0)

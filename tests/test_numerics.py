@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from spikeprune import (InvalidInputError, RandomStream, bernoulli_matrix,
                         finite_difference_gradient, pca_component_count)
-from spikeprune.numerics import as_matrix
+from spikeprune.numerics import as_matrix, bernoulli_counts
 
 
 # scalar-integer reference implementation of the same generator; the
@@ -267,6 +267,67 @@ class TestBernoulliMatrix:
             bernoulli_matrix(np.full((3, 2), 0.5), 1, [RandomStream(0), RandomStream(1)])
         with pytest.raises(InvalidInputError):
             bernoulli_matrix(np.array([[0.5, 1.5]]), 1, [RandomStream(0)])
+
+
+_EDGE_PROBS = [0.0, 1.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324]
+
+
+class TestBernoulliCounts:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(probs=st.lists(st.one_of(st.sampled_from(_EDGE_PROBS),
+                                    st.floats(0.0, 1.0, allow_nan=False)),
+                          max_size=24),
+           saturated=st.booleans(),
+           shape2=st.booleans(),
+           t=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 64 - 1),
+           counter=st.integers(0, 2 ** 40))
+    def test_equals_the_summed_matrix(self, probs, saturated, shape2, t, seed, counter):
+        """Counts equal bernoulli_matrix(...).sum(axis=0) and leave the stream
+        where that call leaves it, with only 0 < p < 1 drawn."""
+        p = np.array(probs, dtype=np.float64)
+        if saturated:
+            p = np.round(p)
+        if shape2 and p.size % 2 == 0:
+            p = p.reshape(2, -1)
+        a, b = RandomStream(seed, counter=counter), RandomStream(seed, counter=counter)
+        got = bernoulli_counts(p, t, a)
+        want = bernoulli_matrix(p, t, b).sum(axis=0)
+        assert got.shape == p.shape and got.dtype == np.int64
+        assert np.array_equal(got.ravel(), want)
+        assert a.counter == b.counter == counter + t * p.size
+        # the streams continue in step
+        assert a.uniform() == b.uniform()
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_equals_uniform_below_p_at_the_edges(self, t):
+        """The integer threshold is exactly u < p where p sits on a draw of
+        the first plane or on the doubles either side of it."""
+        u = RandomStream(22).uniform((24,))
+        u[18:] *= 2.0 ** -20   # small draws: p's neighbours fall between multiples of 2**-53
+        p = np.concatenate([u[:6], np.nextafter(u[6:12], 0.0), np.nextafter(u[12:], 1.0)])
+        a, b = RandomStream(22), RandomStream(22)
+        want = (b.uniform((t, p.size)) < p).sum(axis=0)
+        assert np.array_equal(bernoulli_counts(p, t, a), want)
+
+    def test_saturated_units_count_without_drawing(self):
+        p = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        s = RandomStream(3, counter=11)
+        assert bernoulli_counts(p, 7, s).tolist() == [[0, 7, 7], [0, 0, 7]]
+        assert s.counter == 11 + 7 * 6
+        assert bernoulli_counts(np.zeros((0, 4)), 5, s).shape == (0, 4)
+        assert s.counter == 11 + 7 * 6
+        assert bernoulli_counts(np.full(3, 0.5), 0, s).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("p, t", [([1.1], 3), ([-0.1], 3), ([np.nan], 3),
+                                      ([0.5, np.inf], 2), ([0.5], -1)])
+    def test_rejects_what_bernoulli_matrix_rejects(self, p, t):
+        s = RandomStream(0, counter=4)
+        with pytest.raises(InvalidInputError):
+            bernoulli_counts(np.array(p), t, s)
+        with pytest.raises(InvalidInputError):
+            bernoulli_matrix(np.array(p), t, RandomStream(0))
+        assert s.counter == 4
 
 
 class TestFiniteDifference:

@@ -5,15 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import tiny_model, token_batch
+from conftest import reference_backward, tiny_model, token_batch
 from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
                         TimestepPlan, TrainConfig, TrainingDivergedError,
                         allocate_timesteps, gradcheck, layer_importance,
                         run_unrolled, total_loss, train)
 from spikeprune import autodiff as ad
 from spikeprune.cost import acs_value
-from spikeprune.engine import cross_entropy, rate_proxy_forward
-from spikeprune.trainer import _stage_noise, _straight_through, evaluate_proxy
+from spikeprune.engine import _model_arrays, cross_entropy, rate_proxy_forward
+from spikeprune.numerics import bernoulli_matrix
+from spikeprune.trainer import (_batch_graph, _logits_relaxed, _stage_noise,
+                                _straight_through, evaluate_proxy)
 
 
 def _dataset(config, n, seed):
@@ -184,6 +186,81 @@ class TestStageNoise:
         fn = _stage_noise(self._plan(), 10, RandomStream(3))
         delta = fn(0, "attn", np.zeros((2, 2)))
         assert np.array_equal(delta, np.zeros((2, 2)))
+
+    def test_delta_is_the_mean_of_the_drawn_matrix_minus_the_rate(self):
+        """The counts kernel gives the bytes of the mean over the whole
+        (t, units) Bernoulli matrix of the stage's child stream."""
+        value = RandomStream(6).uniform((3, 4, 5))
+        value[0] = 0.0
+        value[1, :2] = 1.0
+        fn = _stage_noise(self._plan(), 10, RandomStream(4))
+        ref = RandomStream(4)
+        for k, (name, t) in enumerate([("key", 4), ("attn", 3), ("output", 2)]):
+            mean = bernoulli_matrix(value, t, ref.derive(k)).mean(axis=0)
+            want = mean.reshape(value.shape) - value
+            assert fn(0, name, value).tobytes() == want.tobytes()
+
+
+class TestBackwardPruning:
+    """Training graphs give every trainable leaf the reference sweep's bytes
+    and give frozen leaves and constants no gradient."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("adaptive_vth", [True, False])
+    @pytest.mark.parametrize("masks", ["binary", "hard", "relaxed"])
+    def test_leaf_grads_equal_the_reference(self, masks, adaptive_vth, noise):
+        model = tiny_model(7, num_layers=2)
+        tokens, labels = token_batch(model.config, 5, RandomStream(70))
+        plan = TimestepPlan(np.array([[4, 10, 3, 10, 7, 2], [10, 5, 10, 1, 10, 6]]))
+        tcfg = TrainConfig(lam=0.002, eta=0.01, adaptive_vth=adaptive_vth)
+        arrays = _model_arrays(model)
+        binary = MaskSet([np.array([1.0, 0.0]), np.ones(2)],
+                         [np.array([1.0, 0, 1, 1, 0, 1]), np.ones(6)])
+        if masks != "binary":
+            for l in range(2):
+                arrays[f"zh{l}"] = _logits_relaxed(np.array([0.3, 0.8])) / tcfg.kappa
+                arrays[f"zn{l}"] = _logits_relaxed(
+                    0.2 + 0.12 * np.arange(6) - 0.05 * l) / tcfg.kappa
+        frozen = set() if adaptive_vth else {n for n in arrays if n.endswith(".vth")}
+
+        def build():
+            fn = _stage_noise(plan, model.config.t_conv, RandomStream(71)) if noise else None
+            return _batch_graph(model, arrays, binary, tokens, labels, plan, tcfg,
+                                tcfg.lam, "relaxed" if masks == "relaxed" else "hard",
+                                fn, frozen)
+
+        loss, params = build()
+        ad.backward(loss)
+        ref_loss, ref_params = build()
+        reference_backward(ref_loss)
+        assert loss.value.tobytes() == ref_loss.value.tobytes()
+        for name in arrays:
+            if name in frozen:
+                assert params[name].grad is None
+            else:
+                assert params[name].grad.tobytes() == ref_params[name].grad.tobytes(), name
+
+    def test_binary_masks_and_frozen_thresholds_enter_as_constants(self):
+        model = tiny_model(8)
+        tokens, labels = token_batch(model.config, 3, RandomStream(80))
+        arrays = _model_arrays(model)
+        masks = _ones(model)
+        loss, params = _batch_graph(model, arrays, masks, tokens, labels, _uniform(model),
+                                    TrainConfig(), 0.0, "hard", frozen={"L0.vth"})
+        assert not params["L0.vth"].requires_grad and params["L0.w_k"].requires_grad
+        ad.backward(loss)
+        assert params["L0.vth"].grad is None and params["L0.w_k"].grad is not None
+        # the masks are the graph's only other leaves; they need no gradient
+        leaves, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if not node.parents and node not in params.values():
+                leaves.append(node)
+        assert leaves and all(not v.requires_grad and v.grad is None for v in leaves)
 
 
 class TestTrain:
