@@ -15,9 +15,10 @@ on autodiff Vars alike. Three walks read the same tables:
 * `run_sequential`, layer-major: each sublayer runs for its own budget
   from a TimestepPlan on a fresh Bernoulli spike train regenerated from
   its source's converged rates, which is what makes per-sublayer timestep
-  budgets independent knobs. The train is drawn one batch-wide plane per
-  timestep as it is consumed, so memory is O(batch x width), independent
-  of the plan; each kept unit draws at its masked-run counter.
+  budgets independent knobs. One numerics.bernoulli_planes call per
+  sublayer draws the train a batch-wide plane at a time as it is consumed
+  (memory O(batch x width) whatever the plan), and only kept units with
+  0 < rate < 1, each at its masked-run counter.
 * the rate walk, where each LIF sublayer is replaced by its steady-state
   rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
   (training and Fisher importance differentiate it), `rate_proxy_forward`
@@ -41,7 +42,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import InvalidInputError
 from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan, slice_columns
-from .numerics import RandomStream, bernoulli_matrix
+from .numerics import RandomStream, bernoulli_planes
 
 __all__ = [
     "LN_EPS",
@@ -301,12 +302,9 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
 def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
     """Input current of each of a sublayer's t timesteps, drawn as it is used.
 
-    A spike input draws one (batch, units) plane per timestep, sample i from
-    streams[i], so draw tau of unit j sits at the same counter as in a
-    (t, units) matrix of that stream; keep, when the source is sliced, is its
-    kept-column mask, and its units draw at their full-width counters. A mean
-    input keeps the running sum of those planes. A rates-only input is the
-    same current every step.
+    A spike input takes the planes of one bernoulli_planes call (sample i
+    from streams[i]; keep, when the source is sliced, its kept columns), a
+    mean input their running sum, and a rates-only input is constant.
     """
     if stage.entry == _RATES:
         fixed = stage.current(None, rates)
@@ -315,8 +313,8 @@ def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
         return
     source = rates[stage.source]
     total = np.zeros_like(source) if stage.entry == _MEAN else None
-    for tau in range(1, t + 1):
-        x = bernoulli_matrix(source, 1, streams, keep=keep).reshape(source.shape)
+    for tau, plane in enumerate(bernoulli_planes(source, t, streams, keep), start=1):
+        x = plane.reshape(source.shape)
         if total is not None:
             total += x
             x = total / tau
@@ -331,9 +329,8 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     runs for its own budget on the converged rates of the stages before
     it. A spike input (or its running mean) is a Bernoulli train
     regenerated from its source's converged rates (clipped rates are valid
-    probabilities by construction), drawn in SUBLAYERS order one
-    batch-wide plane per timestep, so memory is O(batch x width) whatever
-    the plan; a rates-only input is constant. Sample i draws from
+    probabilities by construction), drawn in SUBLAYERS order as it is
+    used; a rates-only input is constant. Sample i draws from
     stream.derive(i), so results do not depend on batch splitting as long
     as sample indices are stable. A kept unit of a sliced source draws at
     its counter in the full-width plane, so logits and kept units equal

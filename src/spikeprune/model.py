@@ -471,7 +471,8 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
 
     d, hd = config.hidden_size, config.head_dim
     scale = _need(doc, "input_scale", "checkpoint")
-    if not isinstance(scale, (int, float)) or not np.isfinite(scale) or scale < 0:
+    # type, not isinstance: JSON true is a bool, which isinstance takes for an int
+    if type(scale) not in (int, float) or not np.isfinite(scale) or scale < 0:
         raise CheckpointError("input_scale: must be a finite non-negative number")
     emb = _arr(_need(doc, "embedding", "checkpoint"), (config.vocab_size, d), "embedding")
 
@@ -534,7 +535,7 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
             raise CheckpointError(
                 f"timestep_plan.{name}: expected {config.num_layers} entries")
         for j, v in enumerate(vals):
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise CheckpointError(
                     f"timestep_plan.{name}[{j}]: must be a positive integer")
         cols.append(vals)

@@ -20,6 +20,7 @@ __all__ = [
     "as_matrix",
     "bernoulli_counts",
     "bernoulli_matrix",
+    "bernoulli_planes",
     "finite_difference_gradient",
     "pca_component_count",
 ]
@@ -55,23 +56,14 @@ def _mix64(z: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
     return z
 
 
-def _words(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Unmixed words of draws counter+k, k in offsets, of each (seed, counter)
-    stream: (rows, offsets.size) uint64.
+def _words(seeds, counters, offsets) -> np.ndarray:
+    """Unmixed words of draws counter+k, k in offsets, of (seed, counter)
+    streams, broadcast together (uint64 arrays, wrapping mod 2^64).
 
     Draw k of the stream with seed s is _mix64(s + k * GAMMA); this is the
-    one place that formula is written. offsets, 1-based uint64 draw
-    indices, is scaled in place.
+    one place that formula is written.
     """
-    steps = np.multiply(offsets, _GAMMA, out=offsets)
-    z = np.empty((seeds.size, steps.size), dtype=np.uint64)
-    np.add((seeds + counters * _GAMMA)[:, None], steps, out=z)
-    return z
-
-
-def _splitmix(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Draws counter+k, k in offsets, of each (seed, counter) stream: (rows, offsets.size) uint64."""
-    return _mix64(_words(seeds, counters, offsets))
+    return seeds + (counters + offsets) * _GAMMA
 
 
 class RandomStream:
@@ -91,10 +83,11 @@ class RandomStream:
         self.counter = int(counter)
 
     def _raw(self, n: int) -> np.ndarray:
-        bits = _splitmix(np.array([self.seed]), np.array([self.counter], dtype=np.uint64),
-                         np.arange(1, n + 1, dtype=np.uint64))
+        # words repeat with period 2^64 in the counter
+        bits = _mix64(_words(self.seed, np.uint64(self.counter % 2 ** 64),
+                             np.arange(1, n + 1, dtype=np.uint64)))
         self.counter += n
-        return bits[0]
+        return bits
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform float64 draws in [0, 1) with 53-bit resolution."""
@@ -153,109 +146,115 @@ def pca_component_count(x, variance_threshold: float) -> int:
     return int(hits[0]) + 1
 
 
-def bernoulli_matrix(p, t: int, stream, *, keep=None) -> np.ndarray:
-    """Sample a (t x units) binary matrix, column j ~ Bernoulli(p[j]) i.i.d.
+def _bernoulli_hits(p, t: int, streams, keep=None):
+    """The one Bernoulli kernel: bernoulli_planes' checks, stream advance
+    and draws, as (probs, live, hits).
 
-    p may have any shape; it is flattened to the unit axis. p == 0 and
-    p == 1 are exact (never / always spike), not merely almost sure. Entry
-    (tau, j) is 1.0 where draw tau * units + j of the stream, as a uniform
-    u in [0, 1), is below p[j]; the stream advances by t * units.
-
-    stream may also be a sequence of streams, one per row of p: p is then
-    (rows, ...) and the result (rows, t, units), row i equal to
-    bernoulli_matrix(p[i], t, stream[i]), drawn in one pass.
-
-    keep, a boolean vector, says that p's last axis holds only the kept
-    columns of a wider array whose last axis keep spans. Each kept unit
-    takes the draw it has in the wider array and the stream advances as
-    far as the wider array's draws take it, so
-    bernoulli_matrix(q[..., keep], t, s, keep=keep) equals
-    bernoulli_matrix(q, t, s) at the kept units; no other unit is drawn.
+    probs is p as a C-ordered (rows, units) float array, live the flat
+    indices of its units with 0 < p < 1, the only units drawn, and hits
+    yields per timestep a boolean vector over live (one buffer, reused).
     """
-    single = isinstance(stream, RandomStream)
-    streams = [stream] if single else list(stream)
-    probs = np.asarray(p, dtype=np.float64)
-    if single:
-        probs = probs[None]
-    elif probs.ndim < 1 or probs.shape[0] != len(streams):
+    streams, probs = list(streams), np.asarray(p, dtype=np.float64)
+    if probs.ndim < 1 or probs.shape[0] != len(streams):
         raise InvalidInputError(
             f"need one stream per row of p, got {len(streams)} for shape {probs.shape}")
     if t < 0:
         raise InvalidInputError("t must be non-negative")
     t = int(t)
-    # offsets: the 1-based draw index of each (timestep, unit) in its stream
-    if keep is None:
-        width = units = math.prod(probs.shape[1:])
-        offsets = np.arange(1, t * units + 1, dtype=np.uint64)
-    else:
+    rows, units = len(streams), math.prod(probs.shape[1:])
+    columns, width = None, units
+    if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-        kept = np.flatnonzero(keep).astype(np.uint64)
+        kept = np.flatnonzero(keep)
         if keep.ndim != 1 or probs.ndim < 2 or probs.shape[-1] != kept.size:
             raise InvalidInputError(
                 f"p's last axis must hold the {kept.size} kept units, got shape {probs.shape}")
-        planes = math.prod(probs.shape[1:-1])
-        width, units = planes * keep.size, planes * kept.size
-        columns = (np.arange(planes, dtype=np.uint64)[:, None] * np.uint64(keep.size)
-                   + kept).ravel()
-        offsets = (np.arange(t, dtype=np.uint64)[:, None] * np.uint64(width)
-                   + columns + np.uint64(1)).ravel()
-    rows = len(streams)
-    probs = probs.reshape(rows, units)
+        groups = math.prod(probs.shape[1:-1])
+        width = groups * keep.size
+        columns = (np.arange(groups)[:, None] * keep.size + kept).ravel()
+    probs = np.ascontiguousarray(probs.reshape(rows, units))
+    flat = probs.reshape(-1)
     # min and max propagate NaN, which fails both comparisons
-    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+    if flat.size and not (flat.min() >= 0.0 and flat.max() <= 1.0):
         raise InvalidInputError("probabilities must be finite and lie in [0, 1]")
-    bits = _splitmix(np.array([s.seed for s in streams], dtype=np.uint64),
-                     np.array([s.counter for s in streams], dtype=np.uint64),
-                     offsets).reshape(rows, t, units)
+    live = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    seeds = np.array([s.seed for s in streams], dtype=np.uint64)
+    counters = np.array([s.counter % 2 ** 64 for s in streams], dtype=np.uint64)
     for s in streams:
         s.counter += t * width
-    bits >>= np.uint64(11)
-    out = np.empty((rows, t, units))
-    # u = bits * 2**-53 < p  <=>  bits < p * 2**53: both scalings are exact
-    np.less(bits, probs[:, None, :] * 2.0 ** 53, out=out)
-    return out[0] if single else out
+
+    # (w >> 11) < p * 2**53  <=>  w < ceil(p * 2**53) << 11, and p < 1
+    # keeps the threshold below 2**64
+    thresholds = np.ceil(flat[live] * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    # a live unit's lane starts at draw counter + column + 1 of its row's stream
+    row, unit = (0, live) if rows == 1 else np.divmod(live, units)
+    if columns is not None:
+        unit = columns[unit]
+    lanes = _words(seeds[row], counters[row], unit.astype(np.uint64) + np.uint64(1))
+    # timestep tau adds the word of draw tau * width of a zero seed
+    advance = _words(np.uint64(0), np.uint64(0), np.arange(t, dtype=np.uint64) * np.uint64(width))
+
+    def hits():
+        z, scratch = np.empty_like(lanes), np.empty_like(lanes)
+        out = np.empty(live.size, dtype=bool)
+        for step in advance:
+            np.add(lanes, step, out=z)
+            np.less(_mix64(z, scratch), thresholds, out=out)
+            yield out
+
+    return probs, live, hits()
+
+
+def bernoulli_planes(p, t: int, streams, keep=None):
+    """The t timesteps of Bernoulli(p) spikes, one float (rows, units) plane each.
+
+    p is (rows, ...) with one RandomStream per row in streams. The call
+    checks its arguments and advances every stream by t * width; each plane
+    is drawn as it is iterated, a fresh C-ordered array. Unit j of row i
+    spikes at timestep tau where draw tau * width + j + 1 of stream i, as a
+    uniform u in [0, 1), is below p[i, j]; p == 0 and p == 1 are exact
+    (never / always spike) and take no draw. width is the row's unit count,
+    or, when keep is given, that of the wider row whose last axis keep
+    spans, p's last axis then holding only its kept columns:
+    bernoulli_planes(q[..., keep], t, s, keep) is bernoulli_planes(q, t, s)
+    at the kept units, and no other unit is drawn.
+    """
+    probs, live, hits = _bernoulli_hits(p, t, streams, keep)
+    fixed = (probs == 1.0).astype(np.float64)
+
+    def planes():
+        for h in hits:
+            plane = fixed.copy()
+            plane.reshape(-1)[live] = h
+            yield plane
+
+    return planes()
+
+
+def bernoulli_matrix(p, t: int, stream: RandomStream) -> np.ndarray:
+    """Sample a (t x units) binary matrix, column j ~ Bernoulli(p[j]) i.i.d.
+
+    p may have any shape; it is flattened to the unit axis. Row tau is
+    plane tau of bernoulli_planes(p[None], t, [stream]).
+    """
+    planes = bernoulli_planes(np.asarray(p)[None], t, [stream])
+    return np.array([plane[0] for plane in planes]).reshape(t, np.size(p))
 
 
 def bernoulli_counts(p, t: int, stream: RandomStream) -> np.ndarray:
     """Per unit, how many of t Bernoulli(p) draws spike: int64, in p's shape.
 
-    Exactly bernoulli_matrix(p, t, stream).sum(axis=0), and the stream
-    advances by t * units as that call advances it, but only the units with
-    0 < p < 1 are drawn, each at the counters bernoulli_matrix gives it; a
-    unit with p == 0 or p == 1 counts 0 or t with no draw. The draws are
-    compared one timestep plane at a time against integer thresholds, in
-    buffers of the live units' width.
+    Exactly bernoulli_matrix(p, t, stream).sum(axis=0), with the stream
+    advanced alike, from the kernel's hits over the live units (0 < p < 1)
+    without a float plane; p == 0 or p == 1 counts 0 or t with no draw.
     """
-    if t < 0:
-        raise InvalidInputError("t must be non-negative")
-    t = int(t)
-    probs = np.asarray(p, dtype=np.float64)
-    flat = probs.ravel()
-    # min and max propagate NaN, which fails both comparisons
-    if flat.size and not (flat.min() >= 0.0 and flat.max() <= 1.0):
-        raise InvalidInputError("probabilities must be finite and lie in [0, 1]")
-    counts = np.where(flat == 1.0, t, 0).astype(np.int64)
-    live = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    if t and live.size:
-        # (bits >> 11) < p * 2**53  <=>  bits < ceil(p * 2**53) << 11, and
-        # p < 1 keeps the threshold below 2**64
-        thresholds = np.ceil(flat[live] * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
-        # at timestep tau unit j takes draw tau * units + j + 1: its plane-0
-        # word advanced by the word of draw tau * units of a zero seed
-        zero = np.zeros(1, dtype=np.uint64)
-        lanes = _words(np.array([stream.seed]), np.array([stream.counter], dtype=np.uint64),
-                       live.astype(np.uint64) + np.uint64(1))[0]
-        advance = _words(zero, zero, np.arange(t, dtype=np.uint64) * np.uint64(flat.size))[0]
-        z, scratch = np.empty_like(lanes), np.empty_like(lanes)
-        hits = np.empty(live.size, dtype=bool)
-        live_counts = np.zeros(live.size, dtype=np.int64)
-        for step in advance:
-            np.add(lanes, step, out=z)
-            np.less(_mix64(z, scratch), thresholds, out=hits)
-            live_counts += hits
-        counts[live] = live_counts
-    stream.counter += t * flat.size
-    return counts.reshape(probs.shape)
+    probs, live, hits = _bernoulli_hits(np.asarray(p)[None], t, [stream])
+    counts = np.where(probs.reshape(-1) == 1.0, t, 0).astype(np.int64)
+    live_counts = np.zeros(live.size, dtype=np.int64)
+    for h in hits:
+        live_counts += h
+    counts[live] = live_counts
+    return counts.reshape(np.shape(p))
 
 
 def finite_difference_gradient(f, x, eps: float = 1e-5) -> np.ndarray:

@@ -13,10 +13,16 @@ The reference simulators run the full-width model under masks: pruned
 heads zeroed inside the attention current, pruned neurons in the inter
 spike sum, so a pruned head's key and value units still integrate and
 spike. The reference sequential simulator also materialises every
-sublayer's whole spike train, (batch, t, seq, units), one bernoulli_matrix
-call per sample, and takes running means with a cumsum over the time axis.
+sublayer's whole spike train, (batch, t, seq, units), one
+reference_bernoulli_matrix call per sample, and takes running means with a cumsum over the time axis.
 `engine`'s simulators, which run the model sliced to its kept units, must
 return the same logits and the same traces with pruned units read as 0.
+
+The reference Bernoulli sampler is the float-compare matrix sampler that
+predates `numerics`' kernel: it builds every draw's counter offset, mixes
+every unit, p 0 and 1 included, and compares `bits >> 11 < p * 2**53` in
+float. It is kept verbatim with its own word helpers, so the kernel, its
+planes and its counts are never checked only against themselves.
 
 The reference checkpoint functions spell out every LayerParams field by
 hand; the layout-table versions in `model` must write the same bytes, read
@@ -30,6 +36,7 @@ every trainable leaf the same bytes.
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -42,7 +49,7 @@ from spikeprune.model import FORMAT_TAG, LayerParams, _arr, _need, _plan_to_dict
 from spikeprune.cost import unit_costs
 from spikeprune.engine import (_MEAN, _NP_OPS, _RATES, _SPIKES, _input_currents,
                                _layer_stages)
-from spikeprune.numerics import bernoulli_matrix
+from spikeprune.numerics import _GAMMA, _mix64
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -57,6 +64,83 @@ def tiny_config(**overrides) -> ModelConfig:
 def tiny_model(seed: int = 0, **overrides):
     cfg = tiny_config(**overrides)
     return init_model(cfg, RandomStream(seed))
+
+
+def _words(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Unmixed words of draws counter+k, k in offsets, of each (seed, counter)
+    stream: (rows, offsets.size) uint64."""
+    steps = np.multiply(offsets, _GAMMA, out=offsets)
+    z = np.empty((seeds.size, steps.size), dtype=np.uint64)
+    np.add((seeds + counters * _GAMMA)[:, None], steps, out=z)
+    return z
+
+
+def _splitmix(seeds: np.ndarray, counters: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Draws counter+k, k in offsets, of each (seed, counter) stream: (rows, offsets.size) uint64."""
+    return _mix64(_words(seeds, counters, offsets))
+
+
+def reference_bernoulli_matrix(p, t: int, stream, *, keep=None) -> np.ndarray:
+    """Sample a (t x units) binary matrix, column j ~ Bernoulli(p[j]) i.i.d.
+
+    p may have any shape; it is flattened to the unit axis. p == 0 and
+    p == 1 are exact (never / always spike), not merely almost sure. Entry
+    (tau, j) is 1.0 where draw tau * units + j of the stream, as a uniform
+    u in [0, 1), is below p[j]; the stream advances by t * units.
+
+    stream may also be a sequence of streams, one per row of p: p is then
+    (rows, ...) and the result (rows, t, units), row i equal to
+    bernoulli_matrix(p[i], t, stream[i]), drawn in one pass.
+
+    keep, a boolean vector, says that p's last axis holds only the kept
+    columns of a wider array whose last axis keep spans. Each kept unit
+    takes the draw it has in the wider array and the stream advances as far
+    as the wider array's draws take it, so
+    bernoulli_matrix(q[..., keep], t, s, keep=keep) equals
+    bernoulli_matrix(q, t, s) at the kept units; no other unit is drawn.
+    """
+    single = isinstance(stream, RandomStream)
+    streams = [stream] if single else list(stream)
+    probs = np.asarray(p, dtype=np.float64)
+    if single:
+        probs = probs[None]
+    elif probs.ndim < 1 or probs.shape[0] != len(streams):
+        raise InvalidInputError(
+            f"need one stream per row of p, got {len(streams)} for shape {probs.shape}")
+    if t < 0:
+        raise InvalidInputError("t must be non-negative")
+    t = int(t)
+    # offsets: the 1-based draw index of each (timestep, unit) in its stream
+    if keep is None:
+        width = units = math.prod(probs.shape[1:])
+        offsets = np.arange(1, t * units + 1, dtype=np.uint64)
+    else:
+        keep = np.asarray(keep, dtype=bool)
+        kept = np.flatnonzero(keep).astype(np.uint64)
+        if keep.ndim != 1 or probs.ndim < 2 or probs.shape[-1] != kept.size:
+            raise InvalidInputError(
+                f"p's last axis must hold the {kept.size} kept units, got shape {probs.shape}")
+        planes = math.prod(probs.shape[1:-1])
+        width, units = planes * keep.size, planes * kept.size
+        columns = (np.arange(planes, dtype=np.uint64)[:, None] * np.uint64(keep.size)
+                   + kept).ravel()
+        offsets = (np.arange(t, dtype=np.uint64)[:, None] * np.uint64(width)
+                   + columns + np.uint64(1)).ravel()
+    rows = len(streams)
+    probs = probs.reshape(rows, units)
+    # min and max propagate NaN, which fails both comparisons
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):
+        raise InvalidInputError("probabilities must be finite and lie in [0, 1]")
+    bits = _splitmix(np.array([s.seed for s in streams], dtype=np.uint64),
+                     np.array([s.counter for s in streams], dtype=np.uint64),
+                     offsets).reshape(rows, t, units)
+    for s in streams:
+        s.counter += t * width
+    bits >>= np.uint64(11)
+    out = np.empty((rows, t, units))
+    # u = bits * 2**-53 < p  <=>  bits < p * 2**53: both scalings are exact
+    np.less(bits, probs[:, None, :] * 2.0 ** 53, out=out)
+    return out[0] if single else out
 
 
 def token_batch(config: ModelConfig, batch: int, stream: RandomStream):
@@ -433,7 +517,7 @@ def _regen(rates: np.ndarray, t: int, streams) -> np.ndarray:
     out = np.empty((b, t) + rates.shape[1:])
     flat = rates.reshape(b, -1)
     for i in range(b):
-        out[i] = bernoulli_matrix(flat[i], t, streams[i]).reshape((t,) + rates.shape[1:])
+        out[i] = reference_bernoulli_matrix(flat[i], t, streams[i]).reshape((t,) + rates.shape[1:])
     return out
 
 

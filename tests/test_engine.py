@@ -14,7 +14,7 @@ from conftest import (reference_run_sequential, reference_run_unrolled, tiny_con
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         evaluate_proxy, fisher_diagonal, init_model,
                         rate_proxy_forward, run_sequential, run_unrolled)
-from spikeprune import SUBLAYERS, engine
+from spikeprune import SUBLAYERS, engine, numerics
 from spikeprune import autodiff as ad
 from spikeprune.engine import (LifState, build_param_vars, cross_entropy,
                                lif_step, proxy_graph)
@@ -373,23 +373,29 @@ class TestRunSequential:
                                                               model.config).tobytes()
 
     def test_pruned_units_are_not_drawn(self, monkeypatch):
-        """Only kept units draw: fc reads attn's kept head columns, output
-        reads inter's kept neurons; key, value and inter read full-width
-        sources."""
+        """Only kept units reach the Bernoulli kernel: fc reads attn's kept
+        head columns, output reads inter's kept neurons; key, value and inter
+        read full-width sources. Of those, only units with 0 < p < 1 mix a
+        word, one per timestep."""
         model = tiny_model(3, num_layers=2)
         masks = MaskSet([np.array([1.0, 0.0]), np.zeros(2)],
                         [np.array([1, 0, 1, 1, 0, 0.0]), np.ones(6)])
         steps = np.arange(1, 13).reshape(2, 6)
         tokens, _ = token_batch(model.config, 3, RandomStream(16))
-        draws = []
+        offered, live, mixed = [], [], []
 
-        def counting(*args, **kwargs):
-            out = real(*args, **kwargs)
-            draws.append(out.size)
-            return out
+        def spying(p, t, streams, keep=None):
+            offered.append(t * p.size)
+            live.append(t * int(((p > 0.0) & (p < 1.0)).sum()))
+            return real_planes(p, t, streams, keep)
 
-        real = engine.bernoulli_matrix
-        monkeypatch.setattr(engine, "bernoulli_matrix", counting)
+        def counting(z, scratch=None):
+            mixed.append(z.size)
+            return real_mix(z, scratch)
+
+        real_planes, real_mix = engine.bernoulli_planes, numerics._mix64
+        monkeypatch.setattr(engine, "bernoulli_planes", spying)
+        monkeypatch.setattr(numerics, "_mix64", counting)
         run_sequential(model, masks, TimestepPlan(steps), tokens, RandomStream(17))
         cfg = model.config
         want = 0
@@ -399,7 +405,10 @@ class TestRunSequential:
             kept_inter = int(masks.neurons[li].sum())
             want += 3 * cfg.seq_len * ((t["key"] + t["value"] + t["inter"]) * cfg.hidden_size
                                        + t["fc"] * kept_attn + t["output"] * kept_inter)
-        assert sum(draws) == want
+        assert sum(offered) == want
+        # one word per sample's derived stream, then t words per live unit
+        assert 0 < sum(live) < want
+        assert sum(mixed) == 3 + sum(live)
 
     @pytest.mark.parametrize("simulate", [
         lambda m, k, t, rec: run_unrolled(m, k, t, 3, record_traces=rec),

@@ -361,6 +361,15 @@ class TestCheckpoint:
         bad_scale["input_scale"] = -1.0
         self._expect_error(tmp_path, bad_scale, "input_scale")
 
+        # JSON true is a bool, not the number 1
+        bool_scale = json.loads(json.dumps(doc))
+        bool_scale["input_scale"] = True
+        self._expect_error(tmp_path, bool_scale, "input_scale")
+
+        bool_plan = json.loads(json.dumps(doc))
+        bool_plan["timestep_plan"]["key"] = [True] * len(bool_plan["timestep_plan"]["key"])
+        self._expect_error(tmp_path, bool_plan, r"timestep_plan\.key\[0\]")
+
     def test_mask_shape_errors(self, tmp_path):
         doc = self._doc(tiny_model(0))
         doc["masks"]["heads"] = [[1.0, 1.0, 1.0]]

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from spikeprune import (InvalidInputError, RandomStream, bernoulli_matrix,
                         finite_difference_gradient, pca_component_count)
-from spikeprune.numerics import as_matrix, bernoulli_counts
+from spikeprune import numerics
+from spikeprune.numerics import as_matrix, bernoulli_counts, bernoulli_planes
+
+from conftest import reference_bernoulli_matrix
 
 
 # scalar-integer reference implementation of the same generator; the
@@ -162,6 +165,17 @@ class TestPcaComponentCount:
         assert 1 <= k_lo <= k_hi <= cols
 
 
+_EDGE_PROBS = [0.0, 1.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324]
+
+
+def _stacked(planes, rows: int, units: int) -> np.ndarray:
+    """bernoulli_planes' planes as one (rows, t, units) array."""
+    planes = list(planes)
+    for plane in planes:
+        assert plane.shape == (rows, units) and plane.flags.c_contiguous
+    return np.stack(planes, axis=1) if planes else np.empty((rows, 0, units))
+
+
 class TestBernoulliMatrix:
     def test_shape_and_binary_values(self):
         out = bernoulli_matrix(np.full(5, 0.5), 7, RandomStream(0))
@@ -218,22 +232,40 @@ class TestBernoulliMatrix:
         assert got.tobytes() == want.tobytes()
         assert a.counter == b.counter == t * p.size
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(probs=st.lists(st.one_of(st.sampled_from(_EDGE_PROBS),
+                                    st.floats(0.0, 1.0, allow_nan=False)),
+                          max_size=24),
+           t=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 64 - 1),
+           counter=st.integers(0, 2 ** 40))
+    def test_equals_the_reference(self, probs, t, seed, counter):
+        """Same bytes and stream advance as the float-compare reference."""
+        p = np.array(probs, dtype=np.float64)
+        a, b = RandomStream(seed, counter=counter), RandomStream(seed, counter=counter)
+        got = bernoulli_matrix(p, t, a)
+        assert got.tobytes() == reference_bernoulli_matrix(p, t, b).tobytes()
+        assert a.counter == b.counter == counter + t * p.size
+        assert a.uniform() == b.uniform()
+
+    # per-row streams and keep are bernoulli_planes' now; the reference
+    # matrix sampler still takes both
     @pytest.mark.parametrize("rows, t", [(0, 3), (1, 1), (3, 1), (4, 5)])
     def test_per_row_streams_equal_row_by_row_calls(self, rows, t):
         p = RandomStream(4).uniform((rows, 2, 3))
         p[:, 0, 0] = 0.0
         p[:, 1, 2] = 1.0
-        streams, singles = ([RandomStream(40 + i, counter=7 * i) for i in range(rows)]
-                            for _ in range(2))
-        got = bernoulli_matrix(p, t, streams)
-        assert got.shape == (rows, t, 6)
+        streams, refs, singles = ([RandomStream(40 + i, counter=7 * i) for i in range(rows)]
+                                  for _ in range(3))
+        got = _stacked(bernoulli_planes(p, t, streams), rows, 6)
+        assert got.tobytes() == reference_bernoulli_matrix(p, t, refs).tobytes()
         for i in range(rows):
-            assert np.array_equal(got[i], bernoulli_matrix(p[i], t, singles[i]))
-            assert streams[i].counter == singles[i].counter
+            assert np.array_equal(got[i], reference_bernoulli_matrix(p[i], t, singles[i]))
+            assert streams[i].counter == refs[i].counter == singles[i].counter
         # a second call continues every stream where the first left off
-        again = bernoulli_matrix(p, t, streams)
+        again = _stacked(bernoulli_planes(p, t, streams), rows, 6)
         for i in range(rows):
-            assert np.array_equal(again[i], bernoulli_matrix(p[i], t, singles[i]))
+            assert np.array_equal(again[i], reference_bernoulli_matrix(p[i], t, singles[i]))
 
     @pytest.mark.parametrize("keep", [[1, 0, 1, 1, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1],
                                       [0, 0, 0, 0, 1]])
@@ -241,35 +273,74 @@ class TestBernoulliMatrix:
     def test_kept_columns_draw_what_the_full_array_draws(self, keep, t):
         """keep draws only the kept units, at their counters in the full array."""
         keep = np.array(keep, dtype=bool)
+        kept = int(keep.sum())
         p = RandomStream(5).uniform((3, 5))
         p[:, 0] = 1.0
-        streams, full_streams = ([RandomStream(60 + i, counter=3 * i) for i in range(3)]
-                                 for _ in range(2))
-        got = bernoulli_matrix(p[:, keep], t, streams, keep=keep)
-        want = bernoulli_matrix(p, t, full_streams)[..., keep]
+        streams, refs, full_streams = ([RandomStream(60 + i, counter=3 * i) for i in range(3)]
+                                       for _ in range(3))
+        # p[:, keep] is Fortran-ordered; the planes still come out C-ordered
+        got = _stacked(bernoulli_planes(p[:, keep], t, streams, keep), 3, kept)
+        assert got.tobytes() == reference_bernoulli_matrix(
+            p[:, keep], t, refs, keep=keep).tobytes()
+        want = reference_bernoulli_matrix(p, t, full_streams)[..., keep]
         assert got.tobytes() == want.tobytes()
-        assert [s.counter for s in streams] == [s.counter for s in full_streams]
+        assert ([s.counter for s in streams] == [s.counter for s in refs]
+                == [s.counter for s in full_streams])
         # the kept axis is p's last; the axes before it are whole planes
         q = RandomStream(6).uniform((2, 4, 5))
         one, whole = RandomStream(9), RandomStream(9)
-        got = bernoulli_matrix(q[..., keep], t, one, keep=keep)
-        want = bernoulli_matrix(q, t, whole).reshape(t, 2, 4, 5)[..., keep]
-        assert got.tobytes() == want.reshape(t, -1).tobytes()
+        got = _stacked(bernoulli_planes(q[None, ..., keep], t, [one], keep), 1, 8 * kept)
+        want = reference_bernoulli_matrix(q, t, whole).reshape(t, 2, 4, 5)[..., keep]
+        assert got.tobytes() == want.reshape(1, t, -1).tobytes()
         assert one.counter == whole.counter == t * q.size
 
     def test_keep_must_match_the_last_axis(self):
         with pytest.raises(InvalidInputError, match="2 kept units"):
-            bernoulli_matrix(np.full((3, 3), 0.5), 1, [RandomStream(i) for i in range(3)],
+            bernoulli_planes(np.full((3, 3), 0.5), 1, [RandomStream(i) for i in range(3)],
                              keep=np.array([True, False, True]))
 
     def test_per_row_streams_need_one_stream_per_row(self):
         with pytest.raises(InvalidInputError):
-            bernoulli_matrix(np.full((3, 2), 0.5), 1, [RandomStream(0), RandomStream(1)])
+            bernoulli_planes(np.full((3, 2), 0.5), 1, [RandomStream(0), RandomStream(1)])
         with pytest.raises(InvalidInputError):
-            bernoulli_matrix(np.array([[0.5, 1.5]]), 1, [RandomStream(0)])
+            bernoulli_planes(np.array([[0.5, 1.5]]), 1, [RandomStream(0)])
 
 
-_EDGE_PROBS = [0.0, 1.0, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324]
+class TestBernoulliPlanes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(probs=st.lists(st.one_of(st.sampled_from(_EDGE_PROBS),
+                                    st.floats(0.0, 1.0, allow_nan=False)),
+                          min_size=12, max_size=12),
+           rows=st.integers(1, 3),
+           keep=st.one_of(st.none(), st.lists(st.booleans(), min_size=4, max_size=4)),
+           t=st.integers(0, 6),
+           seed=st.integers(0, 2 ** 64 - 1),
+           counter=st.integers(0, 2 ** 40))
+    def test_equals_the_reference(self, probs, rows, keep, t, seed, counter):
+        """Edge probabilities, per-row streams and keep give the reference's
+        bytes, and every stream ends where the reference leaves it."""
+        p = np.array(probs[:rows * 4]).reshape(rows, 1, 4)
+        if keep is not None:
+            keep = np.array(keep)
+            p = p[..., keep]
+        streams, refs = ([RandomStream(seed + i, counter=counter + i) for i in range(rows)]
+                         for _ in range(2))
+        got = _stacked(bernoulli_planes(p, t, streams, keep), rows, p.shape[-1])
+        want = reference_bernoulli_matrix(p, t, refs, keep=keep)
+        assert got.tobytes() == want.tobytes()
+        assert [s.uniform() for s in streams] == [s.uniform() for s in refs]
+
+    def test_checks_and_advances_when_called(self):
+        """Bad input raises before the first plane; a good call advances the
+        streams before any plane is drawn; each plane is a fresh array."""
+        s = RandomStream(2, counter=3)
+        with pytest.raises(InvalidInputError):
+            bernoulli_planes(np.array([[0.5, 1.5]]), 2, [s])
+        assert s.counter == 3
+        planes = bernoulli_planes(np.full((1, 2, 3), 0.5), 4, [s])
+        assert s.counter == 3 + 4 * 6
+        first, second = next(planes), next(planes)
+        assert first is not second and not np.shares_memory(first, second)
 
 
 class TestBernoulliCounts:
@@ -283,8 +354,8 @@ class TestBernoulliCounts:
            seed=st.integers(0, 2 ** 64 - 1),
            counter=st.integers(0, 2 ** 40))
     def test_equals_the_summed_matrix(self, probs, saturated, shape2, t, seed, counter):
-        """Counts equal bernoulli_matrix(...).sum(axis=0) and leave the stream
-        where that call leaves it, with only 0 < p < 1 drawn."""
+        """Counts equal the reference matrix summed over time and leave the
+        stream where that call leaves it, with only 0 < p < 1 drawn."""
         p = np.array(probs, dtype=np.float64)
         if saturated:
             p = np.round(p)
@@ -292,7 +363,7 @@ class TestBernoulliCounts:
             p = p.reshape(2, -1)
         a, b = RandomStream(seed, counter=counter), RandomStream(seed, counter=counter)
         got = bernoulli_counts(p, t, a)
-        want = bernoulli_matrix(p, t, b).sum(axis=0)
+        want = reference_bernoulli_matrix(p, t, b).sum(axis=0)
         assert got.shape == p.shape and got.dtype == np.int64
         assert np.array_equal(got.ravel(), want)
         assert a.counter == b.counter == counter + t * p.size
@@ -327,7 +398,47 @@ class TestBernoulliCounts:
             bernoulli_counts(np.array(p), t, s)
         with pytest.raises(InvalidInputError):
             bernoulli_matrix(np.array(p), t, RandomStream(0))
+        with pytest.raises(InvalidInputError):
+            reference_bernoulli_matrix(np.array(p), t, RandomStream(0))
         assert s.counter == 4
+
+
+_DRAWS = {
+    "matrix": bernoulli_matrix,
+    "counts": bernoulli_counts,
+    "planes": lambda p, t, s: list(bernoulli_planes(p[None], t, [s])),
+}
+
+
+class TestDrawRule:
+    @pytest.mark.parametrize("draw", _DRAWS.values(), ids=list(_DRAWS))
+    def test_units_at_p_0_or_1_mix_no_word(self, monkeypatch, draw):
+        """Only units with 0 < p < 1 are mixed: t words each, none for the rest."""
+        mixed = []
+
+        def counting(z, scratch=None):
+            mixed.append(z.size)
+            return real(z, scratch)
+
+        real = numerics._mix64
+        monkeypatch.setattr(numerics, "_mix64", counting)
+        p = np.array([0.0, 0.3, 1.0, 1.0, 0.0, 0.9, 2.0 ** -53, 1.0])
+        draw(p, 5, RandomStream(1))
+        assert sum(mixed) == 5 * 3
+        mixed.clear()
+        draw(np.round(p), 5, RandomStream(1))
+        assert sum(mixed) == 0
+
+    @pytest.mark.parametrize("draw", _DRAWS.values(), ids=list(_DRAWS))
+    def test_counters_wrap_mod_2_64(self, draw):
+        """Draw k's word is seed + k * GAMMA mod 2^64, so counter 2^64 + 5
+        draws what counter 5 draws."""
+        p = np.array([0.0, 0.3, 1.0, 0.5, 0.7])
+        far, near = RandomStream(8, counter=2 ** 64 + 5), RandomStream(8, counter=5)
+        assert np.array_equal(np.asarray(draw(p, 3, far)), np.asarray(draw(p, 3, near)))
+        assert far.counter == 2 ** 64 + near.counter
+        assert far.uniform((4,)).tobytes() == near.uniform((4,)).tobytes()
+        assert far.integers(9, (4,)).tolist() == near.integers(9, (4,)).tolist()
 
 
 class TestFiniteDifference:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import reference_backward, tiny_model, token_batch
+from conftest import reference_backward, reference_bernoulli_matrix, tiny_model, token_batch
 from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
                         TimestepPlan, TrainConfig, TrainingDivergedError,
                         allocate_timesteps, gradcheck, layer_importance,
@@ -13,7 +13,6 @@ from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
 from spikeprune import autodiff as ad
 from spikeprune.cost import acs_value
 from spikeprune.engine import _model_arrays, cross_entropy, rate_proxy_forward
-from spikeprune.numerics import bernoulli_matrix
 from spikeprune.trainer import (_batch_graph, _logits_relaxed, _stage_noise,
                                 _straight_through, evaluate_proxy)
 
@@ -196,7 +195,7 @@ class TestStageNoise:
         fn = _stage_noise(self._plan(), 10, RandomStream(4))
         ref = RandomStream(4)
         for k, (name, t) in enumerate([("key", 4), ("attn", 3), ("output", 2)]):
-            mean = bernoulli_matrix(value, t, ref.derive(k)).mean(axis=0)
+            mean = reference_bernoulli_matrix(value, t, ref.derive(k)).mean(axis=0)
             want = mean.reshape(value.shape) - value
             assert fn(0, name, value).tobytes() == want.tobytes()
 
