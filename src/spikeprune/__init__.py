@@ -20,7 +20,7 @@ from .model import (SUBLAYERS, MaskSet, ModelConfig, SpikingModel, TimestepPlan,
 from .numerics import RandomStream, bernoulli_matrix, finite_difference_gradient, pca_component_count
 from .spatial import pruned_importance, refine_masks, select_masks
 from .temporal import allocate_timesteps, layer_importance, scale_plan, timestep_allocation
-from .trainer import TrainConfig, evaluate_proxy, gradcheck, total_loss, train
+from .trainer import TrainConfig, evaluate_proxy, gradcheck, train
 
 __version__ = "0.1.0"
 
@@ -38,5 +38,5 @@ __all__ = [
     "per_sublayer_acs", "pruned_importance", "rate_proxy_forward",
     "refine_masks", "resolve_config", "run_sequential", "run_unrolled",
     "save_checkpoint", "save_jsonl", "scale_plan", "select_masks",
-    "timestep_allocation", "total_loss", "train", "unit_costs",
+    "timestep_allocation", "train", "unit_costs",
 ]

@@ -145,10 +145,9 @@ def _prune(scores, config: ModelConfig, budget: float) -> MaskSet:
 def _seq_accuracy(model, masks, plan, data: Dataset, stream: RandomStream,
                   batch: int = 50) -> float:
     hits = 0
-    for i in range(0, len(data), batch):
-        logits, _ = run_sequential(model, masks, plan, data.tokens[i:i + batch],
-                                   stream.derive(i))
-        hits += int((logits.argmax(axis=1) == data.labels[i:i + batch]).sum())
+    for k, (tokens, labels) in enumerate(iter_batches(data, batch)):
+        logits, _ = run_sequential(model, masks, plan, tokens, stream.derive(k * batch))
+        hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / len(data)
 
 
@@ -231,6 +230,8 @@ _epochs_arg = _checked("epochs", int, lambda n: n >= 1, "epochs must be a positi
 _base_arg = _checked("base", float, lambda b: 1 < b < math.inf,
                      "base must be finite and greater than 1")
 _rho_arg = _checked("rho", float, lambda r: 0 < r <= 1, "rho must be in (0, 1]")
+_constraint_arg = _checked("constraint", float, lambda c: 0 < c <= 1,
+                           "constraint must be in (0, 1]")
 _variance_arg = _checked("variance", float, lambda v: 0 < v <= 1,
                          "variance must be in (0, 1]")
 
@@ -273,12 +274,9 @@ def cmd_eval(args) -> int:
     data = _dataset_arg(args.data, cfg, master.derive(_LANE_TEST))
     hits = 0
     sums = {}
-    for chunk_idx, start in enumerate(range(0, len(data), args.batch)):
-        tokens = data.tokens[start:start + args.batch]
-        labels = data.labels[start:start + args.batch]
+    for chunk_idx, (tokens, labels) in enumerate(iter_batches(data, args.batch)):
         stream = master.derive(_LANE_EVAL).derive(chunk_idx)
-        logits, traces = run_sequential(model, masks, plan, tokens, stream,
-                                        record_traces=True)
+        logits, traces = run_sequential(model, masks, plan, tokens, stream)
         hits += int((logits.argmax(axis=1) == labels).sum())
         for t in traces:
             sums[t.name] = sums.get(t.name, 0.0) + t.converged.mean() * len(labels)
@@ -481,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune-spatial", parents=[stage, calib],
                        help="mask heads and neurons to a budget")
     p.add_argument("--out", required=True)
-    p.add_argument("--constraint", type=float, default=0.6,
+    p.add_argument("--constraint", type=_constraint_arg, default=0.6,
                    help="ACs budget as a fraction of the dense cost")
     p.add_argument("--batch", type=_batch_arg, default=32)
     p.set_defaults(func=cmd_prune_spatial)

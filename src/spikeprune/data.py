@@ -160,7 +160,7 @@ def iter_batches(dataset: Dataset, batch_size: int, stream: RandomStream = None)
     """
     if batch_size < 1:
         raise InvalidInputError("batch_size must be positive")
-    n = len(dataset)
+    n = len(dataset.labels)
     order = stream.permutation(n) if stream is not None else np.arange(n)
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]

@@ -11,14 +11,16 @@ on autodiff Vars alike. Three walks read the same tables:
 * `run_unrolled`, time-major: every sublayer advances together for T
   timesteps, so the nonlinear stages (attention softmax, layer norm),
   which read running average rates, settle as T grows and the averaged
-  rates converge to the rate proxy's fixed point.
+  rates converge to the rate proxy's fixed point. Its traces hold one row
+  per timestep.
 * `run_sequential`, layer-major: each sublayer runs for its own budget
   from a TimestepPlan on a fresh Bernoulli spike train regenerated from
   its source's converged rates, which is what makes per-sublayer timestep
   budgets independent knobs. One numerics.bernoulli_planes call per
   sublayer draws the train a batch-wide plane at a time as it is consumed
   (memory O(batch x width) whatever the plan), and only kept units with
-  0 < rate < 1, each at its masked-run counter.
+  0 < rate < 1, each at its masked-run counter. Its traces hold one row:
+  the converged rates the next sublayer reads.
 * the rate walk, where each LIF sublayer is replaced by its steady-state
   rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
   (training and Fisher importance differentiate it), `rate_proxy_forward`
@@ -26,8 +28,9 @@ on autodiff Vars alike. Three walks read the same tables:
 
 Both simulators run the compressed model (`_compressed`: the model sliced
 by MaskSet.kept_columns, no masks), so a pruned head or neuron is never
-multiplied, integrated or drawn and reads 0 in every trace. Only the rate
-walk masks: training and Fisher scoring differentiate through the masks.
+multiplied, integrated or drawn and reads 0 in every trace. A trace is
+a batch mean, so both refuse an empty batch. Only the rate walk masks:
+training and Fisher scoring differentiate through the masks.
 
 Rates and spikes are float64 arrays shaped (batch, seq, units).
 """
@@ -54,7 +57,6 @@ __all__ = [
     "run_sequential",
     "rate_proxy_forward",
     "proxy_graph",
-    "build_param_vars",
 ]
 
 # Shared by the simulator and the proxy; they must normalize identically.
@@ -88,8 +90,9 @@ def lif_step(state: LifState, input_current: np.ndarray, v_th, leak: float):
 class AsrTrace:
     """Running average spike rate of one sublayer, batch-averaged.
 
-    asr[t] is the per-unit cumulative rate after t+1 timesteps, flattened
-    over (seq, units); `converged` is the final row.
+    Each row is the per-unit cumulative rate, flattened over (seq, units):
+    run_unrolled's asr[t] after t+1 timesteps, run_sequential's single row
+    after the sublayer's whole budget. `converged` is the final row.
     """
 
     name: str
@@ -209,17 +212,17 @@ def _layer_stages(layer, head_mask, head_dim, ops) -> tuple:
     )
 
 
-def _compressed(model: SpikingModel, masks: MaskSet, tokens, record_traces: bool):
+def _compressed(model: SpikingModel, masks: MaskSet, tokens):
     """Both simulators' prologue: (input currents, kept columns, stage tables).
 
     The tables are those of the model sliced to MaskSet.kept_columns, with
     no masks; a layer may keep no head or no neuron. A trace averages over
-    the batch, so recording one needs at least one sample.
+    the batch, so the batch must not be empty.
     """
     masks.validate_for(model)
     cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
-    if record_traces and cur_in.shape[0] == 0:
-        raise InvalidInputError("recording traces needs a non-empty batch")
+    if cur_in.shape[0] == 0:
+        raise InvalidInputError("the simulators need a non-empty batch")
     keeps = masks.kept_columns(model.config.head_dim)
     tables = [_layer_stages(layer, None, model.config.head_dim, _NP_OPS)
               for layer in slice_columns(model, keeps).layers]
@@ -227,75 +230,73 @@ def _compressed(model: SpikingModel, masks: MaskSet, tokens, record_traces: bool
 
 
 class _Population:
-    """One sublayer's LIF state, spike sum and ASR trace rows.
+    """LIF state and spike sum of one population: a sublayer, or the input
+    encoder at threshold 1.
 
     State and sum take their shape from the first input current, so a
     sliced model's narrower layers need no separate sizing.
     """
 
-    def __init__(self, name: str, stage: _Stage, leak: float, record: bool):
-        self.name, self.stage, self.leak = name, stage, leak
+    def __init__(self, vth, leak: float):
+        self.vth, self.leak = vth, leak
         self.state = self.total = None
-        self.rows = [] if record else None
 
-    def step(self, current: np.ndarray, t: int) -> np.ndarray:
-        """Advance to timestep t (1-based); returns this step's spikes."""
+    def step(self, current: np.ndarray) -> np.ndarray:
+        """Advance one timestep; returns its spikes."""
         if self.state is None:
             self.state, self.total = LifState.zeros(current.shape), np.zeros(current.shape)
-        self.state, s = lif_step(self.state, current, self.stage.vth, self.leak)
+        self.state, s = lif_step(self.state, current, self.vth, self.leak)
         self.total += s
-        if self.rows is not None:
-            self.rows.append((self.total / t).mean(axis=0).ravel())
         return s
 
-    def trace(self, keep, seq_len: int) -> AsrTrace:
-        """The rows over the full width, columns keep drops reading 0; the
-        rows as they are when keep is None or keeps every column."""
-        asr = np.asarray(self.rows)
-        if keep is not None and not keep.all():
-            steps = asr.shape[0]
-            full = np.zeros((steps, seq_len, keep.size))
-            full[:, :, keep] = asr.reshape(steps, seq_len, int(keep.sum()))
-            asr = full.reshape(steps, -1)
-        return AsrTrace(self.name, asr)
+
+def _trace(name: str, rows: list, keep, seq_len: int) -> AsrTrace:
+    """Rows of batch-mean rates over the full width, columns keep drops
+    reading 0; the rows as they are when keep is None or keeps every column."""
+    asr = np.asarray(rows)
+    if keep is not None and not keep.all():
+        steps = asr.shape[0]
+        full = np.zeros((steps, seq_len, keep.size))
+        full[:, :, keep] = asr.reshape(steps, seq_len, int(keep.sum()))
+        asr = full.reshape(steps, -1)
+    return AsrTrace(name, asr)
 
 
-def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int,
-                 record_traces: bool = True):
+def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int):
     """Simulate all sublayers jointly for `timesteps` steps.
 
     Time-major walk of the compressed model's stage tables: at every step
     each sublayer reads its source's spikes of that step or the averaged
     rates so far. Returns (logits, traces): logits read the converged rate
     of the final layer's first token; traces hold one AsrTrace per
-    sublayer in layer-major SUBLAYERS order over the full (seq x units)
-    width, where pruned units read 0 (empty list when record_traces is
-    False).
+    sublayer in layer-major SUBLAYERS order, one row per timestep, over
+    the full (seq x units) width, where pruned units read 0.
     """
     if timesteps < 1:
         raise InvalidInputError("timesteps must be >= 1")
-    cur_in, keeps, tables = _compressed(model, masks, tokens, record_traces)
-    pops = [[_Population(f"L{li}.{st.name}", st, model.config.leak, record_traces)
-             for st in stages] for li, stages in enumerate(tables)]
-    state_in = LifState.zeros(cur_in.shape)
-    sum_in = np.zeros_like(cur_in)
+    cur_in, keeps, tables = _compressed(model, masks, tokens)
+    leak = model.config.leak
+    encoder = _Population(1.0, leak)
+    pops = [[_Population(stage.vth, leak) for stage in stages] for stages in tables]
+    rows = [[[] for _ in stages] for stages in tables]
 
     for t in range(1, timesteps + 1):
-        state_in, s_in = lif_step(state_in, cur_in, 1.0, model.config.leak)
-        sum_in += s_in
-        spikes, rates = {"in": s_in}, {"in": sum_in / t}
-        for stages, layer_pops in zip(tables, pops):
-            for stage, pop in zip(stages, layer_pops):
+        spikes = {"in": encoder.step(cur_in)}
+        rates = {"in": encoder.total / t}
+        for stages, layer_pops, layer_rows in zip(tables, pops, rows):
+            for stage, pop, stage_rows in zip(stages, layer_pops, layer_rows):
                 x = (None if stage.entry == _RATES else
                      (spikes if stage.entry == _SPIKES else rates)[stage.source])
-                spikes[stage.name] = pop.step(stage.current(x, rates), t)
-                rates[stage.name] = pop.total / t
+                spikes[stage.name] = pop.step(stage.current(x, rates))
+                rates[stage.name] = rate = pop.total / t
+                stage_rows.append(rate.mean(axis=0).ravel())
             spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
 
     logits = rates["in"][:, 0, :] @ model.cls_w + model.cls_b
-    traces = ([pop.trace(keep.get(pop.stage.axis), model.config.seq_len)
-               for layer_pops, keep in zip(pops, keeps) for pop in layer_pops]
-              if record_traces else [])
+    traces = [_trace(f"L{li}.{stage.name}", stage_rows, keep.get(stage.axis),
+                     model.config.seq_len)
+              for li, (stages, layer_rows, keep) in enumerate(zip(tables, rows, keeps))
+              for stage, stage_rows in zip(stages, layer_rows)]
     return logits, traces
 
 
@@ -322,7 +323,7 @@ def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
 
 
 def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
-                   tokens, stream: RandomStream, record_traces: bool = False):
+                   tokens, stream: RandomStream):
     """Simulate sublayer by sublayer under a per-sublayer timestep plan.
 
     Layer-major walk of the compressed model's stage tables. Each sublayer
@@ -336,11 +337,11 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     its counter in the full-width plane, so logits and kept units equal
     the masked model's run.
 
-    Returns (logits, traces); traces are per-sublayer cumulative rates of
-    length equal to that sublayer's own budget, over the full (seq x
-    units) width, where pruned units read 0.
+    Returns (logits, traces); traces hold one AsrTrace per sublayer with a
+    single row, the batch mean of its converged rates after its own
+    budget, over the full (seq x units) width, where pruned units read 0.
     """
-    cur_in, keeps, tables = _compressed(model, masks, tokens, record_traces)
+    cur_in, keeps, tables = _compressed(model, masks, tokens)
     cfg = model.config
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
@@ -353,14 +354,13 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
         rates = {"in": a_x}
         for j, stage in enumerate(stages):
             t = int(plan.steps[li, j])
-            pop = _Population(f"L{li}.{stage.name}", stage, cfg.leak, record_traces)
-            currents = _sublayer_currents(stage, rates, t, streams,
-                                          keep.get(axes.get(stage.source)))
-            for tau, current in enumerate(currents, start=1):
-                pop.step(current, tau)
-            rates[stage.name] = pop.total / t
-            if record_traces:
-                traces.append(pop.trace(keep.get(stage.axis), cfg.seq_len))
+            pop = _Population(stage.vth, cfg.leak)
+            for current in _sublayer_currents(stage, rates, t, streams,
+                                              keep.get(axes.get(stage.source))):
+                pop.step(current)
+            rates[stage.name] = rate = pop.total / t
+            traces.append(_trace(f"L{li}.{stage.name}", [rate.mean(axis=0).ravel()],
+                                 keep.get(stage.axis), cfg.seq_len))
         a_x = rates["output"]
 
     logits = a_x[:, 0, :] @ model.cls_w + model.cls_b
@@ -378,11 +378,6 @@ def _model_arrays(model: SpikingModel) -> dict:
         for f in dataclasses.fields(layer):
             arrays[f"L{i}.{f.name}"] = getattr(layer, f.name)
     return arrays
-
-
-def build_param_vars(model: SpikingModel) -> dict:
-    """Graph leaves for every trainable array, keyed by stable names."""
-    return {name: ad.Var(arr) for name, arr in _model_arrays(model).items()}
 
 
 def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,

@@ -32,16 +32,6 @@ class ImportanceScores:
     head_asr: list
     neuron_asr: list
 
-    def to_dict(self) -> dict:
-        return {
-            "head_scores": [h.tolist() for h in self.head_scores],
-            "neuron_scores": [n.tolist() for n in self.neuron_scores],
-            "head_fisher": [h.tolist() for h in self.head_fisher],
-            "neuron_fisher": [n.tolist() for n in self.neuron_fisher],
-            "head_asr": [h.tolist() for h in self.head_asr],
-            "neuron_asr": [n.tolist() for n in self.neuron_asr],
-        }
-
 
 def fisher_diagonal(model: SpikingModel, calibration_batches):
     """Mean squared mask gradients over batches: (head_fisher, neuron_fisher).

@@ -6,7 +6,9 @@ The full objective is
 
 where M plugs the sigmoid-relaxed mask sums into the ACs formulas (keeping
 the cost term differentiable) and a*_l is the converged rate of encoder
-layer l's output. Mask variables train with straight-through semantics:
+layer l's output, its norm taken per sample and averaged over the batch.
+`_batch_graph` builds it over the rate-proxy graph; training and
+`gradcheck` both differentiate that one graph. Mask variables train with straight-through semantics:
 the forward pass uses the 0.5-thresholded binary masks, gradients flow
 through the sigmoid relaxation. Thresholds can train jointly (adaptive) or
 stay frozen. The penalty is staged: lam applies before `penalty_epochs`,
@@ -23,13 +25,14 @@ import numpy as np
 from . import autodiff as ad
 from . import temporal
 from .cost import acs_baseline, acs_value, cost_summary
+from .data import iter_batches
 from .engine import (_model_arrays, cross_entropy, proxy_graph, rate_proxy_forward,
                      run_unrolled)
 from .errors import InvalidInputError, TrainingDivergedError
-from .model import SUBLAYERS, MaskSet, ModelConfig, SpikingModel, TimestepPlan
+from .model import SUBLAYERS, MaskSet, SpikingModel, TimestepPlan
 from .numerics import RandomStream, bernoulli_counts, finite_difference_gradient
 
-__all__ = ["TrainConfig", "total_loss", "train", "gradcheck", "evaluate_proxy"]
+__all__ = ["TrainConfig", "train", "gradcheck", "evaluate_proxy"]
 
 # keeps the L2 activity gradient finite for an (improbable) all-silent layer
 _NORM_EPS = 1e-30
@@ -90,45 +93,6 @@ def _activity_graph(layer_outputs) -> ad.Var:
     return total
 
 
-def _mask_sums(masks: MaskSet):
-    heads, neurons = ((masks.heads, masks.neurons) if masks.relaxed_heads is None
-                      else (masks.relaxed_heads, masks.relaxed_neurons))
-    return ([float(np.sum(h)) for h in heads], [float(np.sum(n)) for n in neurons])
-
-
-def _objective(logits, labels, lam, unit_sums, plan, model_config, eta, layer_outs):
-    """L_pred + lam * M(unit_sums, plan) + eta * sum_l ||a*_l||_2, over graph
-    Vars (_batch_graph) or values (total_loss). unit_sums is per-layer (head
-    sums, neuron sums); layer_outs holds the batched per-layer rates."""
-    loss = cross_entropy(logits, labels)
-    if lam:
-        loss = loss + lam * acs_value(model_config, *unit_sums, plan)
-    if eta and len(layer_outs):
-        loss = loss + eta * _activity_graph(layer_outs)
-    return loss
-
-
-def total_loss(logits, labels, masks: MaskSet, plan: TimestepPlan,
-               config: TrainConfig, model_config: ModelConfig = None,
-               layer_asr=()) -> float:
-    """Scalar training objective for given logits and mask/plan state.
-
-    With lam = eta = 0 this is exactly the mean cross-entropy. The cost
-    term needs model_config for the ACs formulas; the activity term sums
-    the L2 norms of the per-layer converged rates in layer_asr (per-sample
-    norms averaged over the batch when given batched rates). Gradients are
-    obtained by building the same objective over the rate-proxy graph, as
-    train() and gradcheck() do.
-    """
-    if config.lam and model_config is None:
-        raise InvalidInputError("model_config required when lam > 0")
-    # an unbatched rate array is one sample
-    rates = [np.asarray(a, dtype=np.float64) for a in layer_asr]
-    outs = [ad.Var(a if a.ndim >= 3 else a[None]) for a in rates]
-    return float(_objective(logits, labels, config.lam, _mask_sums(masks), plan,
-                            model_config, config.eta, outs).value)
-
-
 def _logits_relaxed(z) -> np.ndarray:
     # inverse sigmoid, clipped away from the saturated ends
     p = np.clip(z, 1e-6, 1.0 - 1e-6)
@@ -162,12 +126,15 @@ def _batch_graph(model, arrays, binary_masks, tokens, labels, plan, tcfg, lam_no
                  mask_mode, stage_noise=None, frozen=()):
     """Loss Var over the rate proxy for one batch; returns (loss, params).
 
-    params holds one graph leaf per entry of arrays; the names in frozen
-    enter as constants and get no gradient. When arrays carries mask
-    logits (zh{l}, zn{l}), masks are sigmoid(kappa * z): mask_mode "hard"
-    thresholds them in the forward pass with the sigmoid backward
-    (training), "relaxed" uses the sigmoid values directly (smooth, for
-    gradcheck). Without logits the binary masks enter as constants.
+    The loss is the module docstring's objective with lam_now as lam,
+    assembled here and nowhere else; M takes the sigmoid sums of the mask
+    logits, or the binary masks' sums without them. params holds one graph
+    leaf per entry of arrays; the names in frozen enter as constants and
+    get no gradient. When arrays carries mask logits (zh{l}, zn{l}), masks
+    are sigmoid(kappa * z): mask_mode "hard" thresholds them in the
+    forward pass with the sigmoid backward (training), "relaxed" uses the
+    sigmoid values directly (smooth, for gradcheck). Without logits the
+    binary masks enter as constants.
     """
     params = {name: ad.Var(arr, requires_grad=name not in frozen)
               for name, arr in arrays.items()}
@@ -185,10 +152,14 @@ def _batch_graph(model, arrays, binary_masks, tokens, labels, plan, tcfg, lam_no
         hm, nm = binary_masks.heads, binary_masks.neurons
     logits, _, layer_outs = proxy_graph(params, model.config, model.input_scale,
                                         tokens, hm, nm, stage_noise)
-    sums = (_mask_sums(binary_masks) if frac_h is None
-            else ([s.sum() for s in frac_h], [s.sum() for s in frac_n]))
-    return _objective(logits, labels, lam_now, sums, plan, model.config, tcfg.eta,
-                      layer_outs), params
+    loss = cross_entropy(logits, labels)
+    if lam_now:
+        sums = (([float(np.sum(h)) for h in hm], [float(np.sum(n)) for n in nm])
+                if frac_h is None else ([s.sum() for s in frac_h], [s.sum() for s in frac_n]))
+        loss = loss + lam_now * acs_value(model.config, *sums, plan)
+    if tcfg.eta:
+        loss = loss + tcfg.eta * _activity_graph(layer_outs)
+    return loss, params
 
 
 def evaluate_proxy(model: SpikingModel, masks: MaskSet, dataset,
@@ -198,9 +169,7 @@ def evaluate_proxy(model: SpikingModel, masks: MaskSet, dataset,
     if n == 0:
         raise InvalidInputError("empty dataset")
     hits = 0
-    for start in range(0, n, batch_size):
-        tokens = dataset.tokens[start:start + batch_size]
-        labels = dataset.labels[start:start + batch_size]
+    for tokens, labels in iter_batches(dataset, batch_size):
         logits, _ = rate_proxy_forward(model, masks, tokens)
         hits += int((logits.argmax(axis=1) == labels).sum())
     return hits / n
@@ -271,23 +240,19 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
 
     for epoch in range(config.epochs):
         lam_now = config.lam if epoch < config.penalty_epochs else 0.0
-        order = stream.derive(1000 + epoch).permutation(n)
         shortened = bool(np.any(plan.steps < work.config.t_conv))
         noise_lane = stream.derive(2000 + epoch) if shortened else None
         losses = []
-        for start in range(0, n, config.train_batch):
-            idx = order[start:start + config.train_batch]
-            tokens = data.tokens[idx]
-            labels = data.labels[idx]
-            noise = (_stage_noise(plan, work.config.t_conv,
-                                  noise_lane.derive(start // config.train_batch))
+        batches = iter_batches(data, config.train_batch, stream.derive(1000 + epoch))
+        for k, (tokens, labels) in enumerate(batches):
+            noise = (_stage_noise(plan, work.config.t_conv, noise_lane.derive(k))
                      if shortened else None)
             loss, params = _batch_graph(work, arrays, masks_out, tokens, labels,
                                         plan, config, lam_now, "hard", noise, frozen)
             value = float(loss.value)
             if not np.isfinite(value):
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.train_batch}")
+                    f"non-finite loss at epoch {epoch}, batch {k}")
             losses.append(value)
             ad.backward(loss)
             for name in trainables:

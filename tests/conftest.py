@@ -456,10 +456,10 @@ class _MaskedPopulation:
     """One sublayer's LIF state, its spike sum under the stage's spike mask,
     and its ASR trace rows."""
 
-    def __init__(self, name: str, stage, spike_mask, leak: float, record: bool):
+    def __init__(self, name: str, stage, spike_mask, leak: float):
         self.name, self.stage, self.spike_mask, self.leak = name, stage, spike_mask, leak
         self.state = self.total = None
-        self.rows = [] if record else None
+        self.rows = []
 
     def step(self, current: np.ndarray, t: int) -> np.ndarray:
         if self.state is None:
@@ -467,16 +467,14 @@ class _MaskedPopulation:
         self.state, s = lif_step(self.state, current, self.stage.vth, self.leak)
         mask = self.spike_mask
         self.total += s if mask is None else s * mask
-        if self.rows is not None:
-            self.rows.append((self.total / t).mean(axis=0).ravel())
+        self.rows.append((self.total / t).mean(axis=0).ravel())
         return s
 
     def trace(self) -> AsrTrace:
         return AsrTrace(self.name, np.asarray(self.rows))
 
 
-def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int,
-                           record_traces: bool = True):
+def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int):
     """run_unrolled on the full-width model under masks.
 
     Returns (logits, traces) as engine.run_unrolled does; a pruned head's
@@ -486,10 +484,10 @@ def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int,
         raise InvalidInputError("timesteps must be >= 1")
     masks.validate_for(model)
     cur_in = _input_currents(model.embedding, model.config, model.input_scale, tokens)
-    if record_traces and cur_in.shape[0] == 0:
-        raise InvalidInputError("recording traces needs a non-empty batch")
+    if cur_in.shape[0] == 0:
+        raise InvalidInputError("the simulators need a non-empty batch")
     tables = _stage_tables(model, masks)
-    pops = [[_MaskedPopulation(f"L{li}.{st.name}", st, mask, model.config.leak, record_traces)
+    pops = [[_MaskedPopulation(f"L{li}.{st.name}", st, mask, model.config.leak)
              for st, mask in stages] for li, stages in enumerate(tables)]
     state_in = LifState.zeros(cur_in.shape)
     sum_in = np.zeros_like(cur_in)
@@ -507,7 +505,7 @@ def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int,
             spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
 
     logits = rates["in"][:, 0, :] @ model.cls_w + model.cls_b
-    traces = [pop.trace() for layer_pops in pops for pop in layer_pops] if record_traces else []
+    traces = [pop.trace() for layer_pops in pops for pop in layer_pops]
     return logits, traces
 
 
@@ -522,13 +520,14 @@ def _regen(rates: np.ndarray, t: int, streams) -> np.ndarray:
 
 
 def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
-                             tokens, stream: RandomStream, record_traces: bool = False):
+                             tokens, stream: RandomStream):
     """run_sequential on the full-width model under masks, with each
     sublayer's spike train drawn whole up front.
 
-    Returns (logits, traces) as engine.run_sequential does; a pruned
-    head's key and value columns hold the spikes of units the sliced model
-    lacks.
+    Returns (logits, traces) like engine.run_sequential, but each trace
+    holds a row per timestep of the sublayer's budget; engine's one row is
+    the last. A pruned head's key and value columns hold the spikes of
+    units the sliced model lacks.
     """
     masks.validate_for(model)
     cfg = model.config
@@ -543,7 +542,7 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
         rates = {"in": a_x}
         for j, (stage, mask) in enumerate(stages):
             t = int(plan.steps[li, j])
-            pop = _MaskedPopulation(f"L{li}.{stage.name}", stage, mask, cfg.leak, record_traces)
+            pop = _MaskedPopulation(f"L{li}.{stage.name}", stage, mask, cfg.leak)
             if stage.entry == _RATES:
                 fixed = stage.current(None, rates)
                 currents = (fixed for _ in range(t))
@@ -555,8 +554,7 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
             for tau, current in enumerate(currents, start=1):
                 pop.step(current, tau)
             rates[stage.name] = pop.total / t
-            if record_traces:
-                traces.append(pop.trace())
+            traces.append(pop.trace())
         a_x = rates["output"]
 
     logits = a_x[:, 0, :] @ model.cls_w + model.cls_b

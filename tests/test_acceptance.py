@@ -230,8 +230,7 @@ def test_criterion_05():
         _, tr1 = run_unrolled(model, ones, tokens, 3000)
         _, tr2 = run_unrolled(model, ones, tokens, 6000)
         plan = TimestepPlan.uniform(1, t_seq)
-        _, trs = run_sequential(model, ones, plan, tokens, master.derive(7),
-                                record_traces=True)
+        _, trs = run_sequential(model, ones, plan, tokens, master.derive(7))
         for a, b, sq in zip(tr1, tr2, trs):
             # startup bias decays like 1/T: extrapolate the true fixed point
             ref = 2.0 * b.converged - a.converged

@@ -131,6 +131,16 @@ class TestPruneSpatial:
         assert rc == 1
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1.5", "nan", "0", "-0.2", "inf", "x"])
+    def test_bad_constraint_is_usage_error(self, tmp_path, capsys, value):
+        """Refused as the command line is parsed, naming the flag: the
+        checkpoint does not exist, so a later check would exit 1 instead."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prune-spatial", "--checkpoint", str(tmp_path / "nope.json"),
+                      "--out", str(tmp_path / "x.json"), "--constraint", value])
+        assert exc.value.code == 2
+        assert "--constraint" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         rc = cli.main(["prune-spatial", "--checkpoint",
                        str(tmp_path / "nope.json"),

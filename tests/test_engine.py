@@ -16,8 +16,8 @@ from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         rate_proxy_forward, run_sequential, run_unrolled)
 from spikeprune import SUBLAYERS, engine, numerics
 from spikeprune import autodiff as ad
-from spikeprune.engine import (LifState, build_param_vars, cross_entropy,
-                               lif_step, proxy_graph)
+from spikeprune.engine import (LifState, _model_arrays, cross_entropy, lif_step,
+                               proxy_graph)
 
 
 def _simulate_rate(current: float, v_th: float, steps: int, leak: float = 1.0):
@@ -126,15 +126,6 @@ class TestRunUnrolled:
         assert all(0.0 <= t.converged.min() and t.converged.max() <= 1.0
                    for t in traces)
 
-    def test_record_traces_off(self):
-        model = tiny_model(0)
-        tokens, _ = token_batch(model.config, 2, RandomStream(3))
-        logits, traces = run_unrolled(model, MaskSet.all_ones(model), tokens, 4,
-                                      record_traces=False)
-        assert traces == []
-        logits2, _ = run_unrolled(model, MaskSet.all_ones(model), tokens, 4)
-        assert np.array_equal(logits, logits2)
-
     def test_masked_head_is_silent_downstream(self):
         model = tiny_model(1)
         masks = MaskSet([np.array([0.0, 1.0])], [np.ones(6)])
@@ -152,7 +143,8 @@ class TestRunUnrolled:
             m, k, TimestepPlan.uniform(1, 3), t, RandomStream(0)),
         "rate_proxy_forward": rate_proxy_forward,
         "proxy_graph": lambda m, k, t: proxy_graph(
-            build_param_vars(m), m.config, m.input_scale, t, k.heads, k.neurons),
+            {n: ad.Var(a) for n, a in _model_arrays(m).items()}, m.config,
+            m.input_scale, t, k.heads, k.neurons),
         "evaluate_proxy": lambda m, k, t: evaluate_proxy(
             m, k, SimpleNamespace(tokens=t, labels=np.zeros(len(t), dtype=np.int64))),
         "fisher_diagonal": lambda m, k, t: fisher_diagonal(
@@ -224,7 +216,6 @@ class TestRunUnrolledCompressed:
         leak = data.draw(st.sampled_from([1.0, 0.9]))
         seed = data.draw(st.integers(0, 1000))
         batch = data.draw(st.integers(1, 5))
-        record = data.draw(st.booleans())
         timesteps = data.draw(st.integers(1, 12))
         model = tiny_model(seed, num_layers=layers, leak=leak)
 
@@ -235,9 +226,8 @@ class TestRunUnrolledCompressed:
         masks = MaskSet([binary(2) for _ in range(layers)],
                         [binary(6) for _ in range(layers)])
         tokens, _ = token_batch(model.config, batch, RandomStream(seed + 1))
-        logits, traces = run_unrolled(model, masks, tokens, timesteps, record_traces=record)
-        want_logits, want_traces = reference_run_unrolled(model, masks, tokens, timesteps,
-                                                          record_traces=record)
+        logits, traces = run_unrolled(model, masks, tokens, timesteps)
+        want_logits, want_traces = reference_run_unrolled(model, masks, tokens, timesteps)
         assert logits.tobytes() == want_logits.tobytes()
         assert [tr.name for tr in traces] == [tr.name for tr in want_traces]
         for got, want in zip(traces, want_traces):
@@ -258,7 +248,7 @@ class TestRunUnrolledCompressed:
         tokens, _ = token_batch(cfg, 3, RandomStream(18))
         _, unrolled = run_unrolled(model, masks, tokens, 10)
         _, sequential = run_sequential(model, masks, TimestepPlan.uniform(2, 10), tokens,
-                                       RandomStream(19), record_traces=True)
+                                       RandomStream(19))
         keeps = masks.kept_columns(cfg.head_dim)
         axes = {"key": "h", "value": "h", "attn": "h", "inter": "n"}
         for a, b in zip(unrolled, sequential):
@@ -298,14 +288,19 @@ class TestRunSequential:
         assert not np.array_equal(full[1], other[1])
 
     def test_traces_follow_per_sublayer_budgets(self):
+        """Each sublayer's one row is the reference's row after that
+        sublayer's own budget, not after any other's."""
         model = tiny_model(3)
         masks = MaskSet.all_ones(model)
         steps = np.array([[3, 4, 5, 6, 7, 8]])
         plan = TimestepPlan(steps)
         tokens, _ = token_batch(model.config, 2, RandomStream(8))
-        _, traces = run_sequential(model, masks, plan, tokens, RandomStream(9),
-                                   record_traces=True)
-        assert [t.asr.shape[0] for t in traces] == steps[0].tolist()
+        _, traces = run_sequential(model, masks, plan, tokens, RandomStream(9))
+        _, want = reference_run_sequential(model, masks, plan, tokens, RandomStream(9))
+        assert [len(t.asr) for t in want] == steps[0].tolist()
+        for got, ref in zip(traces, want):
+            assert got.asr.shape == (1, ref.asr.shape[1])
+            assert got.asr.tobytes() == ref.asr[-1:].tobytes(), got.name
 
     def test_masked_neuron_never_spikes(self):
         model = tiny_model(4)
@@ -314,8 +309,7 @@ class TestRunSequential:
         masks = MaskSet([np.ones(2)], [nm])
         plan = TimestepPlan.uniform(1, 20)
         tokens, _ = token_batch(model.config, 2, RandomStream(10))
-        _, traces = run_sequential(model, masks, plan, tokens, RandomStream(11),
-                                   record_traces=True)
+        _, traces = run_sequential(model, masks, plan, tokens, RandomStream(11))
         inter = {t.name: t for t in traces}["L0.inter"].converged
         assert np.array_equal(inter.reshape(4, 6)[:, 2], np.zeros(4))
 
@@ -334,7 +328,6 @@ class TestRunSequential:
         leak = data.draw(st.sampled_from([1.0, 0.9]))
         seed = data.draw(st.integers(0, 1000))
         batch = data.draw(st.integers(0, 5))
-        record = data.draw(st.booleans())
         model = tiny_model(seed, num_layers=layers, leak=leak)
 
         def binary(n):
@@ -350,27 +343,21 @@ class TestRunSequential:
         plan = TimestepPlan(steps.reshape(layers, 6))
         tokens, _ = token_batch(model.config, batch, RandomStream(seed + 1))
 
-        if batch == 0 and record:
+        if batch == 0:
             # a trace averages over the batch, so an empty one has no rows
             with pytest.raises(InvalidInputError, match="non-empty batch"):
-                run_sequential(model, masks, plan, tokens, RandomStream(seed + 2),
-                               record_traces=True)
+                run_sequential(model, masks, plan, tokens, RandomStream(seed + 2))
             return
-        logits, traces = run_sequential(model, masks, plan, tokens,
-                                        RandomStream(seed + 2), record_traces=record)
-        if batch == 0:
-            # the materialised trains cannot reshape an empty batch
-            assert logits.shape == (0, model.config.num_classes)
-            assert traces == []
-            return
+        logits, traces = run_sequential(model, masks, plan, tokens, RandomStream(seed + 2))
         want_logits, want_traces = reference_run_sequential(
-            model, masks, plan, tokens, RandomStream(seed + 2), record_traces=record)
+            model, masks, plan, tokens, RandomStream(seed + 2))
         assert logits.tobytes() == want_logits.tobytes()
         assert [tr.name for tr in traces] == [tr.name for tr in want_traces]
         for got, want in zip(traces, want_traces):
-            assert got.asr.shape == want.asr.shape
-            assert got.asr.tobytes() == _without_pruned_units(want, masks,
-                                                              model.config).tobytes()
+            # the one row is the reference's last, after the sublayer's budget
+            want_asr = _without_pruned_units(want, masks, model.config)[-1:]
+            assert got.asr.shape == want_asr.shape
+            assert got.asr.tobytes() == want_asr.tobytes(), got.name
 
     def test_pruned_units_are_not_drawn(self, monkeypatch):
         """Only kept units reach the Bernoulli kernel: fc reads attn's kept
@@ -411,22 +398,20 @@ class TestRunSequential:
         assert sum(mixed) == 3 + sum(live)
 
     @pytest.mark.parametrize("simulate", [
-        lambda m, k, t, rec: run_unrolled(m, k, t, 3, record_traces=rec),
-        lambda m, k, t, rec: run_sequential(m, k, TimestepPlan.uniform(1, 3), t,
-                                            RandomStream(0), record_traces=rec),
+        lambda m, k, t: run_unrolled(m, k, t, 3),
+        lambda m, k, t: run_sequential(m, k, TimestepPlan.uniform(1, 3), t, RandomStream(0)),
     ], ids=["run_unrolled", "run_sequential"])
     def test_empty_batch(self, simulate):
-        """Traces of no samples are refused; logits of no samples are empty."""
+        """A trace is a batch mean, so both simulators refuse no samples,
+        with one message and no warning."""
         model = tiny_model(0)
         masks = MaskSet.all_ones(model)
         tokens = np.zeros((0, model.config.seq_len), dtype=np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="non-empty batch"):
-                simulate(model, masks, tokens, True)
-            logits, traces = simulate(model, masks, tokens, False)
-        assert logits.shape == (0, model.config.num_classes)
-        assert traces == []
+            with pytest.raises(InvalidInputError,
+                               match="^the simulators need a non-empty batch$"):
+                simulate(model, masks, tokens)
 
     def test_memory_does_not_grow_with_the_plan(self):
         """Draws stream one timestep plane at a time: peak memory is O(batch x width)."""
@@ -458,8 +443,8 @@ class TestProxyGraph:
                         [np.ones(6), np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])])
         tokens, _ = token_batch(model.config, 5, RandomStream(15))
         logits, rates = rate_proxy_forward(model, masks, tokens)
-        g_logits, g_rates, _ = proxy_graph(build_param_vars(model), model.config,
-                                           model.input_scale, tokens,
+        params = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
+        g_logits, g_rates, _ = proxy_graph(params, model.config, model.input_scale, tokens,
                                            [ad.Var(h) for h in masks.heads],
                                            [ad.Var(n) for n in masks.neurons])
         assert np.array_equal(logits, g_logits.value)
@@ -473,7 +458,7 @@ class TestProxyGraph:
         masks = MaskSet.all_ones(model)
 
         def run(noise):
-            params = build_param_vars(model)
+            params = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
             logits, _, _ = proxy_graph(params, model.config, model.input_scale,
                                        tokens, masks.heads, masks.neurons, noise)
             loss = cross_entropy(logits, labels)
@@ -495,10 +480,10 @@ class TestProxyGraph:
             calls.append((layer, name))
             return None
 
-        params = build_param_vars(model)
+        params = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
         logits, _, _ = proxy_graph(params, model.config, model.input_scale,
                                    tokens, masks.heads, masks.neurons, noise)
-        params2 = build_param_vars(model)
+        params2 = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
         logits2, _, _ = proxy_graph(params2, model.config, model.input_scale,
                                     tokens, masks.heads, masks.neurons)
         assert np.array_equal(logits.value, logits2.value)
@@ -514,10 +499,10 @@ class TestProxyGraph:
         def noise(layer, name, value):
             return np.full_like(value, 0.01) if name == "fc" else None
 
-        params = build_param_vars(model)
+        params = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
         logits, rates, _ = proxy_graph(params, model.config, model.input_scale,
                                        tokens, masks.heads, masks.neurons, noise)
-        params2 = build_param_vars(model)
+        params2 = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
         _, rates2, _ = proxy_graph(params2, model.config, model.input_scale,
                                    tokens, masks.heads, masks.neurons)
         fc = dict(rates)["L0.fc"].value

@@ -8,7 +8,7 @@ from spikeprune import (InvalidInputError, MaskSet, RandomStream,
                         asr_factors, combine, fisher_diagonal,
                         rate_proxy_forward, run_unrolled)
 from spikeprune import autodiff as ad
-from spikeprune.engine import build_param_vars, cross_entropy, proxy_graph
+from spikeprune.engine import _model_arrays, cross_entropy, proxy_graph
 from spikeprune.numerics import finite_difference_gradient
 
 
@@ -18,7 +18,7 @@ def _loss_of_masks(model, tokens, labels, head_vals, neuron_vals):
     Only the forward value is used, so finite differences of this function
     are independent evidence for the mask gradients fisher_diagonal squares.
     """
-    params = build_param_vars(model)
+    params = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
     hm = [ad.Var(np.asarray(h, dtype=float)) for h in head_vals]
     nm = [ad.Var(np.asarray(n, dtype=float)) for n in neuron_vals]
     logits, _, _ = proxy_graph(params, model.config, model.input_scale,
@@ -76,8 +76,9 @@ class TestFisherDiagonal:
         for tokens, labels in batches:
             hm = [ad.Var(np.ones(c)) for c in model.head_counts()]
             nm = [ad.Var(np.ones(c)) for c in model.neuron_counts()]
-            logits, _, _ = proxy_graph(build_param_vars(model), model.config,
-                                       model.input_scale, tokens, hm, nm)
+            params = {n: ad.Var(a) for n, a in _model_arrays(model).items()}
+            logits, _, _ = proxy_graph(params, model.config, model.input_scale,
+                                       tokens, hm, nm)
             reference_backward(cross_entropy(logits, labels))
             for l in range(2):
                 head_acc[l] += hm[l].grad ** 2
@@ -185,10 +186,3 @@ class TestCombine:
         with pytest.raises(InvalidInputError, match="neuron factor"):
             combine(([np.ones(2)], [np.ones(3)]),
                     ([np.ones(2)], [np.ones(5)]))
-
-    def test_to_dict_round_trips_lists(self):
-        scores = combine(([np.array([1.0, 2.0])], [np.array([3.0])]),
-                         ([np.array([0.1, 0.2])], [np.array([0.3])]))
-        d = scores.to_dict()
-        assert d["head_scores"] == [[0.1, 0.4]]
-        assert d["neuron_asr"] == [[0.3]]

@@ -9,11 +9,11 @@ from conftest import reference_backward, reference_bernoulli_matrix, tiny_model,
 from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
                         TimestepPlan, TrainConfig, TrainingDivergedError,
                         allocate_timesteps, gradcheck, layer_importance,
-                        run_unrolled, total_loss, train)
+                        run_unrolled, train)
 from spikeprune import autodiff as ad
 from spikeprune.cost import acs_value
 from spikeprune.engine import _model_arrays, cross_entropy, rate_proxy_forward
-from spikeprune.trainer import (_batch_graph, _logits_relaxed, _stage_noise,
+from spikeprune.trainer import (_activity_graph, _batch_graph, _logits_relaxed, _stage_noise,
                                 _straight_through, evaluate_proxy)
 
 
@@ -31,74 +31,72 @@ def _uniform(model, t=None):
                                 t if t is not None else model.config.t_conv)
 
 
+def _loss(model, tokens, labels, masks, plan, cfg, arrays=None):
+    """The training objective's value for one batch, as train() builds it."""
+    arrays = _model_arrays(model) if arrays is None else arrays
+    loss, _ = _batch_graph(model, arrays, masks, tokens, labels, plan, cfg, cfg.lam, "hard")
+    return float(loss.value)
+
+
 class TestTotalLoss:
+    """The loss _batch_graph returns: L_pred + lam * M + eta * activity."""
+
     def test_reduces_to_cross_entropy(self):
         model = tiny_model(0)
         tokens, labels = token_batch(model.config, 4, RandomStream(1))
         logits, _ = rate_proxy_forward(model, _ones(model), tokens)
         cfg = TrainConfig(lam=0.0, eta=0.0)
-        got = total_loss(logits, labels, _ones(model), _uniform(model), cfg)
+        got = _loss(model, tokens, labels, _ones(model), _uniform(model), cfg)
         assert got == float(cross_entropy(logits, labels).value)
 
     def test_cost_term_arithmetic(self):
+        """Binary masks enter the ACs formula as their unit counts."""
         model = tiny_model(0)
         tokens, labels = token_batch(model.config, 4, RandomStream(2))
         logits, _ = rate_proxy_forward(model, _ones(model), tokens)
         plan = _uniform(model, 6)
         lam = 1e-7
-        cfg = TrainConfig(lam=lam)
-        got = total_loss(logits, labels, _ones(model), plan, cfg,
-                         model_config=model.config)
+        got = _loss(model, tokens, labels, _ones(model), plan, TrainConfig(lam=lam))
         ce = float(cross_entropy(logits, labels).value)
         m = acs_value(model.config, [2.0], [6.0], plan)
         assert got == pytest.approx(ce + lam * m, rel=1e-15)
 
     def test_cost_term_uses_relaxed_sums_when_present(self):
+        """With mask logits, M reads the sigmoid sums (1.5 heads, 3 neurons
+        here), while the forward pass runs the thresholded masks (all ones)."""
         model = tiny_model(0)
         tokens, labels = token_batch(model.config, 3, RandomStream(3))
         logits, _ = rate_proxy_forward(model, _ones(model), tokens)
         plan = _uniform(model)
-        masks = MaskSet([np.ones(2)], [np.ones(6)],
-                        [np.array([0.9, 0.6])],
-                        [np.full(6, 0.5)])
         lam = 1e-6
-        got = total_loss(logits, labels, masks, plan, TrainConfig(lam=lam),
-                         model_config=model.config)
+        cfg = TrainConfig(lam=lam)
+        z = {"zh0": _logits_relaxed(np.array([0.9, 0.6])) / cfg.kappa,
+             "zn0": _logits_relaxed(np.full(6, 0.5)) / cfg.kappa}
+        got = _loss(model, tokens, labels, None, plan, cfg, {**_model_arrays(model), **z})
+        sums = [float((1.0 / (1.0 + np.exp(-(z[k] * cfg.kappa)))).sum()) for k in ("zh0", "zn0")]
+        assert sums == [pytest.approx(1.5, rel=1e-15), 3.0]
         ce = float(cross_entropy(logits, labels).value)
-        m = acs_value(model.config, [1.5], [3.0], plan)
+        m = acs_value(model.config, [sums[0]], [sums[1]], plan)
         assert got == pytest.approx(ce + lam * m, rel=1e-15)
 
     def test_activity_term_arithmetic(self):
-        model = tiny_model(0)
+        """eta times the sum over layers of the batch-mean L2 norm of each
+        layer's output rates."""
+        model = tiny_model(0, num_layers=2)
         tokens, labels = token_batch(model.config, 2, RandomStream(4))
-        logits, _ = rate_proxy_forward(model, _ones(model), tokens)
+        logits, rates = rate_proxy_forward(model, _ones(model), tokens)
         eta = 0.5
-        cfg = TrainConfig(eta=eta)
-        a = np.array([0.3, 0.4])            # ||a||_2 = 0.5
-        got = total_loss(logits, labels, _ones(model), _uniform(model), cfg,
-                         layer_asr=[a])
+        got = _loss(model, tokens, labels, _ones(model), _uniform(model), TrainConfig(eta=eta))
         ce = float(cross_entropy(logits, labels).value)
-        assert got == pytest.approx(ce + eta * 0.5, rel=1e-9)
+        norms = sum(float(np.linalg.norm(rates[f"L{i}.output"].reshape(2, -1), axis=1).mean())
+                    for i in range(2))
+        assert got == pytest.approx(ce + eta * norms, rel=1e-9)
 
     def test_batched_activity_averages_per_sample_norms(self):
-        model = tiny_model(0)
-        tokens, labels = token_batch(model.config, 2, RandomStream(5))
-        logits, _ = rate_proxy_forward(model, _ones(model), tokens)
         batched = np.zeros((2, 2, 2))
         batched[0] = [[0.3, 0.4], [0.0, 0.0]]       # norm 0.5
         batched[1] = [[0.0, 0.0], [0.6, 0.8]]       # norm 1.0
-        got = total_loss(logits, labels, _ones(model), _uniform(model),
-                         TrainConfig(eta=1.0), layer_asr=[batched])
-        ce = float(cross_entropy(logits, labels).value)
-        assert got == pytest.approx(ce + 0.75, rel=1e-9)
-
-    def test_lam_requires_model_config(self):
-        model = tiny_model(0)
-        tokens, labels = token_batch(model.config, 2, RandomStream(6))
-        logits, _ = rate_proxy_forward(model, _ones(model), tokens)
-        with pytest.raises(InvalidInputError, match="model_config"):
-            total_loss(logits, labels, _ones(model), _uniform(model),
-                       TrainConfig(lam=1e-6))
+        assert float(_activity_graph([ad.Var(batched)]).value) == pytest.approx(0.75, rel=1e-9)
 
 
 class TestTrainConfig:
