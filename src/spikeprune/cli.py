@@ -2,8 +2,9 @@
 
 Every command is deterministic for a given --seed: model init, synthetic
 data, batch order, and the sequential simulator's spike draws all come from
-counter-based streams, and output files (JSON checkpoints, CSV histories,
-eval reports) are written with stable key order and repr-exact floats, so
+counter-based streams, and output files are written with stable key order:
+checkpoints (spikeprune/v2 JSON) hold every float array as its exact
+little-endian bytes, CSV histories and eval reports repr-exact floats. So
 reruns produce byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (bad checkpoint, infeasible
@@ -534,10 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpikePruneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpikePruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

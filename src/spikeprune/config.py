@@ -133,5 +133,8 @@ def resolve_config(name_or_path: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config(fh.read(), path)
+    except UnicodeDecodeError as e:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({e})") from None

@@ -112,16 +112,15 @@ def load_jsonl(path: str, seq_len: int, vocab_size: int,
     seq_len are rejected with the offending line number. An empty file is
     an empty dataset.
     """
-    tokens = []
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    tokens, labels = [], []
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
                 raise InvalidInputError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict) or "tokens" not in obj or "label" not in obj:
                 raise InvalidInputError(

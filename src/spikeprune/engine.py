@@ -44,7 +44,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
-from .model import SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan, slice_columns
+from .model import (SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan, _model_arrays,
+                    slice_columns)
 from .numerics import RandomStream, bernoulli_planes
 
 __all__ = [
@@ -368,16 +369,6 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
 
 
 # --- differentiable rate proxy -----------------------------------------------
-
-
-def _model_arrays(model: SpikingModel) -> dict:
-    """Every trainable array, keyed by stable names (L{i}.{LayerParams field})."""
-    arrays = {"embedding": model.embedding, "cls_w": model.cls_w,
-              "cls_b": model.cls_b}
-    for i, layer in enumerate(model.layers):
-        for f in dataclasses.fields(layer):
-            arrays[f"L{i}.{f.name}"] = getattr(layer, f.name)
-    return arrays
 
 
 def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,

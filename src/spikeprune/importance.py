@@ -14,9 +14,9 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .engine import _model_arrays, cross_entropy, proxy_graph
+from .engine import cross_entropy, proxy_graph
 from .errors import InvalidInputError
-from .model import SpikingModel
+from .model import SpikingModel, _model_arrays
 
 __all__ = ["ImportanceScores", "fisher_diagonal", "asr_factors", "combine"]
 

@@ -10,11 +10,21 @@ neuron masks (plus optional relaxed values used while mask variables are
 being trained), a TimestepPlan the per-sublayer timestep budgets. Masks
 can be folded into the weights structurally with `apply_masks`, which
 slices the corresponding rows and columns.
+
+A checkpoint (spikeprune/v2) is one JSON object: config, input_scale and
+the timestep plan as plain JSON, and under "arrays" every float array (keyed
+by its _model_arrays name, masks as masks.{group}[layer]) as a record
+{"shape": [...], "f8": base64 of its little-endian float64 bytes}. "sha256"
+digests those bytes in key order, so a flipped payload bit never loads as
+another float. spikeprune/v1 (decimal text) files are refused; rerunning the
+command that wrote one writes v2.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -41,7 +51,7 @@ __all__ = [
 # (thresholds, timestep plans, cost breakdowns, traces) uses this order.
 SUBLAYERS = ("key", "value", "attn", "fc", "inter", "output")
 
-FORMAT_TAG = "spikeprune/v1"
+FORMAT_TAG = "spikeprune/v2"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,14 +77,14 @@ class ModelConfig:
     head_dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        # bool is an int subclass; float fields must be finite numbers
+        # bool is an int subclass; float fields must be finite (compared: huge ints overflow)
         for f in (f for f in dataclasses.fields(self) if f.init):
             v = getattr(self, f.name)
             if f.type == "int":
                 if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                     raise InvalidInputError(f"{f.name} must be a positive integer, got {v!r}")
             elif (isinstance(v, bool) or not isinstance(v, (int, float))
-                  or not math.isfinite(v)):
+                  or not abs(v) <= float(np.finfo(np.float64).max)):
                 raise InvalidInputError(f"{f.name} must be a finite number, got {v!r}")
         if self.hidden_size % self.num_heads != 0:
             raise InvalidInputError(
@@ -99,53 +109,48 @@ class ModelConfig:
         if not isinstance(d, dict):
             raise CheckpointError(f"{path}: expected an object")
         fields = {f.name for f in dataclasses.fields(cls) if f.init}
-        unknown = set(d) - fields
-        if unknown:
-            raise CheckpointError(f"{path}: unknown keys {sorted(unknown)}")
-        missing = {f.name for f in dataclasses.fields(cls)
-                   if f.init and f.default is dataclasses.MISSING} - set(d)
-        if missing:
-            raise CheckpointError(f"{path}: missing keys {sorted(missing)}")
+        if set(d) != fields:
+            raise CheckpointError(f"{path}: unknown keys {sorted(set(d) - fields)}, "
+                                  f"missing keys {sorted(fields - set(d))}")
         try:
             return cls(**d)
         except InvalidInputError as e:
             raise CheckpointError(f"{path}: {e}") from e
 
 
-def _v1(key: str, axes: str):
-    """A LayerParams field with its checkpoint layout: the key path inside a
-    v1 checkpoint layer, and one letter per axis (d hidden size, h kept
-    heads x head_dim, n kept neurons, s sublayers)."""
-    return dataclasses.field(metadata={"key": key, "axes": axes})
+def _axes(axes: str):
+    """A LayerParams field with its layout: one letter per axis (d hidden
+    size, h kept heads x head_dim, n kept neurons, s sublayers)."""
+    return dataclasses.field(metadata={"axes": axes})
 
 
 @dataclasses.dataclass
 class LayerParams:
-    """Weights of one encoder layer, and the layout table that checkpoints
-    and apply_masks walk.
+    """Weights of one encoder layer, and the layout table that checkpoint
+    loading and apply_masks walk.
 
     Projection shapes follow the kept unit counts, so a structurally pruned
     layer simply has narrower matrices. vth holds one threshold per sublayer
     in SUBLAYERS order.
     """
 
-    w_k: np.ndarray = _v1("WK", "dh")
-    b_k: np.ndarray = _v1("biases.k", "h")
-    w_v: np.ndarray = _v1("WV", "dh")
-    b_v: np.ndarray = _v1("biases.v", "h")
-    w_q: np.ndarray = _v1("WQ", "dh")
-    b_q: np.ndarray = _v1("biases.q", "h")
-    w_o: np.ndarray = _v1("WO", "hd")
-    b_o: np.ndarray = _v1("biases.o", "d")
-    w_inter: np.ndarray = _v1("Winter", "dn")
-    b_inter: np.ndarray = _v1("biases.inter", "n")
-    w_out: np.ndarray = _v1("Wout", "nd")
-    b_out: np.ndarray = _v1("biases.out", "d")
-    ln1_scale: np.ndarray = _v1("ln.scale1", "d")
-    ln1_shift: np.ndarray = _v1("ln.shift1", "d")
-    ln2_scale: np.ndarray = _v1("ln.scale2", "d")
-    ln2_shift: np.ndarray = _v1("ln.shift2", "d")
-    vth: np.ndarray = _v1("vth", "s")
+    w_k: np.ndarray = _axes("dh")
+    b_k: np.ndarray = _axes("h")
+    w_v: np.ndarray = _axes("dh")
+    b_v: np.ndarray = _axes("h")
+    w_q: np.ndarray = _axes("dh")
+    b_q: np.ndarray = _axes("h")
+    w_o: np.ndarray = _axes("hd")
+    b_o: np.ndarray = _axes("d")
+    w_inter: np.ndarray = _axes("dn")
+    b_inter: np.ndarray = _axes("n")
+    w_out: np.ndarray = _axes("nd")
+    b_out: np.ndarray = _axes("d")
+    ln1_scale: np.ndarray = _axes("d")
+    ln1_shift: np.ndarray = _axes("d")
+    ln2_scale: np.ndarray = _axes("d")
+    ln2_shift: np.ndarray = _axes("d")
+    vth: np.ndarray = _axes("s")
 
     def num_heads(self, head_dim: int) -> int:
         return self.w_k.shape[1] // head_dim
@@ -158,9 +163,8 @@ class LayerParams:
                               for f in dataclasses.fields(self)})
 
 
-# field name -> (v1 key path, axes), in LayerParams field order
-_LAYOUT = {f.name: (f.metadata["key"], f.metadata["axes"])
-           for f in dataclasses.fields(LayerParams)}
+# field name -> axes, in LayerParams field order
+_LAYOUT = {f.name: f.metadata["axes"] for f in dataclasses.fields(LayerParams)}
 
 
 @dataclasses.dataclass
@@ -353,7 +357,7 @@ def slice_columns(model: SpikingModel, keeps: list) -> SpikingModel:
     shared with model, not copied."""
     layers = [LayerParams(**{name: getattr(layer, name)[tuple(keep.get(a, slice(None))
                                                               for a in axes)]
-                             for name, (_, axes) in _LAYOUT.items()})
+                             for name, axes in _LAYOUT.items()})
               for layer, keep in zip(model.layers, keeps)]
     return dataclasses.replace(model, layers=layers)
 
@@ -378,42 +382,41 @@ def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
     return slice_columns(model.copy(), keeps)
 
 
+
+
 # --- checkpoint files --------------------------------------------------------
 
 
+def _model_arrays(model: SpikingModel) -> dict:
+    """Every trainable array, keyed by stable names (L{i}.{LayerParams field})."""
+    arrays = {"embedding": model.embedding, "cls_w": model.cls_w, "cls_b": model.cls_b}
+    for i, layer in enumerate(model.layers):
+        for f in dataclasses.fields(layer):
+            arrays[f"L{i}.{f.name}"] = getattr(layer, f.name)
+    return arrays
+
+
 def _plan_to_dict(plan) -> dict:
-    return {name: [int(v) for v in plan.steps[:, i]]
-            for i, name in enumerate(SUBLAYERS)}
-
-
-def _layer_doc(layer: LayerParams) -> dict:
-    doc = {}
-    for name, (key, _) in _LAYOUT.items():
-        group, _, leaf = key.rpartition(".")
-        node = doc.setdefault(group, {}) if group else doc
-        node[leaf] = getattr(layer, name).tolist()
-    return doc
+    return {name: [int(v) for v in plan.steps[:, i]] for i, name in enumerate(SUBLAYERS)}
 
 
 def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> None:
-    """Write model + masks + timestep plan as one JSON file.
-
-    Floats are serialized as shortest round-tripping decimals, so a
-    save/load cycle reproduces every array bit for bit.
-    """
+    """Write model + masks + timestep plan as one spikeprune/v2 JSON file
+    (layout in the module docstring); a save/load cycle reproduces every
+    array bit for bit."""
     masks.validate_for(model)
-    doc = {
-        "format": FORMAT_TAG,
-        "config": model.config.to_dict(),
-        "input_scale": model.input_scale,
-        "embedding": model.embedding.tolist(),
-        "layers": [_layer_doc(layer) for layer in model.layers],
-        "classifier": {"weight": model.cls_w.tolist(), "bias": model.cls_b.tolist()},
-        "masks": {key: None if getattr(masks, key) is None
-                  else [m.tolist() for m in getattr(masks, key)]
-                  for key in ("heads", "neurons", "relaxed_heads", "relaxed_neurons")},
-        "timestep_plan": _plan_to_dict(plan),
-    }
+    arrays = _model_arrays(model)
+    for g in ("heads", "neurons", "relaxed_heads", "relaxed_neurons"):
+        arrays.update((f"masks.{g}[{i}]", m) for i, m in enumerate(getattr(masks, g) or ()))
+    digest, records = hashlib.sha256(), {}
+    for key in sorted(arrays):
+        raw = np.asarray(arrays[key], dtype="<f8").tobytes()
+        digest.update(raw)
+        records[key] = {"shape": list(arrays[key].shape),
+                        "f8": base64.b64encode(raw).decode("ascii")}
+    doc = {"format": FORMAT_TAG, "config": model.config.to_dict(),
+           "input_scale": model.input_scale, "timestep_plan": _plan_to_dict(plan),
+           "arrays": records, "sha256": digest.hexdigest()}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         # one dumps call takes the C encoder; json.dump never does
@@ -432,37 +435,44 @@ def _need(doc: dict, key: str, path: str):
     return doc
 
 
-def _arr(value, shape: tuple, path: str) -> np.ndarray:
+def _payload(key: str, record) -> tuple:
+    """(bytes, shape) of one array record, its shape checked against its bytes."""
+    if not isinstance(record, dict) or set(record) != {"shape", "f8"}:
+        raise CheckpointError(f"{key}: expected an object with keys shape and f8")
+    shape, text = record["shape"], record["f8"]
+    # type, not isinstance: JSON true is a bool, which isinstance takes for an int
+    if (not isinstance(shape, list) or len(shape) > 2
+            or any(type(n) is not int or n < 0 for n in shape)):
+        raise CheckpointError(f"{key}: shape must list at most 2 non-negative integers")
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{path}: not numeric ({e})") from e
-    if arr.shape != shape:
-        raise CheckpointError(f"{path}: shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise CheckpointError(f"{path}: non-finite entries")
-    return arr
+        raise CheckpointError(f"{key}: f8 is not a base64 string ({e})") from e
+    if len(raw) != 8 * math.prod(shape):
+        raise CheckpointError(f"{key}: {len(raw)} bytes do not hold float64 shape {shape}")
+    return raw, shape
 
 
 def load_checkpoint(path: str, expected_config: ModelConfig = None):
-    """Read a checkpoint; returns (model, masks, plan).
+    """Read a spikeprune/v2 checkpoint; returns (model, masks, plan).
 
-    Malformed files raise CheckpointError naming the offending key path.
-    When expected_config is given, the stored architecture must match it
-    field for field.
+    Malformed files raise CheckpointError naming the offending key (an
+    array's own key, a dotted path for the rest). When expected_config is
+    given, the stored architecture must match it field for field.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise CheckpointError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"{path}: invalid JSON at line {e.lineno}") from e
+    except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8, deep nesting
+        raise CheckpointError(f"{path}: not a JSON document ({e})") from e
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint: top level must be an object")
     tag = _need(doc, "format", "checkpoint")
     if tag != FORMAT_TAG:
-        raise CheckpointError(f"checkpoint.format: {tag!r} is not {FORMAT_TAG!r}")
+        raise CheckpointError(f"checkpoint.format: {tag!r} is not {FORMAT_TAG!r}; "
+                              "rerun the command that wrote it")
     config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
     if expected_config is not None and config != expected_config:
         diffs = [f.name for f in dataclasses.fields(ModelConfig)
@@ -471,73 +481,73 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
 
     d, hd = config.hidden_size, config.head_dim
     scale = _need(doc, "input_scale", "checkpoint")
-    # type, not isinstance: JSON true is a bool, which isinstance takes for an int
-    if type(scale) not in (int, float) or not np.isfinite(scale) or scale < 0:
+    if type(scale) not in (int, float) or not 0 <= scale <= float(np.finfo(np.float64).max):
         raise CheckpointError("input_scale: must be a finite non-negative number")
-    emb = _arr(_need(doc, "embedding", "checkpoint"), (config.vocab_size, d), "embedding")
 
-    raw_layers = _need(doc, "layers", "checkpoint")
-    if not isinstance(raw_layers, list) or len(raw_layers) != config.num_layers:
-        raise CheckpointError(f"layers: expected {config.num_layers} entries")
+    records = _need(doc, "arrays", "checkpoint")
+    if not isinstance(records, dict):
+        raise CheckpointError("checkpoint.arrays: expected an object")
+    digest, arrays = hashlib.sha256(), {}
+    for key in sorted(records):
+        raw, shape = _payload(key, records[key])
+        digest.update(raw)
+        arrays[key] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if _need(doc, "sha256", "checkpoint") != digest.hexdigest():
+        raise CheckpointError("checkpoint.sha256: does not match the arrays' bytes")
+
+    def take(key, shape):
+        if key not in arrays:
+            raise CheckpointError(f"{key}: missing")
+        arr = arrays.pop(key)
+        if arr.shape != shape:
+            raise CheckpointError(f"{key}: shape {list(arr.shape)}, expected {list(shape)}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{key}: non-finite entries")
+        return arr
+
+    emb = take("embedding", (config.vocab_size, d))
     # a layer's kept head and neuron widths are the column counts of w_k and w_inter
     probes = (("h", "w_k", "heads", hd, config.num_heads),
               ("n", "w_inter", "neurons", 1, config.intermediate_size))
     layers = []
-    for i, rl in enumerate(raw_layers):
-        p = f"layers[{i}]"
-        raw = {name: _need(rl, key, p) for name, (key, _) in _LAYOUT.items()}
+    for i in range(config.num_layers):
         sizes = {"d": d, "s": len(SUBLAYERS)}
         for axis, name, what, width, most in probes:
-            at = f"{p}.{_LAYOUT[name][0]}"
-            try:
-                cols = len(raw[name][0])
-            except (TypeError, IndexError, KeyError) as e:
-                raise CheckpointError(f"{at}: not a matrix") from e
+            # an absent or non-matrix array is left for take to refuse
+            key = f"L{i}.{name}"
+            cols = arrays[key].shape[1] if key in arrays and arrays[key].ndim == 2 else width
             if cols % width != 0 or not 1 <= cols // width <= most:
                 raise CheckpointError(
-                    f"{at}: {cols} columns is not 1..{most} {what} of width {width}")
+                    f"{key}: {cols} columns is not 1..{most} {what} of width {width}")
             sizes[axis] = cols
         layers.append(LayerParams(**{
-            name: _arr(raw[name], tuple(sizes[a] for a in axes), f"{p}.{key}")
-            for name, (key, axes) in _LAYOUT.items()}))
+            name: take(f"L{i}.{name}", tuple(sizes[a] for a in axes))
+            for name, axes in _LAYOUT.items()}))
         if np.any(layers[-1].vth <= 0.0):
-            raise CheckpointError(f"{p}.{_LAYOUT['vth'][0]}: thresholds must be positive")
-
-    cls = _need(doc, "classifier", "checkpoint")
-    cls_w = _arr(_need(cls, "weight", "classifier"), (d, config.num_classes),
-                 "classifier.weight")
-    cls_b = _arr(_need(cls, "bias", "classifier"), (config.num_classes,),
-                 "classifier.bias")
+            raise CheckpointError(f"L{i}.vth: thresholds must be positive")
+    cls_w = take("cls_w", (d, config.num_classes))
+    cls_b = take("cls_b", (config.num_classes,))
     model = SpikingModel(config, emb, layers, cls_w, cls_b, float(scale))
 
-    raw_masks = _need(doc, "masks", "checkpoint")
-    def mask_group(key, counts, optional=False):
-        vals = _need(raw_masks, key, "masks")
-        if vals is None and optional:
-            return None
-        if not isinstance(vals, list) or len(vals) != len(counts):
-            raise CheckpointError(f"masks.{key}: expected {len(counts)} layer entries")
-        return [_arr(v, (c,), f"masks.{key}[{i}]")
-                for i, (v, c) in enumerate(zip(vals, counts))]
+    def mask_group(group, counts):  # a relaxed group may be absent
+        return (None if group.startswith("relaxed") and f"masks.{group}[0]" not in arrays
+                else [take(f"masks.{group}[{i}]", (c,)) for i, c in enumerate(counts)])
     hc, nc = model.head_counts(), model.neuron_counts()
     try:
         masks = MaskSet(mask_group("heads", hc), mask_group("neurons", nc),
-                        mask_group("relaxed_heads", hc, optional=True),
-                        mask_group("relaxed_neurons", nc, optional=True))
+                        mask_group("relaxed_heads", hc), mask_group("relaxed_neurons", nc))
     except InvalidInputError as e:
         raise CheckpointError(f"masks: {e}") from e
+    if arrays:
+        raise CheckpointError(f"{min(arrays)}: unknown array")
 
     raw_plan = _need(doc, "timestep_plan", "checkpoint")
-    cols = []
-    for name in SUBLAYERS:
-        vals = _need(raw_plan, name, "timestep_plan")
+    cols = [_need(raw_plan, name, "timestep_plan") for name in SUBLAYERS]
+    for name, vals in zip(SUBLAYERS, cols):
         if not isinstance(vals, list) or len(vals) != config.num_layers:
-            raise CheckpointError(
-                f"timestep_plan.{name}: expected {config.num_layers} entries")
+            raise CheckpointError(f"timestep_plan.{name}: expected {config.num_layers} entries")
         for j, v in enumerate(vals):
-            if type(v) is not int or v < 1:
-                raise CheckpointError(
-                    f"timestep_plan.{name}[{j}]: must be a positive integer")
-        cols.append(vals)
+            if type(v) is not int or not 1 <= v < 2 ** 63:
+                raise CheckpointError(f"timestep_plan.{name}[{j}]: must be a positive integer")
     plan = TimestepPlan(np.array(cols, dtype=np.int64).T)
     return model, masks, plan

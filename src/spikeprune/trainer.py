@@ -26,10 +26,9 @@ from . import autodiff as ad
 from . import temporal
 from .cost import acs_baseline, acs_value, cost_summary
 from .data import iter_batches
-from .engine import (_model_arrays, cross_entropy, proxy_graph, rate_proxy_forward,
-                     run_unrolled)
+from .engine import cross_entropy, proxy_graph, rate_proxy_forward, run_unrolled
 from .errors import InvalidInputError, TrainingDivergedError
-from .model import SUBLAYERS, MaskSet, SpikingModel, TimestepPlan
+from .model import SUBLAYERS, MaskSet, SpikingModel, TimestepPlan, _model_arrays
 from .numerics import RandomStream, bernoulli_counts, finite_difference_gradient
 
 __all__ = ["TrainConfig", "train", "gradcheck", "evaluate_proxy"]

@@ -24,9 +24,11 @@ every unit, p 0 and 1 included, and compares `bits >> 11 < p * 2**53` in
 float. It is kept verbatim with its own word helpers, so the kernel, its
 planes and its counts are never checked only against themselves.
 
-The reference checkpoint functions spell out every LayerParams field by
-hand; the layout-table versions in `model` must write the same bytes, read
-the same arrays and slice the same values.
+The reference checkpoint functions write and read the decimal-text
+spikeprune/v1 layout with every LayerParams field spelled out by hand; they
+are the value oracle for `model`'s spikeprune/v2 files, whose round trip must
+give every array the same bytes as theirs. The reference apply_masks must
+slice the same values as the layout-table version.
 
 The reference backward sweeps the whole graph, constants included, and
 starts every node's gradient from zeros; `autodiff.backward`, which visits
@@ -45,7 +47,7 @@ from spikeprune import (SUBLAYERS, AsrTrace, CheckpointError, ImportanceScores,
                         InfeasibleBudgetError, InvalidInputError, LifState,
                         MaskSet, ModelConfig, RandomStream, SpikingModel,
                         TimestepPlan, init_model, lif_step)
-from spikeprune.model import FORMAT_TAG, LayerParams, _arr, _need, _plan_to_dict
+from spikeprune.model import LayerParams, _need, _plan_to_dict
 from spikeprune.cost import unit_costs
 from spikeprune.engine import (_MEAN, _NP_OPS, _RATES, _SPIKES, _input_currents,
                                _layer_stages)
@@ -562,8 +564,23 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
 
 
 # --- reference checkpoint layout ---------------------------------------------
-# save_checkpoint, load_checkpoint and apply_masks with every LayerParams field
+# apply_masks, and the spikeprune/v1 save_checkpoint and load_checkpoint (every
+# float a shortest round-tripping decimal), with every LayerParams field
 # spelled out by hand; `model`'s versions walk the layout table instead.
+
+V1_TAG = "spikeprune/v1"
+
+
+def _arr(value, shape: tuple, path: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: not numeric ({e})") from e
+    if arr.shape != shape:
+        raise CheckpointError(f"{path}: shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointError(f"{path}: non-finite entries")
+    return arr
 
 
 def reference_apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
@@ -600,14 +617,14 @@ def reference_apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
 
 
 def reference_save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> None:
-    """Write model + masks + timestep plan as one JSON file.
+    """Write model + masks + timestep plan as one spikeprune/v1 JSON file.
 
     Floats are serialized as shortest round-tripping decimals, so a
     save/load cycle reproduces every array bit for bit.
     """
     masks.validate_for(model)
     doc = {
-        "format": FORMAT_TAG,
+        "format": V1_TAG,
         "config": model.config.to_dict(),
         "input_scale": model.input_scale,
         "embedding": model.embedding.tolist(),
@@ -642,7 +659,7 @@ def reference_save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, pl
 
 
 def reference_load_checkpoint(path: str, expected_config: ModelConfig = None):
-    """Read a checkpoint; returns (model, masks, plan).
+    """Read a spikeprune/v1 checkpoint; returns (model, masks, plan).
 
     Malformed files raise CheckpointError naming the offending key path.
     When expected_config is given, the stored architecture must match it
@@ -659,8 +676,8 @@ def reference_load_checkpoint(path: str, expected_config: ModelConfig = None):
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint: top level must be an object")
     tag = _need(doc, "format", "checkpoint")
-    if tag != FORMAT_TAG:
-        raise CheckpointError(f"checkpoint.format: {tag!r} is not {FORMAT_TAG!r}")
+    if tag != V1_TAG:
+        raise CheckpointError(f"checkpoint.format: {tag!r} is not {V1_TAG!r}")
     config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
     if expected_config is not None and config != expected_config:
         diffs = [f.name for f in dataclasses.fields(ModelConfig)

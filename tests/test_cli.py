@@ -406,6 +406,48 @@ class TestUsage:
         assert not out.exists()
 
 
+def _with_byte_ff(data: bytes) -> bytes:
+    """data with its middle byte set to 0xff, which no UTF-8 text holds."""
+    mid = len(data) // 2
+    return data[:mid] + b"\xff" + data[mid + 1:]
+
+
+class TestBadBytes:
+    """Files that are not UTF-8 or nest past the parser's depth end in the
+    package's error and exit code 1, not in a traceback."""
+
+    @pytest.mark.parametrize("case", ["checkpoint-ff", "checkpoint-nesting", "data-ff",
+                                      "data-nesting", "config-ff"])
+    def test_one_error_line_and_exit_1(self, ws, tmp_path, capsys, case):
+        with open(ws["temporal"], "rb") as fh:
+            checkpoint = fh.read()
+        rows = b'{"tokens": [0, 1, 2], "label": 0}\n{"tokens": [0, 3], "label": 1}\n'
+        bad = tmp_path / "bad"
+        bad.write_bytes({
+            "checkpoint-ff": _with_byte_ff(checkpoint),
+            "checkpoint-nesting": b"[" * 100000,
+            "data-ff": _with_byte_ff(rows),
+            "data-nesting": rows + b"[" * 100000 + b"\n",
+            "config-ff": _with_byte_ff(FAST_CFG.encode("utf-8")),
+        }[case])
+        if case.startswith("checkpoint"):
+            argv = ["eval", "--checkpoint", str(bad), "--data", "2"]
+        elif case.startswith("data"):
+            argv = ["eval", "--checkpoint", ws["temporal"], "--data", str(bad)]
+        else:
+            argv = ["train", "--config", str(bad), "--out", str(tmp_path / "m.json")]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        # the message names the file, or for a dataset the line, and the cause
+        where = {"data-ff": "line 1: ", "data-nesting": "line 3: "}.get(case, f"{bad}: ")
+        assert lines[0].startswith(f"error: {where}"), lines[0]
+        cause = "'utf-8' codec can't decode byte 0xff" if case.endswith("ff") else "recursion"
+        assert cause in lines[0], lines[0]
+
+
 # every subcommand's (option strings, default, required), written out literally
 # so that moving declarations between parsers cannot change the interface
 PARSER_TABLE = {

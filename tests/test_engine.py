@@ -16,8 +16,8 @@ from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         rate_proxy_forward, run_sequential, run_unrolled)
 from spikeprune import SUBLAYERS, engine, numerics
 from spikeprune import autodiff as ad
-from spikeprune.engine import (LifState, _model_arrays, cross_entropy, lif_step,
-                               proxy_graph)
+from spikeprune.engine import LifState, cross_entropy, lif_step, proxy_graph
+from spikeprune.model import _model_arrays
 
 
 def _simulate_rate(current: float, v_th: float, steps: int, leak: float = 1.0):

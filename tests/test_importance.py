@@ -8,7 +8,8 @@ from spikeprune import (InvalidInputError, MaskSet, RandomStream,
                         asr_factors, combine, fisher_diagonal,
                         rate_proxy_forward, run_unrolled)
 from spikeprune import autodiff as ad
-from spikeprune.engine import _model_arrays, cross_entropy, proxy_graph
+from spikeprune.engine import cross_entropy, proxy_graph
+from spikeprune.model import _model_arrays
 from spikeprune.numerics import finite_difference_gradient
 
 

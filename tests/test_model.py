@@ -1,22 +1,28 @@
 """Model construction, masks, structural pruning, and checkpoint files."""
 
+import base64
+import contextlib
 import dataclasses
+import functools
+import hashlib
+import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
 
-from conftest import (reference_apply_masks, reference_load_checkpoint,
+from conftest import (V1_TAG, reference_apply_masks, reference_load_checkpoint,
                       reference_save_checkpoint, tiny_config, tiny_model, token_batch)
 from hypothesis import given, settings, strategies as st
 from spikeprune import (SUBLAYERS, CheckpointError, InvalidInputError, MaskSet,
                         ModelConfig, RandomStream, TimestepPlan, TrainConfig,
-                        apply_masks, gen_keyword_task, init_model,
+                        apply_masks, cli, gen_keyword_task, init_model,
                         load_checkpoint, rate_proxy_forward, run_unrolled,
                         save_checkpoint, train)
-from spikeprune.model import LayerParams
+from spikeprune.model import FORMAT_TAG, LayerParams, _model_arrays
 
 
 class TestModelConfig:
@@ -213,6 +219,42 @@ class TestApplyMasks:
         assert np.array_equal(model.layers[0].w_inter, before)
 
 
+def _saved_doc(model) -> dict:
+    """The JSON document save_checkpoint writes for model under all-ones
+    masks and a uniform 4-step plan."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ck.json")
+        save_checkpoint(path, model, MaskSet.all_ones(model),
+                        TimestepPlan.uniform(model.config.num_layers, 4))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+
+
+def _record(values) -> dict:
+    arr = np.asarray(values, dtype=np.float64)
+    return {"shape": list(arr.shape),
+            "f8": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+
+
+def _decoded(record) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(record["f8"]), "<f8").reshape(record["shape"]).copy()
+
+
+def _redigest(doc: dict) -> dict:
+    """doc with "sha256" recomputed over its records' payloads, so that an
+    edited array reaches the checks after the digest (a malformed record is
+    refused before the digest is compared)."""
+    if isinstance(doc.get("arrays"), dict):
+        digest = hashlib.sha256()
+        for key in sorted(doc["arrays"]):
+            try:
+                digest.update(base64.b64decode(doc["arrays"][key]["f8"], validate=True))
+            except (KeyError, TypeError, ValueError):
+                pass
+        doc["sha256"] = digest.hexdigest()
+    return doc
+
+
 class TestCheckpoint:
     def _roundtrip(self, tmp_path, model, masks, plan):
         path = str(tmp_path / "ck.json")
@@ -297,69 +339,80 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="format"):
             load_checkpoint(str(path))
 
-    def _doc(self, model):
-        import os
-        import tempfile
-        fd, path = tempfile.mkstemp(suffix=".json")
-        os.close(fd)
-        save_checkpoint(path, model, MaskSet.all_ones(model),
-                        TimestepPlan.uniform(model.config.num_layers, 4))
-        with open(path) as fh:
-            doc = json.load(fh)
-        os.unlink(path)
-        return doc
+    def test_v1_file_is_refused_naming_both_tags(self, tmp_path):
+        model = tiny_model(0)
+        path = str(tmp_path / "v1.json")
+        reference_save_checkpoint(path, model, MaskSet.all_ones(model),
+                                  TimestepPlan.uniform(1, 4))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).split(": ")[0] == "checkpoint.format"
+        assert repr(V1_TAG) in str(err.value) and repr(FORMAT_TAG) in str(err.value)
 
-    def _expect_error(self, tmp_path, doc, pattern):
+    def _expect_error(self, tmp_path, doc, pattern=None, redigest=True):
+        """doc, with its digest recomputed, is refused with a message matching
+        pattern; returns the message's first ": " segment, the rejected key."""
         path = tmp_path / "ck.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=pattern):
+        path.write_text(json.dumps(_redigest(doc) if redigest else doc))
+        with pytest.raises(CheckpointError, match=pattern) as err:
             load_checkpoint(str(path))
+        return str(err.value).split(": ")[0]
 
     @pytest.mark.parametrize("field,value", [
         ("leak", "0.5"), ("num_layers", True), ("pca_base", 1.0),
         ("pca_base", float("inf")), ("initial_vth", float("inf")),
+        pytest.param("pca_base", 10 ** 400, id="pca_base-10**400"),
     ])
     def test_bad_config_value_is_a_checkpoint_error(self, tmp_path, field, value):
-        doc = self._doc(tiny_model(0))
+        doc = _saved_doc(tiny_model(0))
         doc["config"][field] = value
         self._expect_error(tmp_path, doc, f"config: {field}")
 
     def test_half_relaxed_masks_are_a_checkpoint_error(self, tmp_path):
-        doc = self._doc(tiny_model(0))
-        doc["masks"]["relaxed_heads"] = [[0.7, 0.7]]
+        doc = _saved_doc(tiny_model(0))
+        doc["arrays"]["masks.relaxed_heads[0]"] = _record([0.7, 0.7])
         self._expect_error(tmp_path, doc, "masks: relaxed_heads and relaxed_neurons")
 
     def test_config_must_be_an_object(self, tmp_path):
-        doc = self._doc(tiny_model(0))
+        doc = _saved_doc(tiny_model(0))
         doc["config"] = 7
         self._expect_error(tmp_path, doc, "config: expected an object")
 
+    def test_every_config_key_is_required(self, tmp_path):
+        """A deleted key with a default does not load as that default."""
+        doc = _saved_doc(tiny_model(0))
+        del doc["config"]["t_conv"]
+        self._expect_error(tmp_path, doc, r"config: .*missing keys \['t_conv'\]")
+
     def test_error_messages_name_the_key_path(self, tmp_path):
         model = tiny_model(0)
-        doc = self._doc(model)
-        missing = dict(doc)
-        del missing["embedding"]
-        self._expect_error(tmp_path, missing, "embedding")
+        doc = _saved_doc(model)
 
-        bad_shape = json.loads(json.dumps(doc))
-        bad_shape["layers"][0]["WK"] = [[1.0] * 8] * 4
-        self._expect_error(tmp_path, bad_shape, r"WK")
+        def edited(edit):
+            copy = json.loads(json.dumps(doc))
+            edit(copy)
+            return copy
 
-        bad_vth = json.loads(json.dumps(doc))
-        bad_vth["layers"][0]["vth"] = [0.0] + [1.0] * 5
-        self._expect_error(tmp_path, bad_vth, "vth")
-
-        nonfinite = json.loads(json.dumps(doc))
-        nonfinite["classifier"]["bias"] = [1.0, None]
-        self._expect_error(tmp_path, nonfinite, "classifier.bias")
+        for key, edit in [
+            ("embedding", lambda c: c["arrays"].pop("embedding")),
+            ("L0.w_k", lambda c: c["arrays"].update({"L0.w_k": _record(np.ones((4, 8)))})),
+            ("L0.vth", lambda c: c["arrays"].update({"L0.vth": _record([0.0] + [1.0] * 5)})),
+            ("cls_b", lambda c: c["arrays"].update({"cls_b": _record([1.0, np.nan])})),
+            ("checkpoint.arrays", lambda c: c.update(arrays=[])),
+            ("L2.vth", lambda c: c["arrays"].update({"L2.vth": _record(np.ones(6))})),
+        ]:
+            assert self._expect_error(tmp_path, edited(edit)) == key
+        no_digest = edited(lambda c: c.pop("sha256"))
+        assert self._expect_error(tmp_path, no_digest, redigest=False) == "checkpoint.sha256"
 
         bad_plan = json.loads(json.dumps(doc))
         bad_plan["timestep_plan"]["key"] = [0]
         self._expect_error(tmp_path, bad_plan, "timestep_plan.key")
 
-        bad_scale = json.loads(json.dumps(doc))
-        bad_scale["input_scale"] = -1.0
-        self._expect_error(tmp_path, bad_scale, "input_scale")
+        for scale in (-1.0, 10 ** 400):
+            bad_scale = json.loads(json.dumps(doc))
+            bad_scale["input_scale"] = scale
+            self._expect_error(tmp_path, bad_scale, "input_scale")
 
         # JSON true is a bool, not the number 1
         bool_scale = json.loads(json.dumps(doc))
@@ -371,15 +424,39 @@ class TestCheckpoint:
         self._expect_error(tmp_path, bool_plan, r"timestep_plan\.key\[0\]")
 
     def test_mask_shape_errors(self, tmp_path):
-        doc = self._doc(tiny_model(0))
-        doc["masks"]["heads"] = [[1.0, 1.0, 1.0]]
-        self._expect_error(tmp_path, doc, r"masks.heads\[0\]")
+        doc = _saved_doc(tiny_model(0))
+        doc["arrays"]["masks.heads[0]"] = _record([1.0, 1.0, 1.0])
+        assert self._expect_error(tmp_path, doc, r"masks.heads\[0\]") == "masks.heads[0]"
+
+    @pytest.mark.parametrize("heads,key,value", [
+        (2, "masks.heads[0]", [True, True]),
+        (2, "cls_b", [True, False]),
+        (1, "masks.heads[0]", {"shape": [True], "f8": _record([1.0])["f8"]}),
+        (2, "cls_b", {"shape": [2], "f8": True}),
+    ])
+    def test_json_bools_are_not_numbers(self, tmp_path, heads, key, value):
+        """A mask of true/true or a bias of true/false (the decimal layout's
+        spelling) is refused, not read as 1.0 and 0.0; so is a shape [true]
+        where the layer's one head would make it [1]."""
+        doc = _saved_doc(tiny_model(0, num_heads=heads))
+        doc["arrays"][key] = value
+        assert self._expect_error(tmp_path, doc) == key
+
+    def test_a_changed_payload_fails_the_digest(self, tmp_path):
+        doc = _saved_doc(tiny_model(0))
+        weights = _decoded(doc["arrays"]["L0.w_out"])
+        weights[0, 0] = np.nextafter(weights[0, 0], np.inf)
+        doc["arrays"]["L0.w_out"] = _record(weights)
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="^checkpoint.sha256: "):
+            load_checkpoint(str(path))
 
 
 def _same_arrays(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype == np.float64
-    assert np.array_equal(a, b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _same_models(got, want, memory_order=False):
@@ -398,8 +475,9 @@ def _same_models(got, want, memory_order=False):
 
 
 class TestLayoutTable:
-    """Checkpoints and slicing that walk LayerParams' layout table, against
-    the hand-written reference versions kept in conftest."""
+    """Checkpoint loading and slicing that walk LayerParams' layout table,
+    against the hand-written references kept in conftest; for checkpoints the
+    reference is the spikeprune/v1 decimal round trip, the value oracle."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -416,9 +494,14 @@ class TestLayoutTable:
             for f in dataclasses.fields(LayerParams):
                 value = getattr(layer, f.name)
                 setattr(layer, f.name, value + stream.uniform(value.shape))
+        # a signed zero and the smallest subnormal in every array (vth stays > 0)
+        for key, value in _model_arrays(model).items():
+            value.flat[-1] = 5e-324
+            if not key.endswith(".vth"):
+                value.flat[0] = -0.0
 
         def binary(n):
-            m = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+            m = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -0.0]),
                                             min_size=n, max_size=n)))
             m[data.draw(st.integers(0, n - 1))] = 1.0
             return m
@@ -426,8 +509,9 @@ class TestLayoutTable:
         def relaxed(counts, present=False):
             if not (present or data.draw(st.booleans())):
                 return None
-            return [np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n,
-                                                max_size=n))) for n in counts]
+            values = st.one_of(st.sampled_from([-0.0, 5e-324]), st.floats(0.0, 1.0))
+            return [np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+                    for n in counts]
 
         if data.draw(st.booleans()):
             cut = MaskSet([binary(heads) for _ in range(layers)],
@@ -458,9 +542,7 @@ class TestLayoutTable:
             want_path = os.path.join(root, "want.json")
             save_checkpoint(got_path, model, masks, plan)
             reference_save_checkpoint(want_path, model, masks, plan)
-            with open(got_path, "rb") as fa, open(want_path, "rb") as fb:
-                assert fa.read() == fb.read()
-            m_got, k_got, p_got = load_checkpoint(want_path)
+            m_got, k_got, p_got = load_checkpoint(got_path)
             m_want, k_want, p_want = reference_load_checkpoint(want_path)
         _same_models(m_got, m_want)
         _same_models(m_got, model)
@@ -471,47 +553,162 @@ class TestLayoutTable:
             for a, b in zip(got or [], want or []):
                 _same_arrays(a, b)
 
-    @pytest.mark.parametrize("key_path,corrupt", [
-        ("layers[0].biases.k", lambda l: l["biases"].pop("k")),
-        ("layers[0].ln", lambda l: l.pop("ln")),
-        ("layers[0].biases", lambda l: l.update(biases=[1.0])),
-        ("layers[0].vth", lambda l: l.pop("vth")),
-        ("layers[0].WK", lambda l: l.update(WK=5)),
-        ("layers[0].WK", lambda l: l.update(WK=[[1.0] * 3] * 8)),
-        ("layers[0].WK", lambda l: l.update(WK=[[1.0] * 12] * 8)),
-        ("layers[0].Winter", lambda l: l.update(Winter=[])),
-        ("layers[0].Winter", lambda l: l.update(Winter=[[1.0] * 7] * 8)),
-        ("layers[0].WO", lambda l: l.update(WO=[[1.0] * 8] * 4)),
-        ("layers[0].Wout", lambda l: l.update(Wout=[[1.0] * 8] * 5)),
-        ("layers[0].biases.out", lambda l: l["biases"].update(out="x")),
-        ("layers[0].ln.shift2", lambda l: l["ln"]["shift2"].__setitem__(0, None)),
-        ("layers[0].vth", lambda l: l["vth"].__setitem__(2, 0.0)),
+    # Each case replays one corruption of a decimal-layout (v1) layer on the
+    # v2 records; the first column is the v1 key path that case was refused
+    # at, the last the array key the v2 error must name.
+    @pytest.mark.parametrize("key_path,corrupt,key", [
+        ("layers[0].biases.k", lambda a: a.pop("L0.b_k"), "L0.b_k"),
+        ("layers[0].ln", lambda a: [a.pop(f"L0.ln{i}_{p}") for i in (1, 2)
+                                    for p in ("scale", "shift")], "L0.ln1_scale"),
+        ("layers[0].biases", lambda a: a.update({"L0.b_k": [1.0]}), "L0.b_k"),
+        ("layers[0].vth", lambda a: a.pop("L0.vth"), "L0.vth"),
+        ("layers[0].WK", lambda a: a.update({"L0.w_k": 5}), "L0.w_k"),
+        ("layers[0].WK", lambda a: a.update({"L0.w_k": _record(np.ones((8, 3)))}), "L0.w_k"),
+        ("layers[0].WK", lambda a: a.update({"L0.w_k": _record(np.ones((8, 12)))}), "L0.w_k"),
+        ("layers[0].Winter", lambda a: a.update({"L0.w_inter": _record(np.ones((8, 0)))}),
+         "L0.w_inter"),
+        ("layers[0].Winter", lambda a: a.update({"L0.w_inter": _record(np.ones((8, 7)))}),
+         "L0.w_inter"),
+        ("layers[0].WO", lambda a: a.update({"L0.w_o": _record(np.ones((4, 8)))}), "L0.w_o"),
+        ("layers[0].Wout", lambda a: a.update({"L0.w_out": _record(np.ones((5, 8)))}),
+         "L0.w_out"),
+        ("layers[0].biases.out", lambda a: a["L0.b_out"].update(f8="x"), "L0.b_out"),
+        ("layers[0].ln.shift2", lambda a: a.update(
+            {"L0.ln2_shift": _record([np.nan] + [0.5] * 7)}), "L0.ln2_shift"),
+        ("layers[0].vth", lambda a: a.update({"L0.vth": _record([1, 1, 0, 1, 1, 1])}),
+         "L0.vth"),
     ])
     def test_layer_errors_name_the_key_path_as_before(self, tmp_path, key_path,
-                                                      corrupt):
-        model = tiny_model(0)
+                                                      corrupt, key):
+        doc = _saved_doc(tiny_model(0))
+        corrupt(doc["arrays"])
         path = str(tmp_path / "ck.json")
-        save_checkpoint(path, model, MaskSet.all_ones(model),
-                        TimestepPlan.uniform(1, 4))
-        with open(path) as fh:
-            doc = json.load(fh)
-        corrupt(doc["layers"][0])
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-        for load in (load_checkpoint, reference_load_checkpoint):
-            with pytest.raises(CheckpointError) as err:
-                load(path)
-            assert str(err.value).split(": ")[0] == key_path, load.__name__
+            json.dump(_redigest(doc), fh)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).split(": ")[0] == key
 
     def test_width_probe_rejects_a_json_object(self, tmp_path):
-        """A layer matrix stored as an object is 'not a matrix', not a KeyError."""
-        model = tiny_model(0)
+        """A layer matrix stored as some other object is refused by its key,
+        not a KeyError."""
+        doc = _saved_doc(tiny_model(0))
+        doc["arrays"]["L0.w_k"] = {"0": [1.0] * 8}
         path = str(tmp_path / "ck.json")
-        save_checkpoint(path, model, MaskSet.all_ones(model), TimestepPlan.uniform(1, 4))
-        with open(path) as fh:
-            doc = json.load(fh)
-        doc["layers"][0]["WK"] = {"0": [1.0] * 8}
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-        with pytest.raises(CheckpointError, match=r"layers\[0\]\.WK: not a matrix"):
+            json.dump(_redigest(doc), fh)
+        with pytest.raises(CheckpointError, match=r"^L0\.w_k: expected an object with keys"):
             load_checkpoint(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base() -> bytes:
+    """A saved tiny_model checkpoint with one pruned head, relaxed masks and
+    a mixed plan, so every kind of record is present."""
+    model = tiny_model(3)
+    masks = MaskSet([np.array([1.0, 0.0])], [np.array([1, 1, 0, 1, 1, 1.0])],
+                    relaxed_heads=[np.array([0.9, -0.0])],
+                    relaxed_neurons=[np.array([0.6, 0.7, 5e-324, 0.8, 1.0, 0.55])])
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ck.json")
+        save_checkpoint(path, model, masks, TimestepPlan(np.arange(1, 7).reshape(1, 6)))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _arrays_of(loaded) -> dict:
+    model, masks, _ = loaded
+    arrays = dict(_model_arrays(model))
+    for group in ("heads", "neurons", "relaxed_heads", "relaxed_neurons"):
+        arrays.update((f"masks.{group}[{i}]", m) for i, m in enumerate(getattr(masks, group) or ()))
+    return arrays
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoints: load_checkpoint raises CheckpointError and nothing
+    else, and a command reading one exits 1 with a single `error:` line."""
+
+    def _load(self, data: bytes):
+        """What loading data gives: (model, masks, plan), or the CheckpointError."""
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "ck.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                return load_checkpoint(path)
+            except CheckpointError as e:
+                err = e
+            out, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+                rc = cli.main(["eval", "--checkpoint", path, "--data", "2"])
+        assert rc == 1 and out.getvalue() == ""
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0] == f"error: {err}"
+        return err
+
+    def _doc_bytes(self, doc: dict) -> bytes:
+        return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cut=st.integers(0, 10 ** 9))
+    def test_truncated_at_any_byte(self, cut):
+        base = _fuzz_base()
+        assert isinstance(self._load(base[:cut % len(base)]), CheckpointError)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(where=st.integers(0, 10 ** 9), bit=st.integers(0, 7))
+    def test_any_flipped_bit(self, where, bit):
+        """A flip either is refused or leaves every array's bytes as saved; a
+        flip inside a payload that still decodes to other bytes is the
+        digest's to catch."""
+        base = _fuzz_base()
+        pos = where % len(base)
+        flipped = bytearray(base)
+        flipped[pos] ^= 1 << bit
+        got = self._load(bytes(flipped))
+        for span in re.finditer(rb'"f8": "([A-Za-z0-9+/=]*)"', base):
+            if span.start(1) <= pos < span.end(1):
+                try:
+                    changed = (base64.b64decode(bytes(flipped[span.start(1):span.end(1)]),
+                                                validate=True)
+                               != base64.b64decode(span.group(1)))
+                except ValueError:
+                    changed = False     # not base64 any more: any CheckpointError will do
+                if changed:
+                    assert str(got).startswith("checkpoint.sha256: "), str(got)
+        if not isinstance(got, CheckpointError):
+            want = _arrays_of(self._load(base))
+            have = _arrays_of(got)
+            assert have.keys() == want.keys()
+            for key in want:
+                assert have[key].tobytes() == want[key].tobytes(), key
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_deleted_key(self, data):
+        """With the digest left as saved or recomputed, a deleted key is refused."""
+        doc = json.loads(_fuzz_base())
+        paths = [(k,) for k in doc]
+        paths += [(k, sub) for k in ("config", "timestep_plan", "arrays") for sub in doc[k]]
+        paths += [("arrays", k, field) for k in doc["arrays"] for field in ("shape", "f8")]
+        path = data.draw(st.sampled_from(paths))
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        del node[path[-1]]
+        if path != ("sha256",) and data.draw(st.booleans()):
+            _redigest(doc)
+        assert isinstance(self._load(self._doc_bytes(doc)), CheckpointError)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_record_lying_about_its_shape(self, data):
+        doc = json.loads(_fuzz_base())
+        key = data.draw(st.sampled_from(sorted(doc["arrays"])))
+        true_shape = doc["arrays"][key]["shape"]
+        shape = data.draw(st.lists(st.integers(0, 64), max_size=3).filter(
+            lambda s: s != true_shape))
+        doc["arrays"][key]["shape"] = shape
+        err = self._load(self._doc_bytes(doc))
+        assert isinstance(err, CheckpointError)
+        assert str(err).split(": ")[0] == key

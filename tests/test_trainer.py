@@ -12,7 +12,8 @@ from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
                         run_unrolled, train)
 from spikeprune import autodiff as ad
 from spikeprune.cost import acs_value
-from spikeprune.engine import _model_arrays, cross_entropy, rate_proxy_forward
+from spikeprune.engine import cross_entropy, rate_proxy_forward
+from spikeprune.model import _model_arrays
 from spikeprune.trainer import (_activity_graph, _batch_graph, _logits_relaxed, _stage_noise,
                                 _straight_through, evaluate_proxy)
 
