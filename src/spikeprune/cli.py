@@ -143,13 +143,22 @@ def _prune(scores, config: ModelConfig, budget: float) -> MaskSet:
                         scores, config, budget)
 
 
+def _sequential_eval(model, masks, plan, data: Dataset, stream: RandomStream, batch: int):
+    """(accuracy, {trace name: mean converged rate}) of run_sequential over data.
+    Example j draws from stream.derive(j), so batch sets only memory and speed."""
+    hits, sums = 0, {}
+    for first in range(0, len(data), batch):
+        tokens, labels = data.tokens[first:first + batch], data.labels[first:first + batch]
+        logits, traces = run_sequential(model, masks, plan, tokens, stream, first)
+        hits += int((logits.argmax(axis=1) == labels).sum())
+        for t in traces:
+            sums[t.name] = sums.get(t.name, 0.0) + t.converged.mean() * len(labels)
+    return hits / len(data), {name: total / len(data) for name, total in sums.items()}
+
+
 def _seq_accuracy(model, masks, plan, data: Dataset, stream: RandomStream,
                   batch: int = 50) -> float:
-    hits = 0
-    for k, (tokens, labels) in enumerate(iter_batches(data, batch)):
-        logits, _ = run_sequential(model, masks, plan, tokens, stream.derive(k * batch))
-        hits += int((logits.argmax(axis=1) == labels).sum())
-    return hits / len(data)
+    return _sequential_eval(model, masks, plan, data, stream.derive(0), batch)[0]
 
 
 def _train_and_save(args, cfg: RunConfig, seed: int, model, masks, plan,
@@ -273,21 +282,10 @@ def cmd_eval(args) -> int:
     cfg = model.config
     master = RandomStream(args.seed)
     data = _dataset_arg(args.data, cfg, master.derive(_LANE_TEST))
-    hits = 0
-    sums = {}
-    for chunk_idx, (tokens, labels) in enumerate(iter_batches(data, args.batch)):
-        stream = master.derive(_LANE_EVAL).derive(chunk_idx)
-        logits, traces = run_sequential(model, masks, plan, tokens, stream)
-        hits += int((logits.argmax(axis=1) == labels).sum())
-        for t in traces:
-            sums[t.name] = sums.get(t.name, 0.0) + t.converged.mean() * len(labels)
-    rates = {name: total / len(data) for name, total in sums.items()}
-    result = {
-        "accuracy": hits / len(data),
-        **cost_summary(cfg, masks, plan, rates),
-        "examples": len(data),
-    }
-    _write_result(result, args.out)
+    accuracy, rates = _sequential_eval(model, masks, plan, data,
+                                       master.derive(_LANE_EVAL).derive(0), args.batch)
+    _write_result({"accuracy": accuracy, **cost_summary(cfg, masks, plan, rates),
+                   "examples": len(data)}, args.out)
     return 0
 
 

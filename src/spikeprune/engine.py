@@ -324,7 +324,7 @@ def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
 
 
 def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
-                   tokens, stream: RandomStream):
+                   tokens, stream: RandomStream, first: int = 0):
     """Simulate sublayer by sublayer under a per-sublayer timestep plan.
 
     Layer-major walk of the compressed model's stage tables. Each sublayer
@@ -333,10 +333,10 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     regenerated from its source's converged rates (clipped rates are valid
     probabilities by construction), drawn in SUBLAYERS order as it is
     used; a rates-only input is constant. Sample i draws from
-    stream.derive(i), so results do not depend on batch splitting as long
-    as sample indices are stable. A kept unit of a sliced source draws at
-    its counter in the full-width plane, so logits and kept units equal
-    the masked model's run.
+    stream.derive(first + i), first being the dataset index of sample 0,
+    so no batch split changes an example's draws. A kept unit of a sliced
+    source draws at its counter in the full-width plane, so logits and
+    kept units equal the masked model's run.
 
     Returns (logits, traces); traces hold one AsrTrace per sublayer with a
     single row, the batch mean of its converged rates after its own
@@ -346,7 +346,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     cfg = model.config
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
-    streams = [stream.derive(i) for i in range(cur_in.shape[0])]
+    streams = [stream.derive(first + i) for i in range(cur_in.shape[0])]
     a_x = np.clip(cur_in, 0.0, 1.0)
     traces = []
 
@@ -415,8 +415,9 @@ def proxy_graph(params: dict, config, input_scale: float, tokens: np.ndarray,
     stage_noise, when given, is called as (layer_idx, sublayer_name,
     rate_array) after each spiking stage and may return an additive
     perturbation of the same shape (or None). The perturbation enters the
-    graph as a constant, so gradients pass through it unchanged; it exists
-    to expose finite-timestep sampling error to training.
+    graph as a constant, so gradients pass through it unchanged. Training
+    passes the zero-mean noise of a short Bernoulli train
+    (trainer._stage_noise), which leaves out the simulator's floor bias.
     """
     noise = (None if stage_noise is None else
              lambda layer_idx, name, rate: stage_noise(layer_idx, name, rate.value))

@@ -489,6 +489,8 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
         raise CheckpointError("checkpoint.arrays: expected an object")
     digest, arrays = hashlib.sha256(), {}
     for key in sorted(records):
+        if not key.isprintable():  # every message names its key on one line
+            raise CheckpointError(f"checkpoint.arrays: key {key!r} is not printable")
         raw, shape = _payload(key, records[key])
         digest.update(raw)
         arrays[key] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)

@@ -99,11 +99,14 @@ def _logits_relaxed(z) -> np.ndarray:
 
 
 def _stage_noise(plan: TimestepPlan, t_conv: int, stream: RandomStream):
-    """Finite-timestep corruption for sublayers running below t_conv.
+    """Finite-timestep sampling noise for sublayers running below t_conv.
 
-    Replaces a stage's rate with the empirical mean of that many Bernoulli
-    draws, exactly the error the per-sample sequential simulation exhibits,
-    so retraining under a shortened plan sees the same noise as inference.
+    Replaces a stage's rate p with the empirical mean of t Bernoulli(p)
+    draws: the noise Binomial(t, p)/t - p has mean 0. The sequential
+    simulator's error is not zero-mean: a LIF unit whose membrane starts at
+    0, with leak 1, fires floor(t * I / vth) times in t steps under a
+    constant current 0 <= I <= vth, so its rate sits up to 1/t below the
+    proxy's, a bias this noise leaves out.
     Stages still at t_conv are left untouched; a fresh child stream per
     stage keeps the draws independent of array shapes. Saturated units
     (rate 0 or 1) get no noise and draw nothing (bernoulli_counts).
@@ -200,8 +203,8 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
     refreshed every that many epochs from fresh simulation traces, with the
     current plan's maximum as the allocation ceiling so the latency
     envelope never grows. Sublayers scheduled below t_conv train against
-    seeded finite-timestep sampling noise (see _stage_noise), so thresholds
-    and weights adapt to the temporal resolution they will run at. Returns
+    seeded zero-mean sampling noise with the variance of their planned
+    timestep count (see _stage_noise). Returns
     (model', masks', plan', history); inputs are not mutated. epochs=0
     returns copies of the inputs and an empty history.
     """

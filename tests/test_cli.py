@@ -1,6 +1,8 @@
 """End-to-end command tests, all in-process through cli.main."""
 
 import argparse
+import base64
+import hashlib
 import json
 import re
 
@@ -229,6 +231,16 @@ class TestEval:
         assert 0.0 <= result["accuracy"] <= 1.0
         assert result["examples"] == 40
         assert json.loads(printed) == result
+        # example j draws from the same stream at every batch size, so --batch
+        # moves only normalized_c's rounding (its rates sum chunk by chunk)
+        for batch in ("1", "7", "40"):
+            out = tmp_path / f"batch{batch}.json"
+            assert cli.main(args[:-1] + [batch, "--out", str(out)]) == 0
+            other = json.loads(out.read_text())
+            for key in ("accuracy", "acs_ratio", "mean_timesteps", "examples"):
+                assert other[key] == result[key], (batch, key)
+            assert other["normalized_c"] == pytest.approx(result["normalized_c"],
+                                                          rel=1e-12, abs=0)
 
     def test_jsonl_input(self, ws, tmp_path):
         data = gen_keyword_task(8, 4, 20, RandomStream(4))
@@ -446,6 +458,25 @@ class TestBadBytes:
         assert lines[0].startswith(f"error: {where}"), lines[0]
         cause = "'utf-8' codec can't decode byte 0xff" if case.endswith("ff") else "recursion"
         assert cause in lines[0], lines[0]
+
+    def test_non_printable_array_key_is_one_line(self, ws, tmp_path, capsys):
+        """An array key holding a newline, with a digest that matches, is
+        refused by its repr, on one line."""
+        with open(ws["temporal"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        records = doc["arrays"]
+        records["a\nb"] = records["cls_b"]
+        digest = hashlib.sha256()
+        for key in sorted(records):
+            digest.update(base64.b64decode(records[key]["f8"]))
+        doc["sha256"] = digest.hexdigest()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["eval", "--checkpoint", str(bad), "--data", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: checkpoint.arrays: key 'a\\nb' is not printable"]
 
 
 # every subcommand's (option strings, default, required), written out literally

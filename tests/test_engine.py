@@ -65,6 +65,16 @@ class TestLifStep:
         state, s = lif_step(LifState.zeros((1,)), np.array([1.0]), 1.0, 1.0)
         assert s[0] == 1.0
 
+    def test_constant_current_fires_floor_t_times(self):
+        """Membrane from 0, leak 1, vth 1, I = k/64: floor(t * I) spikes in t
+        steps, so a short run's rate sits up to 1/t below I, never above."""
+        k = np.arange(65)
+        state, counts = LifState.zeros(k.shape), np.zeros(k.shape)
+        for t in range(1, 17):
+            state, s = lif_step(state, k / 64, 1.0, 1.0)
+            counts += s
+            assert np.array_equal(counts, (t * k) // 64), t
+
     def test_leak_decays_memory(self):
         # leak 0.5: u_t = 0.5 u_{t-1} + 0.4 converges to 0.8, never fires
         assert _simulate_rate(0.4, 1.0, 100, leak=0.5) == 0.0
@@ -286,6 +296,20 @@ class TestRunSequential:
         other, _ = run_sequential(model, masks, plan, swapped, RandomStream(5))
         assert np.array_equal(full[0], other[0])
         assert not np.array_equal(full[1], other[1])
+
+    def test_split_batches_draw_as_the_whole_batch(self):
+        """Sample i of a batch starting at first uses stream.derive(first + i),
+        so any split of a dataset gives each example the same logits."""
+        model = tiny_model(2)
+        masks = MaskSet.all_ones(model)
+        plan = TimestepPlan.uniform(1, 10)
+        tokens, _ = token_batch(model.config, 5, RandomStream(7))
+        whole, _ = run_sequential(model, masks, plan, tokens, RandomStream(5))
+        head, _ = run_sequential(model, masks, plan, tokens[:2], RandomStream(5))
+        tail, _ = run_sequential(model, masks, plan, tokens[2:], RandomStream(5), first=2)
+        assert np.array_equal(whole, np.concatenate([head, tail]))
+        shifted, _ = run_sequential(model, masks, plan, tokens[2:], RandomStream(5))
+        assert not np.array_equal(whole[2:], shifted)
 
     def test_traces_follow_per_sublayer_budgets(self):
         """Each sublayer's one row is the reference's row after that
