@@ -10,8 +10,7 @@ from .config import RunConfig, load_config, parse_config, resolve_config
 from .cost import (AcsReport, acs_baseline, acs_total, cost_summary, normalized_c,
                    per_sublayer_acs, unit_costs)
 from .data import Dataset, gen_keyword_task, iter_batches, label_for, load_jsonl, save_jsonl
-from .engine import (AsrTrace, LifState, lif_step, rate_proxy_forward,
-                     run_sequential, run_unrolled)
+from .engine import AsrTrace, rate_proxy_forward, run_sequential, run_unrolled
 from .errors import (CheckpointError, InfeasibleBudgetError, InvalidInputError,
                      SpikePruneError, TrainingDivergedError)
 from .importance import ImportanceScores, asr_factors, combine, fisher_diagonal
@@ -26,14 +25,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcsReport", "AsrTrace", "CheckpointError", "Dataset", "ImportanceScores",
-    "InfeasibleBudgetError", "InvalidInputError", "LifState", "MaskSet",
+    "InfeasibleBudgetError", "InvalidInputError", "MaskSet",
     "ModelConfig", "RandomStream", "RunConfig", "SUBLAYERS", "SpikePruneError",
     "SpikingModel", "TimestepPlan", "TrainConfig", "TrainingDivergedError",
     "acs_baseline", "acs_total", "allocate_timesteps", "apply_masks",
     "asr_factors", "bernoulli_matrix", "combine", "cost_summary",
     "evaluate_proxy", "finite_difference_gradient", "fisher_diagonal",
     "gen_keyword_task", "gradcheck", "init_model", "iter_batches", "label_for",
-    "layer_importance", "lif_step", "load_checkpoint", "load_config",
+    "layer_importance", "load_checkpoint", "load_config",
     "load_jsonl", "normalized_c", "parse_config", "pca_component_count",
     "per_sublayer_acs", "pruned_importance", "rate_proxy_forward",
     "refine_masks", "resolve_config", "run_sequential", "run_unrolled",

@@ -344,11 +344,11 @@ def cmd_report(args) -> int:
 
 
 def _ablate_activity(cfg: RunConfig, seed: int, epochs: int) -> dict:
+    _, model0, train_data, test_data = _synthetic_run(cfg, seed)
     results = {}
     for label, eta in (("with_activity", cfg.eta), ("without_activity", 0.0)):
-        _, model, train_data, test_data = _synthetic_run(cfg, seed)
         tcfg = cfg.train_config(seed=seed, eta=eta, epochs=epochs)
-        model, masks, plan, history = train(model, *_unpruned(model), train_data, tcfg,
+        model, masks, plan, history = train(model0, *_unpruned(model0), train_data, tcfg,
                                             eval_data=test_data)
         groups, nc = _unrolled_group_stats(model, masks, plan,
                                            test_data.tokens[:64])

@@ -62,13 +62,13 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be in (0, 1]")
 
     def _split(self, target, **overrides):
-        """A target (ModelConfig or TrainConfig) whose init fields take this
+        """A target (ModelConfig or TrainConfig) whose fields take this
         config's value under the same name or the name _RENAMED gives; fields
         with no config key keep their defaults, and overrides win."""
         ours = {f.name for f in dataclasses.fields(self)}
         kwargs = {f.name: getattr(self, _RENAMED.get(f.name, f.name))
                   for f in dataclasses.fields(target)
-                  if f.init and _RENAMED.get(f.name, f.name) in ours}
+                  if _RENAMED.get(f.name, f.name) in ours}
         return target(**{**kwargs, **overrides})
 
     def model_config(self) -> ModelConfig:

@@ -40,37 +40,40 @@ class AcsReport:
     ratio: float
 
 
-def _unit_acs(config: ModelConfig) -> tuple:
-    """The cost formula: per sublayer in SUBLAYERS order, the unit kind it
-    scales with and the ACs of one active unit of that kind per timestep.
+def _plan_acs(config: ModelConfig, plan: TimestepPlan) -> list:
+    """The cost formula paired with a plan, the one walk every count below
+    reads: per layer, per sublayer in SUBLAYERS order, the unit kind it
+    scales with and the ACs of one active unit of that kind over the
+    sublayer's budget, as exact integers.
 
     A head costs its share of the key, value and query projections (the
     query runs inside the attention sublayer, on its timesteps), the two
     N x N attention products, and its W_O rows in fc. A neuron costs one
     column of W_inter and one row of W_out.
     """
-    seq, d, hd = config.seq_len, config.hidden_size, config.head_dim
-    ndh = seq * d * hd
-    return (("heads", ndh), ("heads", ndh), ("heads", ndh + 2 * seq * seq * hd),
-            ("heads", ndh), ("neurons", seq * d), ("neurons", seq * d))
-
-
-def _steps(config: ModelConfig, plan: TimestepPlan) -> list:
     if plan.num_layers != config.num_layers:
         raise InvalidInputError("plan layer count does not match config")
-    return plan.steps.tolist()
+    seq, d, hd = config.seq_len, config.hidden_size, config.head_dim
+    ndh = seq * d * hd
+    formula = (("heads", ndh), ("heads", ndh), ("heads", ndh + 2 * seq * seq * hd),
+               ("heads", ndh), ("neurons", seq * d), ("neurons", seq * d))
+    return [[(kind, acs * t) for (kind, acs), t in zip(formula, steps)]
+            for steps in plan.steps.tolist()]
 
 
-def _unit_cost_rows(config: ModelConfig, plan: TimestepPlan) -> list:
-    """Per layer, {unit kind: ACs of one active unit} as exact integers."""
-    formula = _unit_acs(config)
-    rows = []
-    for steps in _steps(config, plan):
-        row = {"heads": 0, "neurons": 0}
-        for (kind, acs), t in zip(formula, steps):
-            row[kind] += acs * t
-        rows.append(row)
-    return rows
+def _per_unit(config: ModelConfig, plan: TimestepPlan) -> list:
+    """Per layer, (ACs of one head, ACs of one neuron) under the plan: each
+    kind's sublayers summed, as exact integers."""
+    return [tuple(sum(acs for k, acs in row if k == kind) for kind in ("heads", "neurons"))
+            for row in _plan_acs(config, plan)]
+
+
+def unit_costs(config: ModelConfig, plan: TimestepPlan):
+    """Marginal ACs of one head / one neuron per layer under `plan`.
+
+    Returns (head_costs, neuron_costs) as int64 arrays of length num_layers.
+    """
+    return tuple(np.array(kind, dtype=np.int64) for kind in zip(*_per_unit(config, plan)))
 
 
 def acs_value(config: ModelConfig, head_counts, neuron_counts, plan: TimestepPlan):
@@ -78,8 +81,8 @@ def acs_value(config: ModelConfig, head_counts, neuron_counts, plan: TimestepPla
     if len(head_counts) != config.num_layers or len(neuron_counts) != config.num_layers:
         raise InvalidInputError("unit counts must have one entry per layer")
     total = 0
-    for row, h, n in zip(_unit_cost_rows(config, plan), head_counts, neuron_counts):
-        total = total + h * row["heads"] + n * row["neurons"]
+    for (hc, nc), h, n in zip(_per_unit(config, plan), head_counts, neuron_counts):
+        total = total + h * hc + n * nc
     return total
 
 
@@ -107,23 +110,12 @@ def per_sublayer_acs(config: ModelConfig, masks: MaskSet, plan: TimestepPlan) ->
     runs on its timesteps. Sums to acs_total().total exactly.
     """
     heads, neurons = masks.active_counts()
-    formula = _unit_acs(config)
     out = []
-    for l, steps in enumerate(_steps(config, plan)):
+    for l, row in enumerate(_plan_acs(config, plan)):
         active = {"heads": heads[l], "neurons": neurons[l]}
-        for name, (kind, acs), t in zip(SUBLAYERS, formula, steps):
-            out.append((f"L{l}.{name}", active[kind] * acs * t))
+        for name, (kind, acs) in zip(SUBLAYERS, row):
+            out.append((f"L{l}.{name}", active[kind] * acs))
     return out
-
-
-def unit_costs(config: ModelConfig, plan: TimestepPlan):
-    """Marginal ACs of one head / one neuron per layer under `plan`.
-
-    Returns (head_costs, neuron_costs) as int64 arrays of length num_layers.
-    """
-    rows = _unit_cost_rows(config, plan)
-    return (np.array([r["heads"] for r in rows], dtype=np.int64),
-            np.array([r["neurons"] for r in rows], dtype=np.int64))
 
 
 def _mean_asr(entry) -> float:

@@ -11,6 +11,7 @@ sequence length.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -21,7 +22,7 @@ from .errors import InvalidInputError
 from .numerics import RandomStream
 
 __all__ = ["Dataset", "gen_keyword_task", "label_for", "load_jsonl",
-           "save_jsonl", "iter_batches"]
+           "save_jsonl", "iter_batches", "write_replacing"]
 
 _MAX_DRAWS = 10_000
 
@@ -94,14 +95,26 @@ def gen_keyword_task(vocab_size: int, seq_len: int, n_examples: int,
     return Dataset(tokens, labels)
 
 
+def write_replacing(path: str, text: str) -> None:
+    """Write text to path + ".tmp", then os.replace it onto path; when either
+    step fails, the temp file is removed and the error re-raised."""
+    tmp = path + ".tmp"
+    fh = open(tmp, "w", encoding="utf-8")  # from here on the temp file is ours
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_jsonl(path: str, dataset: Dataset) -> None:
     """One {"tokens": [...], "label": n} object per line."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for row, label in zip(dataset.tokens, dataset.labels):
-            fh.write(json.dumps({"tokens": [int(t) for t in row],
-                                 "label": int(label)}) + "\n")
-    os.replace(tmp, path)
+    write_replacing(path, "".join(
+        json.dumps({"tokens": [int(t) for t in row], "label": int(label)}) + "\n"
+        for row, label in zip(dataset.tokens, dataset.labels)))
 
 
 def load_jsonl(path: str, seq_len: int, vocab_size: int,

@@ -56,16 +56,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidInputError
-from .model import (SUBLAYERS, LayerParams, MaskSet, SpikingModel, TimestepPlan, _model_arrays,
-                    slice_columns)
+from .model import LayerParams, MaskSet, SpikingModel, TimestepPlan, _model_arrays, slice_columns
 from .numerics import RandomStream, bernoulli_planes
 
 __all__ = [
     "LN_EPS",
-    "LifState",
     "TimestepPlan",
     "AsrTrace",
-    "lif_step",
     "run_unrolled",
     "run_sequential",
     "rate_proxy_forward",
@@ -74,29 +71,6 @@ __all__ = [
 
 # Shared by the simulator and the proxy; they must normalize identically.
 LN_EPS = 1e-5
-
-
-@dataclasses.dataclass
-class LifState:
-    """Membrane potentials and the previous step's spikes, same shape."""
-
-    membrane: np.ndarray
-    spikes: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape) -> "LifState":
-        return cls(np.zeros(shape), np.zeros(shape))
-
-
-def lif_step(state: LifState, input_current: np.ndarray, v_th, leak: float):
-    """One integrate-and-fire update with subtractive reset.
-
-    u' = leak * u + I - s_prev * v_th, spike where u' - v_th >= 0 (so a
-    membrane exactly at threshold fires). Returns (new_state, spikes).
-    """
-    u = leak * state.membrane + input_current - state.spikes * v_th
-    spikes = (u - v_th >= 0.0).astype(np.float64)
-    return LifState(u, spikes), spikes
 
 
 @dataclasses.dataclass
@@ -243,24 +217,28 @@ def _compressed(model: SpikingModel, masks: MaskSet, tokens):
 
 
 class _Population:
-    """LIF state and spike sum of one population: a sublayer, or the input
-    encoder at threshold 1.
-
-    State and sum take their shape from the first input current, so a
-    sliced model's narrower layers need no separate sizing.
-    """
+    """LIF membranes, last spikes and spike sum of one population (a
+    sublayer, or the input encoder at threshold 1), all shaped by its first
+    input current, so a sliced model's narrower layers need no sizing."""
 
     def __init__(self, vth, leak: float):
         self.vth, self.leak = vth, leak
-        self.state = self.total = None
+        self.membrane = self.spikes = self.total = None
 
     def step(self, current: np.ndarray) -> np.ndarray:
-        """Advance one timestep; returns its spikes."""
-        if self.state is None:
-            self.state, self.total = LifState.zeros(current.shape), np.zeros(current.shape)
-        self.state, s = lif_step(self.state, current, self.vth, self.leak)
-        self.total += s
-        return s
+        """One integrate-and-fire update with subtractive reset; returns its spikes.
+
+        u' = leak * u + I - s_prev * v_th, spike where u' - v_th >= 0 (so a
+        membrane exactly at threshold fires).
+        """
+        if self.membrane is None:
+            self.membrane, self.spikes, self.total = (np.zeros(current.shape) for _ in range(3))
+        u = self.leak * self.membrane + current - self.spikes * self.vth
+        # both old arrays go at once, after the new ones exist: freeing the
+        # membrane first tripled a mid-size simulation's minor page faults
+        self.membrane, self.spikes = u, (u - self.vth >= 0.0).astype(np.float64)
+        self.total += self.spikes
+        return self.spikes
 
 
 def _traces(tables, keeps, asrs, seq_len: int) -> list:

@@ -96,22 +96,14 @@ def asr_factors(traces, config):
 
 def combine(fisher, asr) -> ImportanceScores:
     """Elementwise product of the two factors; shapes must match."""
-    head_fisher, neuron_fisher = fisher
-    head_asr, neuron_asr = asr
-    if len(head_fisher) != len(head_asr) or len(neuron_fisher) != len(neuron_asr):
-        raise InvalidInputError("fisher and asr layer counts differ")
-    head_scores = []
-    neuron_scores = []
-    for f, a in zip(head_fisher, head_asr):
-        if np.shape(f) != np.shape(a):
-            raise InvalidInputError(f"head factor shapes differ: {np.shape(f)} vs {np.shape(a)}")
-        head_scores.append(np.asarray(f) * np.asarray(a))
-    for f, a in zip(neuron_fisher, neuron_asr):
-        if np.shape(f) != np.shape(a):
-            raise InvalidInputError(f"neuron factor shapes differ: {np.shape(f)} vs {np.shape(a)}")
-        neuron_scores.append(np.asarray(f) * np.asarray(a))
-    return ImportanceScores(head_scores, neuron_scores,
-                            [np.asarray(f) for f in head_fisher],
-                            [np.asarray(f) for f in neuron_fisher],
-                            [np.asarray(a) for a in head_asr],
-                            [np.asarray(a) for a in neuron_asr])
+    groups = []  # per unit kind: (scores, fisher, asr), one array per layer
+    for kind, fs, rs in zip(("head", "neuron"), fisher, asr):
+        if len(fs) != len(rs):
+            raise InvalidInputError("fisher and asr layer counts differ")
+        fs, rs = [np.asarray(f) for f in fs], [np.asarray(a) for a in rs]
+        for f, a in zip(fs, rs):
+            if f.shape != a.shape:
+                raise InvalidInputError(f"{kind} factor shapes differ: {f.shape} vs {a.shape}")
+        groups.append(([f * a for f, a in zip(fs, rs)], fs, rs))
+    (hs, hf, ha), (ns, nf, na) = groups
+    return ImportanceScores(hs, ns, hf, nf, ha, na)

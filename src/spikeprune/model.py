@@ -27,10 +27,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 
+from .data import write_replacing
 from .errors import CheckpointError, InvalidInputError
 from .numerics import RandomStream
 
@@ -58,7 +58,7 @@ FORMAT_TAG = "spikeprune/v2"
 class ModelConfig:
     """Architecture plus the simulation/pruning constants tied to it.
 
-    head_dim is derived (hidden_size // num_heads) and never set directly.
+    head_dim is derived (hidden_size // num_heads), not a field.
     leak is the membrane decay per timestep; 1.0 keeps full memory.
     """
 
@@ -74,11 +74,10 @@ class ModelConfig:
     variance_threshold: float = 0.99999
     pca_base: float = 1.02
     initial_vth: float = 1.0
-    head_dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         # bool is an int subclass; float fields must be finite (compared: huge ints overflow)
-        for f in (f for f in dataclasses.fields(self) if f.init):
+        for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if f.type == "int":
                 if isinstance(v, bool) or not isinstance(v, int) or v < 1:
@@ -97,18 +96,19 @@ class ModelConfig:
             raise InvalidInputError("pca_base must be greater than 1")
         if not self.initial_vth > 0.0:
             raise InvalidInputError("initial_vth must be positive")
-        object.__setattr__(self, "head_dim", self.hidden_size // self.num_heads)
+
+    @property
+    def head_dim(self) -> int:
+        return self.hidden_size // self.num_heads
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d.pop("head_dim")
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "config") -> "ModelConfig":
         if not isinstance(d, dict):
             raise CheckpointError(f"{path}: expected an object")
-        fields = {f.name for f in dataclasses.fields(cls) if f.init}
+        fields = {f.name for f in dataclasses.fields(cls)}
         if set(d) != fields:
             raise CheckpointError(f"{path}: unknown keys {sorted(set(d) - fields)}, "
                                   f"missing keys {sorted(fields - set(d))}")
@@ -417,11 +417,8 @@ def save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> Non
     doc = {"format": FORMAT_TAG, "config": model.config.to_dict(),
            "input_scale": model.input_scale, "timestep_plan": _plan_to_dict(plan),
            "arrays": records, "sha256": digest.hexdigest()}
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        # one dumps call takes the C encoder; json.dump never does
-        fh.write(json.dumps(doc, sort_keys=True))
-    os.replace(tmp, path)
+    # one dumps call takes the C encoder; json.dump never does
+    write_replacing(path, json.dumps(doc, sort_keys=True))
 
 
 def _need(doc: dict, key: str, path: str):
@@ -453,12 +450,11 @@ def _payload(key: str, record) -> tuple:
     return raw, shape
 
 
-def load_checkpoint(path: str, expected_config: ModelConfig = None):
+def load_checkpoint(path: str):
     """Read a spikeprune/v2 checkpoint; returns (model, masks, plan).
 
     Malformed files raise CheckpointError naming the offending key (an
-    array's own key, a dotted path for the rest). When expected_config is
-    given, the stored architecture must match it field for field.
+    array's own key, a dotted path for the rest).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -474,10 +470,6 @@ def load_checkpoint(path: str, expected_config: ModelConfig = None):
         raise CheckpointError(f"checkpoint.format: {tag!r} is not {FORMAT_TAG!r}; "
                               "rerun the command that wrote it")
     config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
-    if expected_config is not None and config != expected_config:
-        diffs = [f.name for f in dataclasses.fields(ModelConfig)
-                 if f.init and getattr(config, f.name) != getattr(expected_config, f.name)]
-        raise CheckpointError(f"config mismatch in fields {diffs}")
 
     d, hd = config.hidden_size, config.head_dim
     scale = _need(doc, "input_scale", "checkpoint")

@@ -76,8 +76,6 @@ class RandomStream:
     independent child streams.
     """
 
-    algorithm = "splitmix64"
-
     def __init__(self, seed: int, counter: int = 0):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = int(counter)

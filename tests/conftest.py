@@ -12,9 +12,11 @@ search must return the same masks.
 The reference simulators run the full-width model under masks: pruned
 heads zeroed inside the attention current, pruned neurons in the inter
 spike sum, so a pruned head's key and value units still integrate and
-spike. The reference sequential simulator also materialises every
-sublayer's whole spike train, (batch, t, seq, units), one
-reference_bernoulli_matrix call per sample, and takes running means with a cumsum over the time axis.
+spike. They step LIF themselves, with `reference_lif_step`, a copy of the
+update kept apart from `engine._Population`, the one the simulators use.
+The reference sequential simulator also materialises every sublayer's
+whole spike train, (batch, t, seq, units), one reference_bernoulli_matrix
+call per sample, and takes running means with a cumsum over the time axis.
 `engine`'s simulators, which run the model sliced to its kept units, must
 return the same logits and the same traces with pruned units read as 0.
 
@@ -44,9 +46,9 @@ import os
 import numpy as np
 
 from spikeprune import (SUBLAYERS, AsrTrace, CheckpointError, ImportanceScores,
-                        InfeasibleBudgetError, InvalidInputError, LifState,
-                        MaskSet, ModelConfig, RandomStream, SpikingModel,
-                        TimestepPlan, init_model, lif_step)
+                        InfeasibleBudgetError, InvalidInputError, MaskSet,
+                        ModelConfig, RandomStream, SpikingModel, TimestepPlan,
+                        init_model)
 from spikeprune.model import LayerParams, _need, _plan_to_dict
 from spikeprune.cost import unit_costs
 from spikeprune.engine import (_MEAN, _NP_OPS, _RATES, _SPIKES, _input_currents,
@@ -445,6 +447,19 @@ def reference_backward(root) -> None:
 # --- reference simulators ----------------------------------------------------
 
 
+def reference_lif_step(state, input_current, v_th, leak: float):
+    """One integrate-and-fire update with subtractive reset.
+
+    state is (membrane, previous spikes), both zero at the start. u' = leak
+    * u + I - s_prev * v_th, spike where u' - v_th >= 0 (so a membrane
+    exactly at threshold fires). Returns (new_state, spikes).
+    """
+    membrane, prev = state
+    u = leak * membrane + input_current - prev * v_th
+    spikes = (u - v_th >= 0.0).astype(np.float64)
+    return (u, spikes), spikes
+
+
 def _stage_tables(model: SpikingModel, masks: MaskSet) -> list:
     """Per layer, (stage, spike mask) in SUBLAYERS order: the head mask acts
     inside the attention current, the neuron mask on the inter spikes."""
@@ -465,8 +480,9 @@ class _MaskedPopulation:
 
     def step(self, current: np.ndarray, t: int) -> np.ndarray:
         if self.state is None:
-            self.state, self.total = LifState.zeros(current.shape), np.zeros(current.shape)
-        self.state, s = lif_step(self.state, current, self.stage.vth, self.leak)
+            self.state = (np.zeros(current.shape), np.zeros(current.shape))
+            self.total = np.zeros(current.shape)
+        self.state, s = reference_lif_step(self.state, current, self.stage.vth, self.leak)
         mask = self.spike_mask
         self.total += s if mask is None else s * mask
         self.rows.append((self.total / t).mean(axis=0).ravel())
@@ -491,11 +507,11 @@ def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int):
     tables = _stage_tables(model, masks)
     pops = [[_MaskedPopulation(f"L{li}.{st.name}", st, mask, model.config.leak)
              for st, mask in stages] for li, stages in enumerate(tables)]
-    state_in = LifState.zeros(cur_in.shape)
+    state_in = (np.zeros(cur_in.shape), np.zeros(cur_in.shape))
     sum_in = np.zeros_like(cur_in)
 
     for t in range(1, timesteps + 1):
-        state_in, s_in = lif_step(state_in, cur_in, 1.0, model.config.leak)
+        state_in, s_in = reference_lif_step(state_in, cur_in, 1.0, model.config.leak)
         sum_in += s_in
         spikes, rates = {"in": s_in}, {"in": sum_in / t}
         for stages, layer_pops in zip(tables, pops):
@@ -658,12 +674,10 @@ def reference_save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, pl
     os.replace(tmp, path)
 
 
-def reference_load_checkpoint(path: str, expected_config: ModelConfig = None):
+def reference_load_checkpoint(path: str):
     """Read a spikeprune/v1 checkpoint; returns (model, masks, plan).
 
     Malformed files raise CheckpointError naming the offending key path.
-    When expected_config is given, the stored architecture must match it
-    field for field.
     """
 
     try:
@@ -679,10 +693,6 @@ def reference_load_checkpoint(path: str, expected_config: ModelConfig = None):
     if tag != V1_TAG:
         raise CheckpointError(f"checkpoint.format: {tag!r} is not {V1_TAG!r}")
     config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
-    if expected_config is not None and config != expected_config:
-        diffs = [f.name for f in dataclasses.fields(ModelConfig)
-                 if f.init and getattr(config, f.name) != getattr(expected_config, f.name)]
-        raise CheckpointError(f"config mismatch in fields {diffs}")
 
     d, hd = config.hidden_size, config.head_dim
     scale = _need(doc, "input_scale", "checkpoint")

@@ -104,6 +104,13 @@ class TestTrain:
                        "--data", "40", "--test-data", "12"])
         assert rc == 0 and out.exists()
 
+    def test_out_onto_a_directory_exits_1_without_a_temp_file(self, ws, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        rc = cli.main(["train", "--config", ws["cfg"], "--out", str(tmp_path / "taken")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("error:") == 1 and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
     def test_unknown_config_fails(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", "no_such_preset",
                        "--out", str(tmp_path / "x.json")])

@@ -7,7 +7,7 @@ import pytest
 
 from spikeprune import (Dataset, InvalidInputError, RandomStream,
                         gen_keyword_task, label_for, load_jsonl, save_jsonl)
-from spikeprune.data import iter_batches
+from spikeprune.data import iter_batches, write_replacing
 
 
 class TestLabelFor:
@@ -138,6 +138,20 @@ class TestJsonl:
         save_jsonl(path, data)
         lines = open(path).read().splitlines()
         assert json.loads(lines[0]) == {"tokens": [0, 2, 1], "label": 1}
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        """os.replace onto a directory fails; the temp file goes with it."""
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            save_jsonl(str(tmp_path / "taken"), Dataset(np.array([[0, 2, 1]]), np.array([1])))
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        """A lone surrogate cannot be encoded as UTF-8: neither the path
+        nor its temp file is left behind."""
+        with pytest.raises(UnicodeEncodeError):
+            write_replacing(str(tmp_path / "out.txt"), "ok\ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIterBatches:

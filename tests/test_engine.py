@@ -11,28 +11,28 @@ from hypothesis import given, settings, strategies as st
 
 from types import SimpleNamespace
 
-from conftest import (reference_run_sequential, reference_run_unrolled, tiny_config,
-                      tiny_model, token_batch)
+from conftest import (reference_lif_step, reference_run_sequential, reference_run_unrolled,
+                      tiny_config, tiny_model, token_batch)
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         evaluate_proxy, fisher_diagonal, init_model,
                         rate_proxy_forward, run_sequential, run_unrolled)
 from spikeprune import SUBLAYERS, engine, numerics
 from spikeprune import autodiff as ad
-from spikeprune.engine import LifState, cross_entropy, lif_step, proxy_graph
+from spikeprune.engine import cross_entropy, proxy_graph
 from spikeprune.model import _model_arrays
 
 
 def _simulate_rate(current: float, v_th: float, steps: int, leak: float = 1.0):
-    state = LifState.zeros((1,))
-    total = 0.0
+    pop = engine._Population(v_th, leak)
     cur = np.array([current])
     for _ in range(steps):
-        state, s = lif_step(state, cur, v_th, leak)
-        total += float(s[0])
-    return total / steps
+        pop.step(cur)
+    return float(pop.total[0]) / steps
 
 
 class TestLifStep:
+    """engine._Population.step, the one LIF update both simulators run."""
+
     def test_half_threshold_current_fires_half_the_time(self):
         assert _simulate_rate(0.5, 1.0, 200) == 0.5
 
@@ -46,42 +46,56 @@ class TestLifStep:
 
     def test_three_quarter_current_worked_sequence(self):
         """I=0.75, vth=1: spikes land at steps 2,3,4 then every 4/3 steps."""
-        state = LifState.zeros((1,))
+        pop = engine._Population(1.0, 1.0)
         cur = np.array([0.75])
-        seen = []
-        for _ in range(8):
-            state, s = lif_step(state, cur, 1.0, 1.0)
-            seen.append(int(s[0]))
+        seen = [int(pop.step(cur)[0]) for _ in range(8)]
         assert seen == [0, 1, 1, 1, 0, 1, 1, 1]
         assert _simulate_rate(0.75, 1.0, 400) == 0.75
 
     def test_subtractive_reset_arithmetic(self):
-        state = LifState.zeros((1,))
-        state, s = lif_step(state, np.array([2.5]), 1.0, 1.0)
-        assert s[0] == 1.0 and state.membrane[0] == 2.5
+        pop = engine._Population(1.0, 1.0)
+        s = pop.step(np.array([2.5]))
+        assert s[0] == 1.0 and pop.membrane[0] == 2.5
         # next step subtracts one threshold for the spike just emitted
-        state, s = lif_step(state, np.array([0.0]), 1.0, 1.0)
-        assert state.membrane[0] == 1.5 and s[0] == 1.0
+        s = pop.step(np.array([0.0]))
+        assert pop.membrane[0] == 1.5 and s[0] == 1.0
 
     def test_membrane_exactly_at_threshold_fires(self):
-        state, s = lif_step(LifState.zeros((1,)), np.array([1.0]), 1.0, 1.0)
+        s = engine._Population(1.0, 1.0).step(np.array([1.0]))
         assert s[0] == 1.0
 
     def test_constant_current_fires_floor_t_times(self):
         """Membrane from 0, leak 1, vth 1, I = k/64: floor(t * I) spikes in t
         steps, so a short run's rate sits up to 1/t below I, never above."""
         k = np.arange(65)
-        state, counts = LifState.zeros(k.shape), np.zeros(k.shape)
+        pop = engine._Population(1.0, 1.0)
         for t in range(1, 17):
-            state, s = lif_step(state, k / 64, 1.0, 1.0)
-            counts += s
-            assert np.array_equal(counts, (t * k) // 64), t
+            pop.step(k / 64)
+            assert np.array_equal(pop.total, (t * k) // 64), t
 
     def test_leak_decays_memory(self):
         # leak 0.5: u_t = 0.5 u_{t-1} + 0.4 converges to 0.8, never fires
         assert _simulate_rate(0.4, 1.0, 100, leak=0.5) == 0.0
         # the same current fires with full memory
         assert _simulate_rate(0.4, 1.0, 100, leak=1.0) == pytest.approx(0.4, abs=0.01)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 20),
+           vth=st.floats(0.05, 4.0), leak=st.floats(0.0, 1.0))
+    def test_step_equals_reference_bit_for_bit(self, seed, steps, vth, leak):
+        """Spikes, membranes and spike sum equal conftest's own copy of the
+        update at every step, for currents from below 0 to above threshold."""
+        rng = np.random.default_rng(seed)
+        currents = rng.uniform(-1.0, 2.5, size=(steps, 3, 5)) * vth
+        pop = engine._Population(vth, leak)
+        state, total = (np.zeros((3, 5)), np.zeros((3, 5))), np.zeros((3, 5))
+        for current in currents:
+            s = pop.step(current)
+            state, want = reference_lif_step(state, current, vth, leak)
+            total += want
+            assert np.array_equal(s, want)
+            assert np.array_equal(pop.membrane, state[0])
+            assert np.array_equal(pop.total, total)
 
 
 class TestTimestepPlan:

@@ -1,0 +1,75 @@
+"""Source hygiene: no package module imports a name it does not use.
+
+Each `src/spikeprune/*.py` except `__init__.py` is parsed with `ast`; a
+name bound by an import must be read somewhere in the module (string
+annotations included) or listed in its `__all__`. A deletion that leaves
+its import behind fails here.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spikeprune"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(tree) -> set:
+    """Names read inside string annotations, which ast leaves as constants."""
+    names = set()
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                          if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list:
+    """The names source imports but neither reads nor lists in __all__, with
+    the line of their import."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_check_catches_what_it_should():
+    source = '''
+from __future__ import annotations
+import os, os.path as osp
+import numpy as np
+from .model import SUBLAYERS, MaskSet, TimestepPlan
+from .errors import InvalidInputError as Bad
+
+__all__ = ["TimestepPlan"]
+
+def f(masks: "MaskSet") -> int:
+    return np.zeros(3).size
+'''
+    assert unused_imports(source) == ["Bad (line 6)", "SUBLAYERS (line 5)", "os (line 3)",
+                                      "osp (line 3)"]

@@ -313,15 +313,14 @@ class TestCheckpoint:
         assert m2.neuron_counts() == [4]
         assert np.array_equal(m2.layers[0].w_o, sliced.layers[0].w_o)
 
-    def test_expected_config_mismatch(self, tmp_path):
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        """os.replace onto a directory fails; the temp file goes with it."""
         model = tiny_model(0)
-        path = str(tmp_path / "ck.json")
-        save_checkpoint(path, model, MaskSet.all_ones(model),
-                        TimestepPlan.uniform(1, 10))
-        other = tiny_config(t_conv=99)
-        with pytest.raises(CheckpointError, match="t_conv"):
-            load_checkpoint(path, expected_config=other)
-        load_checkpoint(path, expected_config=model.config)
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(str(tmp_path / "taken"), model, MaskSet.all_ones(model),
+                            TimestepPlan.uniform(1, 10))
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
