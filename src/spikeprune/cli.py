@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig, resolve_config
 from .cost import acs_total, cost_summary
-from .data import Dataset, gen_keyword_task, iter_batches, load_jsonl
+from .data import Dataset, gen_keyword_task, iter_batches, load_jsonl, write_replacing
 from .engine import rate_proxy_forward, run_sequential, run_unrolled
 from .errors import InvalidInputError, SpikePruneError
 from .importance import asr_factors, combine, fisher_diagonal
@@ -46,20 +47,21 @@ _LANE_CALIB = 3
 _LANE_EVAL = 4
 
 
+def _write_csv(path: str, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_replacing(path, text.getvalue())
+
+
 def _write_history_csv(path: str, history: list) -> None:
     cols = list(HISTORY_COLUMNS)
     if history:
         cols += [k for k in history[0] if k not in HISTORY_COLUMNS]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in history:
-            writer.writerow([row[c] for c in cols])
+    _write_csv(path, [cols] + [[row[c] for c in cols] for row in history])
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_replacing(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _gen_dataset(mcfg: ModelConfig, count: int, stream: RandomStream) -> Dataset:
@@ -305,27 +307,22 @@ def cmd_report(args) -> int:
     # cumulative firing rate per encoder layer
     scores, traces = _importance_scores(model, masks, calib, args.batch)
     per_layer = len(traces) // cfg.num_layers
+    chunks = [traces[i * per_layer:(i + 1) * per_layer] for i in range(cfg.num_layers)]
     curve_path = os.path.join(args.out_dir, "asr_layers.csv")
-    with open(curve_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestep"] + [f"layer_{i}" for i in range(cfg.num_layers)])
-        for t in range(cfg.t_conv):
-            row = [t + 1]
-            for i in range(cfg.num_layers):
-                chunk = traces[i * per_layer:(i + 1) * per_layer]
-                row.append(float(np.mean([tr.asr[t].mean() for tr in chunk])))
-            writer.writerow(row)
+    rows = [["timestep"] + [f"layer_{i}" for i in range(cfg.num_layers)]]
+    for t in range(cfg.t_conv):
+        rows.append([t + 1] + [float(np.mean([tr.asr[t].mean() for tr in chunk]))
+                               for chunk in chunks])
+    _write_csv(curve_path, rows)
 
     # accuracy and cost across spatial budgets, from one set of scores
     sweep_path = os.path.join(args.out_dir, "constraint_sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["constraint", "acs_ratio", "accuracy"])
-        for constraint in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]:
-            swept = _prune(scores, cfg, constraint)
-            ratio = acs_total(cfg, swept, plan).ratio
-            acc = evaluate_proxy(model, swept, calib, args.batch)
-            writer.writerow([constraint, ratio, acc])
+    rows = [["constraint", "acs_ratio", "accuracy"]]
+    for constraint in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]:
+        swept = _prune(scores, cfg, constraint)
+        rows.append([constraint, acs_total(cfg, swept, plan).ratio,
+                     evaluate_proxy(model, swept, calib, args.batch)])
+    _write_csv(sweep_path, rows)
 
     heads, neurons = masks.active_counts()
     _, rates = rate_proxy_forward(model, masks, calib.tokens)

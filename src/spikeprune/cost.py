@@ -73,7 +73,10 @@ def unit_costs(config: ModelConfig, plan: TimestepPlan):
 
     Returns (head_costs, neuron_costs) as int64 arrays of length num_layers.
     """
-    return tuple(np.array(kind, dtype=np.int64) for kind in zip(*_per_unit(config, plan)))
+    per_unit = _per_unit(config, plan)
+    if max(max(row) for row in per_unit) >= 2 ** 63:
+        raise InvalidInputError("one unit's ACs under the plan exceed int64")
+    return tuple(np.array(kind, dtype=np.int64) for kind in zip(*per_unit))
 
 
 def acs_value(config: ModelConfig, head_counts, neuron_counts, plan: TimestepPlan):

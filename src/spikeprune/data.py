@@ -48,18 +48,12 @@ class Dataset:
         return len(self.labels)
 
 
-def _keyword_split(vocab_size: int):
-    # content ids 1..V-1; low half positive keywords, high half negative
-    k = (vocab_size - 1) // 2
-    return k
-
-
 def label_for(tokens, vocab_size: int) -> int:
     """1 when positive keywords outnumber negative ones, else 0 (ties: 0)."""
     if vocab_size < 4:
         raise InvalidInputError("vocab_size must be at least 4")
     arr = np.asarray(tokens)
-    k = _keyword_split(vocab_size)
+    k = (vocab_size - 1) // 2  # content ids 1..V-1: low half positive, high half negative
     pos = int(((arr >= 1) & (arr <= k)).sum())
     neg = int((arr > k).sum())
     return 1 if pos > neg else 0
@@ -96,10 +90,12 @@ def gen_keyword_task(vocab_size: int, seq_len: int, n_examples: int,
 
 
 def write_replacing(path: str, text: str) -> None:
-    """Write text to path + ".tmp", then os.replace it onto path; when either
-    step fails, the temp file is removed and the error re-raised."""
+    """Write text, as given (no newline translation), to path + ".tmp", then
+    os.replace it onto path; when either step fails, the temp file is
+    removed and the error re-raised. Every file the package writes goes
+    through here."""
     tmp = path + ".tmp"
-    fh = open(tmp, "w", encoding="utf-8")  # from here on the temp file is ours
+    fh = open(tmp, "w", encoding="utf-8", newline="")  # from here on the temp file is ours
     try:
         with fh:
             fh.write(text)

@@ -202,7 +202,7 @@ def _layer_stages(layer, head_mask, head_dim, ops) -> tuple:
 def _compressed(model: SpikingModel, masks: MaskSet, tokens):
     """Both simulators' prologue: (input currents, kept columns, stage tables).
 
-    The tables are those of the model sliced to MaskSet.kept_columns, with
+    The tables are those of the layers sliced to MaskSet.kept_columns, with
     no masks; a layer may keep no head or no neuron. A trace averages over
     the batch, so the batch must not be empty.
     """
@@ -212,14 +212,14 @@ def _compressed(model: SpikingModel, masks: MaskSet, tokens):
         raise InvalidInputError("the simulators need a non-empty batch")
     keeps = masks.kept_columns(model.config.head_dim)
     tables = [_layer_stages(layer, None, model.config.head_dim, _NP_OPS)
-              for layer in slice_columns(model, keeps).layers]
+              for layer in slice_columns(model, keeps)]
     return cur_in, keeps, tables
 
 
 class _Population:
     """LIF membranes, last spikes and spike sum of one population (a
     sublayer, or the input encoder at threshold 1), all shaped by its first
-    input current, so a sliced model's narrower layers need no sizing."""
+    input current, so sliced layers need no sizing."""
 
     def __init__(self, vth, leak: float):
         self.vth, self.leak = vth, leak

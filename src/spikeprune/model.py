@@ -7,9 +7,9 @@ proxy in `engine` both read the weights defined here.
 
 Pruning state lives outside the weights: a MaskSet holds binary head and
 neuron masks (plus optional relaxed values used while mask variables are
-being trained), a TimestepPlan the per-sublayer timestep budgets. Masks
-can be folded into the weights structurally with `apply_masks`, which
-slices the corresponding rows and columns.
+being trained), a TimestepPlan the per-sublayer timestep budgets. So a
+SpikingModel always has its config's widths; narrowed layers exist only
+inside the simulators, which slice to the kept columns (`slice_columns`).
 
 A checkpoint (spikeprune/v2) is one JSON object: config, input_scale and
 the timestep plan as plain JSON, and under "arrays" every float array (keyed
@@ -42,7 +42,6 @@ __all__ = [
     "MaskSet",
     "TimestepPlan",
     "init_model",
-    "apply_masks",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -120,18 +119,18 @@ class ModelConfig:
 
 def _axes(axes: str):
     """A LayerParams field with its layout: one letter per axis (d hidden
-    size, h kept heads x head_dim, n kept neurons, s sublayers)."""
+    size, h heads x head_dim, n intermediate neurons, s sublayers)."""
     return dataclasses.field(metadata={"axes": axes})
 
 
 @dataclasses.dataclass
 class LayerParams:
     """Weights of one encoder layer, and the layout table that checkpoint
-    loading and apply_masks walk.
+    loading and the simulators' slicing walk.
 
-    Projection shapes follow the kept unit counts, so a structurally pruned
-    layer simply has narrower matrices. vth holds one threshold per sublayer
-    in SUBLAYERS order.
+    A model's layers have the config's widths; only slice_columns makes
+    narrower ones, which the simulators run. vth holds one threshold per
+    sublayer in SUBLAYERS order.
     """
 
     w_k: np.ndarray = _axes("dh")
@@ -154,9 +153,6 @@ class LayerParams:
 
     def num_heads(self, head_dim: int) -> int:
         return self.w_k.shape[1] // head_dim
-
-    def num_neurons(self) -> int:
-        return self.w_inter.shape[1]
 
     def copy(self) -> "LayerParams":
         return LayerParams(**{f.name: getattr(self, f.name).copy()
@@ -185,10 +181,10 @@ class SpikingModel:
                             self.input_scale)
 
     def head_counts(self) -> list:
-        return [l.num_heads(self.config.head_dim) for l in self.layers]
+        return [self.config.num_heads] * self.config.num_layers
 
     def neuron_counts(self) -> list:
-        return [l.num_neurons() for l in self.layers]
+        return [self.config.intermediate_size] * self.config.num_layers
 
 
 class MaskSet:
@@ -259,8 +255,8 @@ class MaskSet:
         """The survivor rule: per layer, which columns of each cut layout axis stay.
 
         {"h": each head's head_dim columns follow its mask, "n": one column
-        per neuron}. apply_masks, both simulators' slicing, the sequential
-        simulator's draw counters and the trace columns all read this one rule.
+        per neuron}. Both simulators' slicing, the sequential simulator's draw
+        counters and the trace columns all read this one rule.
         """
         return [{"h": np.repeat(h.astype(bool), head_dim), "n": n.astype(bool)}
                 for h, n in zip(self.heads, self.neurons)]
@@ -351,37 +347,14 @@ def init_model(config: ModelConfig, stream: RandomStream) -> SpikingModel:
     return SpikingModel(config, emb, layers, cls_w, cls_b, scale)
 
 
-def slice_columns(model: SpikingModel, keeps: list) -> SpikingModel:
-    """model with every layout axis of layer l cut to keeps[l] (see
+def slice_columns(model: SpikingModel, keeps: list) -> list:
+    """model's layers with every layout axis of layer l cut to keeps[l] (see
     MaskSet.kept_columns). An axis may keep nothing. Arrays no axis cuts are
     shared with model, not copied."""
-    layers = [LayerParams(**{name: getattr(layer, name)[tuple(keep.get(a, slice(None))
-                                                              for a in axes)]
-                             for name, axes in _LAYOUT.items()})
-              for layer, keep in zip(model.layers, keeps)]
-    return dataclasses.replace(model, layers=layers)
-
-
-def apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
-    """Fold binary masks into the weights by deleting pruned rows/columns.
-
-    The sliced model computes exactly what the masked model computes; a
-    pruned head loses its K/V/Q columns and its W_O rows, a pruned neuron
-    its W_inter column and W_out row. Mask lengths must match the model's
-    current unit counts, so all-ones masks are a no-op and the call is
-    idempotent. Removing every head or every neuron of a layer is refused,
-    since load_checkpoint cannot read such a layer back; the simulators call
-    slice_columns directly, as they need neither that refusal nor the copy.
-    """
-    masks.validate_for(model)
-    keeps = masks.kept_columns(model.config.head_dim)
-    for l, keep in enumerate(keeps):
-        for axis, unit in (("h", "head"), ("n", "neuron")):
-            if not keep[axis].any():
-                raise InvalidInputError(f"masks remove every {unit} of layer {l}")
-    return slice_columns(model.copy(), keeps)
-
-
+    return [LayerParams(**{name: getattr(layer, name)[tuple(keep.get(a, slice(None))
+                                                            for a in axes)]
+                           for name, axes in _LAYOUT.items()})
+            for layer, keep in zip(model.layers, keeps)]
 
 
 # --- checkpoint files --------------------------------------------------------
@@ -471,7 +444,7 @@ def load_checkpoint(path: str):
                               "rerun the command that wrote it")
     config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
 
-    d, hd = config.hidden_size, config.head_dim
+    d = config.hidden_size
     scale = _need(doc, "input_scale", "checkpoint")
     if type(scale) not in (int, float) or not 0 <= scale <= float(np.finfo(np.float64).max):
         raise CheckpointError("input_scale: must be a finite non-negative number")
@@ -500,20 +473,9 @@ def load_checkpoint(path: str):
         return arr
 
     emb = take("embedding", (config.vocab_size, d))
-    # a layer's kept head and neuron widths are the column counts of w_k and w_inter
-    probes = (("h", "w_k", "heads", hd, config.num_heads),
-              ("n", "w_inter", "neurons", 1, config.intermediate_size))
+    sizes = {"d": d, "h": d, "n": config.intermediate_size, "s": len(SUBLAYERS)}
     layers = []
     for i in range(config.num_layers):
-        sizes = {"d": d, "s": len(SUBLAYERS)}
-        for axis, name, what, width, most in probes:
-            # an absent or non-matrix array is left for take to refuse
-            key = f"L{i}.{name}"
-            cols = arrays[key].shape[1] if key in arrays and arrays[key].ndim == 2 else width
-            if cols % width != 0 or not 1 <= cols // width <= most:
-                raise CheckpointError(
-                    f"{key}: {cols} columns is not 1..{most} {what} of width {width}")
-            sizes[axis] = cols
         layers.append(LayerParams(**{
             name: take(f"L{i}.{name}", tuple(sizes[a] for a in axes))
             for name, axes in _LAYOUT.items()}))

@@ -233,7 +233,8 @@ def bernoulli_matrix(p, t: int, stream: RandomStream) -> np.ndarray:
     """Sample a (t x units) binary matrix, column j ~ Bernoulli(p[j]) i.i.d.
 
     p may have any shape; it is flattened to the unit axis. Row tau is
-    plane tau of bernoulli_planes(p[None], t, [stream]).
+    plane tau of bernoulli_planes(p[None], t, [stream]). No package code
+    calls it; it stays as the public sampler that perfbench traces.
     """
     planes = bernoulli_planes(np.asarray(p)[None], t, [stream])
     return np.array([plane[0] for plane in planes]).reshape(t, np.size(p))

@@ -243,7 +243,9 @@ def refine_masks(masks: MaskSet, scores: ImportanceScores, config: ModelConfig,
 
 
 def pruned_importance(scores: ImportanceScores, masks: MaskSet) -> float:
-    """Sum of importance over pruned units (the refinement objective)."""
+    """Sum of importance over pruned units (the refinement objective).
+
+    No package code calls it; it stays as perfbench's prune-search check."""
     total = 0.0
     for group, score_group in ((masks.heads, scores.head_scores),
                                (masks.neurons, scores.neuron_scores)):

@@ -12,7 +12,9 @@ layer l's output, its norm taken per sample and averaged over the batch.
 the forward pass uses the 0.5-thresholded binary masks, gradients flow
 through the sigmoid relaxation. Thresholds can train jointly (adaptive) or
 stay frozen. The penalty is staged: lam applies before `penalty_epochs`,
-then switches off so accuracy recovers under the chosen masks.
+then switches off so accuracy recovers under the chosen masks. Without
+relaxed masks (every CLI train and retrain) M is a constant, so lam
+raises the loss history's values and changes no weight.
 """
 
 from __future__ import annotations

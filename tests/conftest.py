@@ -29,8 +29,7 @@ planes and its counts are never checked only against themselves.
 The reference checkpoint functions write and read the decimal-text
 spikeprune/v1 layout with every LayerParams field spelled out by hand; they
 are the value oracle for `model`'s spikeprune/v2 files, whose round trip must
-give every array the same bytes as theirs. The reference apply_masks must
-slice the same values as the layout-table version.
+give every array the same bytes as theirs.
 
 The reference backward sweeps the whole graph, constants included, and
 starts every node's gradient from zeros; `autodiff.backward`, which visits
@@ -580,9 +579,9 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
 
 
 # --- reference checkpoint layout ---------------------------------------------
-# apply_masks, and the spikeprune/v1 save_checkpoint and load_checkpoint (every
-# float a shortest round-tripping decimal), with every LayerParams field
-# spelled out by hand; `model`'s versions walk the layout table instead.
+# The spikeprune/v1 save_checkpoint and load_checkpoint (every float a
+# shortest round-tripping decimal), with every LayerParams field spelled out
+# by hand; `model`'s versions walk the layout table instead.
 
 V1_TAG = "spikeprune/v1"
 
@@ -597,39 +596,6 @@ def _arr(value, shape: tuple, path: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise CheckpointError(f"{path}: non-finite entries")
     return arr
-
-
-def reference_apply_masks(model: SpikingModel, masks: MaskSet) -> SpikingModel:
-    """Fold binary masks into the weights by deleting pruned rows/columns.
-
-    The sliced model computes exactly what the masked model computes; a
-    pruned head loses its K/V/Q columns and its W_O rows, a pruned neuron
-    its W_inter column and W_out row. Mask lengths must match the model's
-    current unit counts, so all-ones masks are a no-op and the call is
-    idempotent. Removing every head or every neuron of a layer is refused.
-    """
-    masks.validate_for(model)
-    out = model.copy()
-    hd = model.config.head_dim
-    for l, layer in enumerate(out.layers):
-        hm = masks.heads[l].astype(bool)
-        nm = masks.neurons[l].astype(bool)
-        if not hm.any():
-            raise InvalidInputError(f"masks remove every head of layer {l}")
-        if not nm.any():
-            raise InvalidInputError(f"masks remove every neuron of layer {l}")
-        col = np.repeat(hm, hd)
-        layer.w_k = layer.w_k[:, col]
-        layer.b_k = layer.b_k[col]
-        layer.w_v = layer.w_v[:, col]
-        layer.b_v = layer.b_v[col]
-        layer.w_q = layer.w_q[:, col]
-        layer.b_q = layer.b_q[col]
-        layer.w_o = layer.w_o[col, :]
-        layer.w_inter = layer.w_inter[:, nm]
-        layer.b_inter = layer.b_inter[nm]
-        layer.w_out = layer.w_out[nm, :]
-    return out
 
 
 def reference_save_checkpoint(path: str, model: SpikingModel, masks: MaskSet, plan) -> None:
@@ -694,7 +660,7 @@ def reference_load_checkpoint(path: str):
         raise CheckpointError(f"checkpoint.format: {tag!r} is not {V1_TAG!r}")
     config = ModelConfig.from_dict(_need(doc, "config", "checkpoint"), "config")
 
-    d, hd = config.hidden_size, config.head_dim
+    d = config.hidden_size
     scale = _need(doc, "input_scale", "checkpoint")
     if not isinstance(scale, (int, float)) or not np.isfinite(scale) or scale < 0:
         raise CheckpointError("input_scale: must be a finite non-negative number")
@@ -706,35 +672,19 @@ def reference_load_checkpoint(path: str):
     layers = []
     for i, rl in enumerate(raw_layers):
         p = f"layers[{i}]"
-        wk_raw = _need(rl, "WK", p)
-        try:
-            cols = len(wk_raw[0])
-        except (TypeError, IndexError) as e:
-            raise CheckpointError(f"{p}.WK: not a matrix") from e
-        if cols % hd != 0 or cols // hd < 1 or cols // hd > config.num_heads:
-            raise CheckpointError(
-                f"{p}.WK: {cols} columns is not 1..{config.num_heads} heads of width {hd}")
-        kh = cols // hd
-        winter_raw = _need(rl, "Winter", p)
-        try:
-            kn = len(winter_raw[0])
-        except (TypeError, IndexError) as e:
-            raise CheckpointError(f"{p}.Winter: not a matrix") from e
-        if kn < 1 or kn > config.intermediate_size:
-            raise CheckpointError(
-                f"{p}.Winter: {kn} columns, expected 1..{config.intermediate_size}")
+        kn = config.intermediate_size
         biases = _need(rl, "biases", p)
         ln = _need(rl, "ln", p)
         layers.append(LayerParams(
-            w_k=_arr(wk_raw, (d, kh * hd), f"{p}.WK"),
-            b_k=_arr(_need(biases, "k", f"{p}.biases"), (kh * hd,), f"{p}.biases.k"),
-            w_v=_arr(_need(rl, "WV", p), (d, kh * hd), f"{p}.WV"),
-            b_v=_arr(_need(biases, "v", f"{p}.biases"), (kh * hd,), f"{p}.biases.v"),
-            w_q=_arr(_need(rl, "WQ", p), (d, kh * hd), f"{p}.WQ"),
-            b_q=_arr(_need(biases, "q", f"{p}.biases"), (kh * hd,), f"{p}.biases.q"),
-            w_o=_arr(_need(rl, "WO", p), (kh * hd, d), f"{p}.WO"),
+            w_k=_arr(_need(rl, "WK", p), (d, d), f"{p}.WK"),
+            b_k=_arr(_need(biases, "k", f"{p}.biases"), (d,), f"{p}.biases.k"),
+            w_v=_arr(_need(rl, "WV", p), (d, d), f"{p}.WV"),
+            b_v=_arr(_need(biases, "v", f"{p}.biases"), (d,), f"{p}.biases.v"),
+            w_q=_arr(_need(rl, "WQ", p), (d, d), f"{p}.WQ"),
+            b_q=_arr(_need(biases, "q", f"{p}.biases"), (d,), f"{p}.biases.q"),
+            w_o=_arr(_need(rl, "WO", p), (d, d), f"{p}.WO"),
             b_o=_arr(_need(biases, "o", f"{p}.biases"), (d,), f"{p}.biases.o"),
-            w_inter=_arr(winter_raw, (d, kn), f"{p}.Winter"),
+            w_inter=_arr(_need(rl, "Winter", p), (d, kn), f"{p}.Winter"),
             b_inter=_arr(_need(biases, "inter", f"{p}.biases"), (kn,), f"{p}.biases.inter"),
             w_out=_arr(_need(rl, "Wout", p), (kn, d), f"{p}.Wout"),
             b_out=_arr(_need(biases, "out", f"{p}.biases"), (d,), f"{p}.biases.out"),

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikeprune import (RandomStream, gen_keyword_task, load_checkpoint,
-                        save_jsonl)
+from spikeprune import (InvalidInputError, RandomStream, gen_keyword_task,
+                        load_checkpoint, save_jsonl)
 from spikeprune import cli
 
 # small enough to train in well under a second, large enough that the
@@ -290,6 +290,33 @@ class TestReport:
                 "acs_total", "acs_ratio", "normalized_c", "mean_timesteps",
                 "proxy_accuracy"} <= set(summary)
         assert summary["timestep_plan"]["key"] == [10]
+
+
+    def test_a_failed_report_leaves_no_partial_file(self, ws, tmp_path, capsys, monkeypatch):
+        """The sweep fails at its third budget: the CSV it was building never
+        reaches its path, an older file there stays whole, and no .tmp is
+        left; the curves written before it keep csv's \\r\\n row ends."""
+        out_dir = tmp_path / "report"
+        out_dir.mkdir()
+        (out_dir / "constraint_sweep.csv").write_text("old\n")
+        calls = []
+
+        def proxy_failing_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise InvalidInputError("proxy failed")
+            return 0.5
+
+        monkeypatch.setattr(cli, "evaluate_proxy", proxy_failing_third)
+        rc = cli.main(["report", "--checkpoint", ws["spatial"], "--out-dir", str(out_dir),
+                       "--calib", "16", "--batch", "16"])
+        assert rc == 1 and capsys.readouterr().err.splitlines() == ["error: proxy failed"]
+        assert (out_dir / "constraint_sweep.csv").read_text() == "old\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["asr_layers.csv",
+                                                             "constraint_sweep.csv"]
+        curves = (out_dir / "asr_layers.csv").read_bytes()
+        assert curves.startswith(b"timestep,layer_0\r\n") and curves.count(b"\r\n") == 11
+        assert b"\r\r" not in curves
 
 
 class TestAblate:

@@ -134,6 +134,15 @@ class TestLinearity:
         mid = acs_value(cfg, [1.5], [3.0], plan)
         assert mid == pytest.approx((lo + hi) / 2)
 
+    def test_unit_costs_past_int64_are_refused(self):
+        """A plan whose per-unit ACs no int64 holds is an input error, not an
+        OverflowError; acs_value keeps counting in exact integers."""
+        cfg = tiny_config(hidden_size=8, t_conv=2 ** 62)
+        plan = TimestepPlan.uniform(1, 2 ** 62)
+        with pytest.raises(InvalidInputError, match="int64"):
+            unit_costs(cfg, plan)
+        assert acs_baseline(cfg) == acs_value(cfg, [2], [6], plan) > 2 ** 63
+
     def test_acs_value_layer_count_checked(self):
         cfg = tiny_config()
         with pytest.raises(InvalidInputError):

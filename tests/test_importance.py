@@ -132,17 +132,6 @@ class TestAsrFactors:
         for arr in heads + neurons:
             assert (arr >= 0).all() and (arr <= 1).all()
 
-    def test_pruned_trace_width_still_factors(self):
-        """Traces from a sliced one-head model map onto one head factor."""
-        model = tiny_model(3)
-        from spikeprune import apply_masks
-        sliced = apply_masks(model, MaskSet([np.array([1.0, 0.0])],
-                                            [np.ones(6)]))
-        tokens, _ = token_batch(sliced.config, 2, RandomStream(8))
-        _, traces = run_unrolled(sliced, MaskSet.all_ones(sliced), tokens, 10)
-        heads, _ = asr_factors(traces, sliced.config)
-        assert heads[0].shape == (1,)
-
     def test_missing_traces_rejected(self):
         model = tiny_model(0)
         with pytest.raises(InvalidInputError):

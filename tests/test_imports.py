@@ -2,8 +2,9 @@
 
 Each `src/spikeprune/*.py` except `__init__.py` is parsed with `ast`; a
 name bound by an import must be read somewhere in the module (string
-annotations included) or listed in its `__all__`. A deletion that leaves
-its import behind fails here.
+annotations included) or listed in its `__all__`. `__init__.py` re-exports:
+the names it imports must be exactly its `__all__`. A deletion that leaves
+its import or its export behind fails here.
 """
 
 import ast
@@ -56,6 +57,18 @@ def unused_imports(source: str) -> list:
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    import spikeprune
+    assert imported == set(spikeprune.__all__)
+    assert len(spikeprune.__all__) == len(set(spikeprune.__all__))
+    namespace = {}
+    exec("from spikeprune import *", namespace)
+    assert set(namespace) - {"__builtins__"} == imported
 
 
 def test_check_catches_what_it_should():

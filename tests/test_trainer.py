@@ -271,6 +271,23 @@ class TestTrain:
         assert m2 is not model and k2 is not masks and p2 is not plan
         assert np.array_equal(m2.embedding, model.embedding)
 
+    def test_cost_penalty_on_binary_masks_moves_only_the_loss(self):
+        """Binary masks without relaxed values, as every CLI train runs, make
+        lam * M a constant: the weights equal an unpenalised run's bit for bit
+        and only the history's loss grows, by lam * M up to rounding."""
+        model = tiny_model(2)
+        data = _dataset(model.config, 16, 1)
+        masks, plan = _ones(model), _uniform(model)
+        cfg = TrainConfig(epochs=1, learning_rate=0.05, seed=3, train_batch=8,
+                          lam=1e-2, penalty_epochs=1)
+        got = train(model, masks, plan, data, cfg)
+        want = train(model, masks, plan, data, dataclasses.replace(cfg, penalty_epochs=0))
+        for name, arr in _model_arrays(got[0]).items():
+            assert arr.tobytes() == _model_arrays(want[0])[name].tobytes(), name
+        penalty = cfg.lam * acs_value(model.config, [2], [6], plan)
+        assert got[3][0]["loss"] == pytest.approx(want[3][0]["loss"] + penalty, rel=1e-12)
+        assert got[3][0]["loss"] > 100 * want[3][0]["loss"]
+
     def test_inputs_not_mutated(self):
         model = tiny_model(2)
         data = _dataset(model.config, 16, 1)
