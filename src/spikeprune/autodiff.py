@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery to differentiate the steady-state rate forward pass:
-broadcasted arithmetic, matmul with batch dims, softmax, clipping, reductions,
-and indexing (an embedding lookup is `table[ids]`, with a scatter-add
-backward). Values are eagerly computed; each Var remembers a vector-Jacobian
-closure so a single `backward` sweep fills `.grad` fields.
+broadcasted arithmetic, matmul with batch dims, softmax, clipping, the LIF
+rate clip(current / vth[j]) as one node (`rate`), reductions, and indexing
+(an embedding lookup is `table[ids]`, with a scatter-add backward). Values are eagerly computed; each Var remembers a vector-Jacobian
+closure so a single `backward` sweep fills `.grad` fields. The sweep keeps
+the gradients of leaves and of the root; an interior node's gradient is
+freed once its vjp has passed it on, so a graph's peak memory is its
+forward tape, not the tape plus every adjoint.
 
 Only nodes that reach a trainable leaf take part in that sweep. A leaf made
 with `Var(x)` requires a gradient; a constant (`Var(x, requires_grad=False)`,
@@ -186,6 +189,30 @@ def clip01(x: Var) -> Var:
     return out
 
 
+def rate(current: Var, vth: Var, j: int) -> Var:
+    """clip01(current / vth[j]) as one node: a LIF unit's steady-state rate.
+
+    The vjp runs that chain's array operations in its order, so both
+    gradients carry its bytes. Its mask is read off the clipped value,
+    strictly inside (0, 1) exactly where the quotient is, so the tape holds
+    neither the quotient nor the mask.
+    """
+    v = vth.value[j]
+    value = np.clip(current.value / v, 0.0, 1.0)
+    out = Var(value, (current, vth))
+
+    def vjp(g):
+        masked = g * ((value > 0.0) & (value < 1.0))
+        g_vth = None
+        if vth.requires_grad:
+            g_vth = np.zeros_like(vth.value)
+            g_vth[j] += _sum_to_shape(-masked * current.value / v ** 2, ())
+        return (masked / v if current.requires_grad else None), g_vth
+
+    out.vjp = vjp
+    return out
+
+
 def sqrt(x: Var) -> Var:
     root = np.sqrt(x.value)
     out = Var(root, (x,))
@@ -252,9 +279,13 @@ def take_labels(logits: Var, labels: np.ndarray) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(node) into .grad over the whole graph (root scalar).
+    """Accumulate d(root)/d(leaf) into each leaf's .grad (root scalar).
 
-    Only nodes that require a gradient are visited. A node's first
+    Only nodes that require a gradient are visited. Leaves and the root
+    keep their .grad; every other node's .grad is dropped (None) as soon as
+    its vjp has handed it to the parents, since nothing the sweep visits
+    later reads it. Values, vjps and parent links stay until the caller
+    drops the root, so the graph can be swept again. A node's first
     contribution is stored as the vjp returned it, which may be an array
     another node holds as its grad (add passes g on to both parents, reshape
     returns a view). So backward changes in place only the arrays it made
@@ -298,3 +329,5 @@ def backward(root: Var) -> None:
                 start = 0.0 if parent.grad is None else parent.grad
                 parent.grad = np.add(start, g, out=np.empty_like(parent.value))
                 owned.add(id(parent))
+        if node is not root:
+            node.grad = None

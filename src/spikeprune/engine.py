@@ -3,10 +3,11 @@
 Each encoder layer is one stage table (`_layer_stages`): its six spiking
 sublayers in SUBLAYERS order, each with its source, how that input enters
 (this step's spikes, their running mean, or averaged rates only), its
-input current, its threshold column and the layout axis its units span.
-The table is written with operators plus four primitives (clip, softmax,
-sqrt, square) passed in by its walker, so it computes on numpy arrays and
-on autodiff Vars alike. Three walks read the same tables:
+input current, its column (in the layer's thresholds and in a
+TimestepPlan) and the layout axis its units span. The table and its walks
+are written with operators plus five primitives (clip, rate, softmax, sqrt,
+square) passed in by the walker, so they compute on numpy arrays and on
+autodiff Vars alike. Three walks read the same tables:
 
 * `run_unrolled`, time-major: every sublayer advances together for T
   timesteps, so the nonlinear stages (attention softmax, layer norm),
@@ -22,7 +23,8 @@ on autodiff Vars alike. Three walks read the same tables:
   0 < rate < 1, each at its masked-run counter. Its traces hold one row:
   the converged rates the next sublayer reads.
 * the rate walk, where each LIF sublayer is replaced by its steady-state
-  rate clip(current / v_th, 0, 1): `proxy_graph` runs it on graph leaves
+  rate clip(current / v_th, 0, 1), one `rate` primitive (on a graph, one
+  node per stage): `proxy_graph` runs it on graph leaves
   (training and Fisher importance differentiate it), `rate_proxy_forward`
   on the model's plain arrays.
 
@@ -123,12 +125,15 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-# The primitives a stage table calls; everything else in it is an operator
-# or a method numpy arrays and autodiff Vars share, and every rounding
-# (means as sum * (1/n), attention scaled by 1/sqrt(hd)) is the same on both.
-_Ops = collections.namedtuple("_Ops", "clip softmax sqrt square")
-_NP_OPS = _Ops(lambda x: np.clip(x, 0.0, 1.0), _softmax, np.sqrt, np.square)
-_AD_OPS = _Ops(ad.clip01, ad.softmax, ad.sqrt, ad.square)
+# The primitives a stage table and the rate walk call; everything else in
+# them is an operator or a method numpy arrays and autodiff Vars share, and
+# every rounding (means as sum * (1/n), attention scaled by 1/sqrt(hd)) is
+# the same on both.
+_Ops = collections.namedtuple("_Ops", "clip rate softmax sqrt square")
+_NP_OPS = _Ops(lambda x: np.clip(x, 0.0, 1.0),
+               lambda current, vth, j: np.clip(current / vth[j], 0.0, 1.0),
+               _softmax, np.sqrt, np.square)
+_AD_OPS = _Ops(ad.clip01, ad.rate, ad.softmax, ad.sqrt, ad.square)
 
 
 def _layernorm(x, scale, shift, ops):
@@ -164,15 +169,16 @@ class _Stage:
 
     current(x, rates) is its input current: x is the driving input in the
     form `entry` names (None for _RATES), rates maps "in" (the layer input)
-    and every earlier sublayer's name to its averaged rates. vth is its
-    firing threshold; axis is the layout axis its units span (d, h or n, as
-    in LayerParams).
+    and every earlier sublayer's name to its averaged rates. col is its
+    column in the layer's thresholds (its firing threshold is
+    layer.vth[col]) and in a TimestepPlan; axis is the layout axis its
+    units span (d, h or n, as in LayerParams).
     """
 
     name: str
     source: str
     entry: str
-    vth: float
+    col: int
     axis: str
     current: object
 
@@ -180,21 +186,20 @@ class _Stage:
 def _layer_stages(layer, head_mask, head_dim, ops) -> tuple:
     """The six sublayers of one encoder layer in SUBLAYERS order.
 
-    Position j is also the sublayer's column in vth and in a TimestepPlan.
-    head_mask, when not None, zeroes pruned heads inside the attention
-    current; the simulators pass None and run a sliced layer instead.
+    The stage at position j has col j. head_mask, when not None, zeroes
+    pruned heads inside the attention current; the simulators pass None
+    and run a sliced layer instead.
     """
-    vth = layer.vth
     return (
-        _Stage("key", "in", _SPIKES, vth[0], "h", lambda x, r: x @ layer.w_k + layer.b_k),
-        _Stage("value", "in", _SPIKES, vth[1], "h", lambda x, r: x @ layer.w_v + layer.b_v),
-        _Stage("attn", None, _RATES, vth[2], "h", lambda x, r: _attention_current(
+        _Stage("key", "in", _SPIKES, 0, "h", lambda x, r: x @ layer.w_k + layer.b_k),
+        _Stage("value", "in", _SPIKES, 1, "h", lambda x, r: x @ layer.w_v + layer.b_v),
+        _Stage("attn", None, _RATES, 2, "h", lambda x, r: _attention_current(
             layer, r["in"], r["key"], r["value"], head_mask, head_dim, ops)),
-        _Stage("fc", "attn", _MEAN, vth[3], "d", lambda x, r: _layernorm(
+        _Stage("fc", "attn", _MEAN, 3, "d", lambda x, r: _layernorm(
             x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift, ops)),
-        _Stage("inter", "fc", _SPIKES, vth[4], "n",
+        _Stage("inter", "fc", _SPIKES, 4, "n",
                lambda x, r: x @ layer.w_inter + layer.b_inter),
-        _Stage("output", "inter", _MEAN, vth[5], "d", lambda x, r: _layernorm(
+        _Stage("output", "inter", _MEAN, 5, "d", lambda x, r: _layernorm(
             x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift, ops)),
     )
 
@@ -407,7 +412,8 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int):
 
     def walk(part):
         encoder = _Population(1.0, cfg.leak)
-        pops = [[_Population(stage.vth, cfg.leak) for stage in stages] for stages in tables]
+        pops = [[_Population(layer.vth[stage.col], cfg.leak) for stage in stages]
+                for layer, stages in zip(model.layers, tables)]
         x_in = cur_in[part.rows]
         for t in range(1, timesteps + 1):
             spikes = {"in": encoder.step(x_in)}
@@ -481,7 +487,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
             axes = {"in": "d", **{stage.name: stage.axis for stage in stages}}
             rates = {"in": a_x}
             for stage, buf, t in zip(stages, layer_bufs, plan.steps[li].tolist()):
-                pop = _Population(stage.vth, cfg.leak)
+                pop = _Population(model.layers[li].vth[stage.col], cfg.leak)
                 for current in _sublayer_currents(stage, rates, t, mine,
                                                   keep.get(axes.get(stage.source))):
                     pop.step(current)
@@ -514,7 +520,7 @@ def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
         r = {"in": a}
         for stage in _layer_stages(layer, head_masks[i], config.head_dim, ops):
             x = None if stage.entry == _RATES else r[stage.source]
-            rate = ops.clip(stage.current(x, r) / stage.vth)
+            rate = ops.rate(stage.current(x, r), layer.vth, stage.col)
             delta = None if noise is None else noise(i, stage.name, rate)
             if delta is not None:
                 rate = rate + delta

@@ -408,6 +408,17 @@ def reference_refine_masks(masks: MaskSet, scores: ImportanceScores,
 # --- reference backward ------------------------------------------------------
 
 
+def graph_nodes(root) -> list:
+    """Every node of root's graph, root first, each once (walked by parents)."""
+    nodes, seen = [root], {id(root)}
+    for node in nodes:
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+    return nodes
+
+
 def reference_backward(root) -> None:
     """autodiff.backward over every node, each grad started from zeros.
 
@@ -472,8 +483,9 @@ class _MaskedPopulation:
     """One sublayer's LIF state, its spike sum under the stage's spike mask,
     and its ASR trace rows."""
 
-    def __init__(self, name: str, stage, spike_mask, leak: float):
-        self.name, self.stage, self.spike_mask, self.leak = name, stage, spike_mask, leak
+    def __init__(self, name: str, stage, spike_mask, vth: float, leak: float):
+        self.name, self.stage, self.spike_mask = name, stage, spike_mask
+        self.vth, self.leak = vth, leak
         self.state = self.total = None
         self.rows = []
 
@@ -481,7 +493,7 @@ class _MaskedPopulation:
         if self.state is None:
             self.state = (np.zeros(current.shape), np.zeros(current.shape))
             self.total = np.zeros(current.shape)
-        self.state, s = reference_lif_step(self.state, current, self.stage.vth, self.leak)
+        self.state, s = reference_lif_step(self.state, current, self.vth, self.leak)
         mask = self.spike_mask
         self.total += s if mask is None else s * mask
         self.rows.append((self.total / t).mean(axis=0).ravel())
@@ -504,7 +516,8 @@ def reference_run_unrolled(model, masks: MaskSet, tokens, timesteps: int):
     if cur_in.shape[0] == 0:
         raise InvalidInputError("the simulators need a non-empty batch")
     tables = _stage_tables(model, masks)
-    pops = [[_MaskedPopulation(f"L{li}.{st.name}", st, mask, model.config.leak)
+    pops = [[_MaskedPopulation(f"L{li}.{st.name}", st, mask, model.layers[li].vth[st.col],
+                               model.config.leak)
              for st, mask in stages] for li, stages in enumerate(tables)]
     state_in = (np.zeros(cur_in.shape), np.zeros(cur_in.shape))
     sum_in = np.zeros_like(cur_in)
@@ -559,7 +572,8 @@ def reference_run_sequential(model, masks: MaskSet, plan: TimestepPlan,
         rates = {"in": a_x}
         for j, (stage, mask) in enumerate(stages):
             t = int(plan.steps[li, j])
-            pop = _MaskedPopulation(f"L{li}.{stage.name}", stage, mask, cfg.leak)
+            pop = _MaskedPopulation(f"L{li}.{stage.name}", stage, mask,
+                                    model.layers[li].vth[stage.col], cfg.leak)
             if stage.entry == _RATES:
                 fixed = stage.current(None, rates)
                 currents = (fixed for _ in range(t))

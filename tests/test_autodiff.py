@@ -11,10 +11,12 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import reference_backward
+from conftest import graph_nodes, reference_backward
 from spikeprune import RandomStream, finite_difference_gradient
 from spikeprune import autodiff as ad
+from spikeprune.engine import _NP_OPS
 
 
 def _rand(shape, seed, low=-1.0, high=1.0):
@@ -169,6 +171,68 @@ class TestNonlinearities:
         _grad_vs_fd(lambda vs: _contract(ad.clip01(vs[0]), 32), [a])
 
 
+def _bytes(x):
+    return None if x is None else np.asarray(x).tobytes()
+
+
+class TestRate:
+    """rate(current, vth, j) is one node for the chain clip01(current / vth[j])
+    and runs the chain's operations in its order, so it reads the chain's
+    bytes: its value and both vjp outputs, and the leaves' grads."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_value_and_vjps_equal_the_chain_bit_for_bit(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), max_size=3)))
+        size = int(np.prod(shape))
+        vth_val = np.array(data.draw(st.lists(st.floats(0.05, 3.0), min_size=6, max_size=6)))
+        j = data.draw(st.integers(0, 5))
+        # currents as multiples of vth[j]: exactly 0 (either sign), exactly at
+        # the threshold, beyond it, negative, and anything in between
+        factors = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1.5, 4.0, -1.0]),
+                            st.floats(-2.0, 3.0))
+        cur_val = (np.array(data.draw(st.lists(factors, min_size=size, max_size=size)))
+                   .reshape(shape) * vth_val[j])
+        g = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=size,
+                                        max_size=size))).reshape(shape)
+        trainable = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+
+        def leaves():
+            return (ad.Var(cur_val.copy(), requires_grad=trainable[0]),
+                    ad.Var(vth_val.copy(), requires_grad=trainable[1]))
+
+        current, vth = leaves()
+        fused = ad.rate(current, vth, j)
+        ch_current, ch_vth = leaves()
+        picked = ch_vth[j]
+        quotient = ch_current / picked
+        chain = ad.clip01(quotient)
+        assert fused.value.tobytes() == chain.value.tobytes()
+        assert fused.parents == (current, vth)
+
+        got_current, got_vth = fused.vjp(g)
+        (g_quotient,) = chain.vjp(g)
+        want_current, g_picked = quotient.vjp(g_quotient)
+        want_vth = None if g_picked is None else picked.vjp(g_picked)[0]
+        assert _bytes(got_current) == _bytes(want_current)
+        assert _bytes(got_vth) == _bytes(want_vth)
+
+        weights = _rand(shape, 40)
+        ad.backward((fused * weights).sum())
+        ad.backward((chain * weights).sum())
+        assert _bytes(current.grad) == _bytes(ch_current.grad)
+        assert _bytes(vth.grad) == _bytes(ch_vth.grad)
+
+        assert _NP_OPS.rate(cur_val, vth_val, j).tobytes() == fused.value.tobytes()
+        assert (_NP_OPS.rate(cur_val, vth_val, j).tobytes()
+                == _NP_OPS.clip(cur_val / vth_val[j]).tobytes())
+
+    def test_fd_inside_the_interval(self):
+        cur = _rand((2, 3), 41, low=0.1, high=0.9)
+        vth = _rand((6,), 42, low=1.0, high=2.0)
+        _grad_vs_fd(lambda vs: _contract(ad.rate(vs[0], vs[1], 4), 43), [cur, vth])
+
+
 class TestGathers:
     def test_gather_rows_with_repeats(self):
         """Repeated ids must scatter-add, not overwrite."""
@@ -248,37 +312,43 @@ class TestGraphStructure:
 
     def test_shared_operands_and_views_leave_held_arrays_alone(self):
         """a + a passes one array to both operands, and reshape/swapaxes pass
-        views: backward must build sums in new arrays, so every node's grad
-        and every array the caller holds keeps its value."""
+        views: backward must build sums in new arrays, so every leaf's grad
+        and every array the caller holds keeps its value. Interior grads are
+        dropped once passed on; the leaf reads the bytes of the reference
+        sweep, which keeps every grad."""
         a_val = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.5]])
         w = np.arange(6.0).reshape(3, 2) - 2.5
         held = [a_val.copy(), w.copy()]
-        a = ad.Var(a_val)
-        s = a + a
-        chain = [s.reshape(3, 2)]
-        chain.append(chain[-1].swapaxes(0, 1))
-        chain.append(chain[-1].reshape(6))
-        sq = a * a
-        out = (chain[-1] * w.T.ravel()).sum() + sq.sum() + s.sum()
-        ad.backward(out)
-        assert np.array_equal(a_val, held[0]) and np.array_equal(w, held[1])
-        # d out / d chain is w in each view's layout; d out / d s adds the 1
-        assert np.array_equal(chain[2].grad, w.T.ravel())
-        assert np.array_equal(chain[1].grad, w.T)
-        assert np.array_equal(chain[0].grad, w)
-        assert np.array_equal(s.grad, w.reshape(2, 3) + 1.0)
-        assert np.array_equal(sq.grad, np.ones((2, 3)))
-        assert np.array_equal(a.grad, 2.0 * (w.reshape(2, 3) + 1.0) + 2.0 * a_val)
-        # a node reached twice through borrowed arrays: a + a hands it the
-        # sum's grad twice, two views hand it their owners' grads
-        b = a * 2.0
-        doubled = b + b
-        u, v = b.reshape(6), b.swapaxes(0, 1)
         w2 = w.T.ravel()
-        ad.backward((doubled * a_val).sum() + (u * w2).sum() + (v * w).sum())
-        assert np.array_equal(doubled.grad, a_val)
-        assert np.array_equal(u.grad, w2) and np.array_equal(v.grad, w)
-        assert np.array_equal(b.grad, 2.0 * a_val + w2.reshape(2, 3) + w.T)
+
+        def views(a):
+            s = a + a
+            chain = s.reshape(3, 2).swapaxes(0, 1).reshape(6)
+            return (chain * w2).sum() + (a * a).sum() + s.sum()
+
+        def borrowed(a):
+            # a node reached twice through borrowed arrays: a + a hands it the
+            # sum's grad twice, two views hand it their owners' grads
+            b = a * 2.0
+            doubled = b + b
+            return ((doubled * a_val).sum() + (b.reshape(6) * w2).sum()
+                    + (b.swapaxes(0, 1) * w).sum())
+
+        # d out / d chain is w in each view's layout; d out / d s adds the 1
+        expected = {views: 2.0 * (w.reshape(2, 3) + 1.0) + 2.0 * a_val,
+                    borrowed: 2.0 * (2.0 * a_val + w2.reshape(2, 3) + w.T)}
+        a = ad.Var(a_val)
+        for build in (views, borrowed):
+            out = build(a)
+            ad.backward(out)
+            assert np.array_equal(a_val, held[0]) and np.array_equal(w, held[1])
+            assert out.grad == 1.0
+            interior = [node for node in graph_nodes(out)[1:] if node.parents]
+            assert interior and all(node.grad is None for node in interior)
+            ref = ad.Var(a_val.copy())
+            reference_backward(build(ref))
+            assert a.grad.tobytes() == ref.grad.tobytes(), build.__name__
+            assert np.array_equal(a.grad, expected[build])
         # a leaf's grad is its own array: a caller's earlier grad survives
         # a second sweep in which the leaf takes several contributions
         first = a.grad

@@ -3,12 +3,14 @@
 import argparse
 import base64
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +163,32 @@ class TestPruneSpatial:
                        "--out", str(tmp_path / "x.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_prune_and_eval_rounds_leave_no_memory_behind(ws, tmp_path):
+    """A second prune-spatial + eval round in the same process ends within
+    32 KiB of the traced memory the first one ended at: neither command
+    keeps a graph, a trace or a checkpoint once it returns. Each reading
+    follows a full collection, since argparse's parsers are cyclic garbage
+    that would otherwise linger until the collector happens to run."""
+    spatial = str(tmp_path / "s.json")
+
+    def round_trip():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["prune-spatial", "--checkpoint", ws["base"], "--out", spatial,
+                             "--constraint", "0.6", "--calib", "32"]) == 0
+            assert cli.main(["eval", "--checkpoint", spatial, "--data", "40",
+                             "--batch", "16"]) == 0
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = round_trip()
+        second = round_trip()
+    finally:
+        tracemalloc.stop()
+    assert second - first < 32 * 1024
 
 
 class TestPruneTemporal:

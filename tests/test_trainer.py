@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import reference_backward, reference_bernoulli_matrix, tiny_model, token_batch
+from conftest import (graph_nodes, reference_backward, reference_bernoulli_matrix, tiny_model,
+                      token_batch)
 from spikeprune import (Dataset, InvalidInputError, MaskSet, RandomStream,
                         TimestepPlan, TrainConfig, TrainingDivergedError,
-                        allocate_timesteps, gradcheck, layer_importance,
+                        allocate_timesteps, gradcheck, init_model, layer_importance,
                         run_unrolled, train)
 from spikeprune import autodiff as ad
+from spikeprune.config import resolve_config
 from spikeprune.cost import acs_value
 from spikeprune.engine import cross_entropy, rate_proxy_forward
 from spikeprune.model import _model_arrays
@@ -259,6 +261,26 @@ class TestBackwardPruning:
             if not node.parents and node not in params.values():
                 leaves.append(node)
         assert leaves and all(not v.requires_grad and v.grad is None for v in leaves)
+
+
+def test_sst2_toy_batch_tape_size():
+    """Tripwire on the tape one sst2_toy training batch records: a change
+    that grows or shrinks it fails here, and its CHANGES.md line restates
+    the count.
+
+    211 nodes = 37 trainable leaves + 26 lifted constants + 148 operations
+    (each spiking stage's rate is one node).
+    """
+    run = resolve_config("sst2_toy")
+    tcfg = run.train_config()
+    model = init_model(run.model_config(), RandomStream(0))
+    tokens, labels = token_batch(model.config, tcfg.train_batch, RandomStream(1))
+    loss, _ = _batch_graph(model, _model_arrays(model), _ones(model), tokens, labels,
+                           _uniform(model), tcfg, tcfg.lam, "hard")
+    nodes = graph_nodes(loss)
+    leaves = [v for v in nodes if not v.parents]
+    trainable = sum(v.requires_grad for v in leaves)
+    assert (len(nodes), trainable, len(leaves) - trainable) == (211, 37, 26)
 
 
 class TestTrain:
