@@ -1,10 +1,15 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery to differentiate the steady-state rate forward pass:
-broadcasted arithmetic, matmul with batch dims, softmax, clipping, the LIF
-rate clip(current / vth[j]) as one node (`rate`), reductions, and indexing
-(an embedding lookup is `table[ids]`, with a scatter-add backward). Values are eagerly computed; each Var remembers a vector-Jacobian
-closure so a single `backward` sweep fills `.grad` fields. The sweep keeps
+broadcasted arithmetic, matmul with batch dims, softmax, clipping,
+reductions, and indexing (an embedding lookup is `table[ids]`, with a
+scatter-add backward). Three chains the rate walk repeats are one node
+each: the LIF rate clip(current / vth[j]) (`rate`), the affine map
+x @ w + b (`linear`) and layer normalization (`layernorm`). Each fused vjp
+runs its chain's array operations in the chain's order, so gradients keep
+the chain's bytes while the tape holds one node and fewer arrays. Values
+are eagerly computed; each Var remembers a vector-Jacobian closure so a
+single `backward` sweep fills `.grad` fields. The sweep keeps
 the gradients of leaves and of the root; an interior node's gradient is
 freed once its vjp has passed it on, so a graph's peak memory is its
 forward tape, not the tape plus every adjoint.
@@ -208,6 +213,64 @@ def rate(current: Var, vth: Var, j: int) -> Var:
             g_vth = np.zeros_like(vth.value)
             g_vth[j] += _sum_to_shape(-masked * current.value / v ** 2, ())
         return (masked / v if current.requires_grad else None), g_vth
+
+    out.vjp = vjp
+    return out
+
+
+def linear(x, w, b) -> Var:
+    """x @ w + b as one node; b broadcasts into the product's shape.
+
+    The vjp runs that chain's array operations (add's, then matmul's), so
+    every gradient carries its bytes, and the tape holds one node where
+    the chain held two.
+    """
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    value = x.value @ w.value
+    value += b.value
+    out = Var(value, (x, w, b))
+
+    def vjp(g):
+        return ((_sum_to_shape(g @ np.swapaxes(w.value, -1, -2), x.shape)
+                 if x.requires_grad else None),
+                (_sum_to_shape(np.swapaxes(x.value, -1, -2) @ g, w.shape)
+                 if w.requires_grad else None),
+                _sum_to_shape(g, b.shape) if b.requires_grad else None)
+
+    out.vjp = vjp
+    return out
+
+
+def layernorm(x, scale, shift, eps: float) -> Var:
+    """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, one node.
+
+    Mean and variance are sums times 1/n. The vjp runs the array
+    operations of the chain this replaces (sum, mul, sub, square, sum, mul,
+    add, sqrt, truediv, mul, add), in the order backward would run their
+    vjps, so every gradient carries the chain's bytes. The tape keeps the
+    centred input and the root, not the chain's eleven intermediates.
+    """
+    x, scale, shift = _lift(x), _lift(scale), _lift(shift)
+    inv_n = 1.0 / x.shape[-1]
+    centred = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
+    root = np.sqrt(np.square(centred).sum(axis=-1, keepdims=True) * inv_n + eps)
+    value = centred / root
+    value *= scale.value
+    value += shift.value
+    out = Var(value, (x, scale, shift))
+
+    def vjp(g):
+        g_x = g_scale = None
+        if scale.requires_grad:
+            g_scale = _sum_to_shape(g * (centred / root), scale.shape)
+        if x.requires_grad:
+            g_normed = g * scale.value
+            g_root = _sum_to_shape(-g_normed * centred / (root ** 2), root.shape)
+            # centred's two shares, through the quotient and through the square
+            g_centred = g_normed / root + g_root * 0.5 / root * inv_n * 2.0 * centred
+            g_mean = -_sum_to_shape(g_centred, root.shape)
+            g_x = g_centred + g_mean * inv_n
+        return g_x, g_scale, (_sum_to_shape(g, shift.shape) if shift.requires_grad else None)
 
     out.vjp = vjp
     return out

@@ -119,10 +119,18 @@ def _unpruned(model):
                                                          model.config.t_conv)
 
 
-def _importance_scores(model, masks, calib: Dataset, batch_size: int):
-    """Importance scores on calib, and the calibration traces that weight them."""
+def _importance_scores(model, masks, calib: Dataset, batch_size: int, *,
+                       converged_only: bool = True):
+    """Importance scores on calib, and the calibration traces that weight them.
+
+    The scores read only the traces' converged rows, so by default the
+    calibration run keeps only those (run_unrolled's converged_only): on
+    the mid config that is 2.4 MB of rows where every step's would be
+    94 MB. report, which plots every step, passes False.
+    """
     fisher = fisher_diagonal(model, iter_batches(calib, batch_size))
-    _, traces = run_unrolled(model, masks, calib.tokens, model.config.t_conv)
+    _, traces = run_unrolled(model, masks, calib.tokens, model.config.t_conv,
+                             converged_only=converged_only)
     return combine(fisher, asr_factors(traces, model.config)), traces
 
 
@@ -138,7 +146,7 @@ def _group_asr(rates: dict, num_layers: int) -> dict:
 
 def _unrolled_group_stats(model, masks, plan, tokens):
     """Converged simulated rates: (per-group means, normalized #C)."""
-    _, traces = run_unrolled(model, masks, tokens, model.config.t_conv)
+    _, traces = run_unrolled(model, masks, tokens, model.config.t_conv, converged_only=True)
     conv = {tr.name: tr.converged for tr in traces}
     summary = cost_summary(model.config, masks, plan, conv)
     return _group_asr(conv, model.config.num_layers), summary["normalized_c"]
@@ -260,7 +268,7 @@ def cmd_prune_temporal(args) -> int:
     variance = args.variance if args.variance is not None else cfg.variance_threshold
     master = RandomStream(args.seed)
     calib = _dataset_arg(args.calib, cfg, master.derive(_LANE_CALIB))
-    _, traces = run_unrolled(model, masks, calib.tokens, cfg.t_conv)
+    _, traces = run_unrolled(model, masks, calib.tokens, cfg.t_conv, converged_only=False)
     c = layer_importance(traces, variance)
     new_plan = allocate_timesteps(c, base, cfg.t_conv)
     if args.rho < 1.0:
@@ -305,7 +313,8 @@ def cmd_report(args) -> int:
 
     # rate-convergence curves from the scores' calibration traces: mean
     # cumulative firing rate per encoder layer
-    scores, traces = _importance_scores(model, masks, calib, args.batch)
+    scores, traces = _importance_scores(model, masks, calib, args.batch,
+                                        converged_only=False)
     per_layer = len(traces) // cfg.num_layers
     chunks = [traces[i * per_layer:(i + 1) * per_layer] for i in range(cfg.num_layers)]
     curve_path = os.path.join(args.out_dir, "asr_layers.csv")
@@ -537,6 +546,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SpikePruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -5,15 +5,18 @@ sublayers in SUBLAYERS order, each with its source, how that input enters
 (this step's spikes, their running mean, or averaged rates only), its
 input current, its column (in the layer's thresholds and in a
 TimestepPlan) and the layout axis its units span. The table and its walks
-are written with operators plus five primitives (clip, rate, softmax, sqrt,
-square) passed in by the walker, so they compute on numpy arrays and on
-autodiff Vars alike. Three walks read the same tables:
+are written with operators plus five primitives (clip, rate, softmax,
+linear, layernorm) passed in by the walker, so they compute on numpy
+arrays and on autodiff Vars alike; on a graph, each primitive is one node.
+Three walks read the same tables:
 
 * `run_unrolled`, time-major: every sublayer advances together for T
   timesteps, so the nonlinear stages (attention softmax, layer norm),
   which read running average rates, settle as T grows and the averaged
   rates converge to the rate proxy's fixed point. Its traces hold one row
-  per timestep.
+  per timestep, or with converged_only just the final row: Fisher-times-
+  rate scoring and the activity ablation read only that row, while
+  temporal pruning's PCA and report's convergence curves read every row.
 * `run_sequential`, layer-major: each sublayer runs for its own budget
   from a TimestepPlan on a fresh Bernoulli spike train regenerated from
   its source's converged rates, which is what makes per-sublayer timestep
@@ -39,7 +42,9 @@ rows over worker threads (`_split_rows`); numpy releases the GIL inside
 ufuncs and BLAS. Each worker writes its rows of a sublayer's rates into a
 shared full-batch buffer, and once all have finished a layer, its trace
 rows are means over those whole buffers (`_layer_means`), so no output
-depends on the worker count.
+depends on the worker count. A converged_only unrolled walk takes those
+means, and so waits for the other workers, only at its last step.
+Both simulators refuse more than MAX_TIMESTEPS steps.
 
 Rates and spikes are float64 arrays shaped (batch, seq, units).
 """
@@ -80,8 +85,9 @@ class AsrTrace:
     """Running average spike rate of one sublayer, batch-averaged.
 
     Each row is the per-unit cumulative rate, flattened over (seq, units):
-    run_unrolled's asr[t] after t+1 timesteps, run_sequential's single row
-    after the sublayer's whole budget. `converged` is the final row.
+    run_unrolled's asr[t] after t+1 timesteps (with converged_only, its
+    single row after the last), run_sequential's single row after the
+    sublayer's whole budget. `converged` is the final row.
     """
 
     name: str
@@ -125,28 +131,36 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _linear(x, w, b):
+    out = x @ w
+    out += b
+    return out
+
+
+def _layernorm(x, scale, shift, eps: float):
+    inv_n = 1.0 / x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * inv_n
+    xc /= np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xc *= scale
+    xc += shift
+    return xc
+
+
 # The primitives a stage table and the rate walk call; everything else in
 # them is an operator or a method numpy arrays and autodiff Vars share, and
 # every rounding (means as sum * (1/n), attention scaled by 1/sqrt(hd)) is
-# the same on both.
-_Ops = collections.namedtuple("_Ops", "clip rate softmax sqrt square")
+# the same on both. The numpy versions compute the autodiff nodes' chains.
+_Ops = collections.namedtuple("_Ops", "clip rate softmax linear layernorm")
 _NP_OPS = _Ops(lambda x: np.clip(x, 0.0, 1.0),
                lambda current, vth, j: np.clip(current / vth[j], 0.0, 1.0),
-               _softmax, np.sqrt, np.square)
-_AD_OPS = _Ops(ad.clip01, ad.rate, ad.softmax, ad.sqrt, ad.square)
-
-
-def _layernorm(x, scale, shift, ops):
-    inv_n = 1.0 / x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) * inv_n
-    var = ops.square(xc).sum(axis=-1, keepdims=True) * inv_n
-    return xc / ops.sqrt(var + LN_EPS) * scale + shift
+               _softmax, _linear, _layernorm)
+_AD_OPS = _Ops(ad.clip01, ad.rate, ad.softmax, ad.linear, ad.layernorm)
 
 
 def _attention_current(layer, a_in, a_k, a_v, head_mask, head_dim, ops):
     """Per-head softmax attention over rate-domain K/V; queries are analog.
     head_mask, when given, multiplies each head's output."""
-    q = a_in @ layer.w_q + layer.b_q
+    q = ops.linear(a_in, layer.w_q, layer.b_q)
     kh = layer.num_heads(head_dim)
     qh = _split_heads(q, kh, head_dim)
     kh_ = _split_heads(a_k, kh, head_dim)
@@ -191,16 +205,19 @@ def _layer_stages(layer, head_mask, head_dim, ops) -> tuple:
     and run a sliced layer instead.
     """
     return (
-        _Stage("key", "in", _SPIKES, 0, "h", lambda x, r: x @ layer.w_k + layer.b_k),
-        _Stage("value", "in", _SPIKES, 1, "h", lambda x, r: x @ layer.w_v + layer.b_v),
+        _Stage("key", "in", _SPIKES, 0, "h", lambda x, r: ops.linear(x, layer.w_k, layer.b_k)),
+        _Stage("value", "in", _SPIKES, 1, "h",
+               lambda x, r: ops.linear(x, layer.w_v, layer.b_v)),
         _Stage("attn", None, _RATES, 2, "h", lambda x, r: _attention_current(
             layer, r["in"], r["key"], r["value"], head_mask, head_dim, ops)),
-        _Stage("fc", "attn", _MEAN, 3, "d", lambda x, r: _layernorm(
-            x @ layer.w_o + layer.b_o + r["in"], layer.ln1_scale, layer.ln1_shift, ops)),
+        _Stage("fc", "attn", _MEAN, 3, "d", lambda x, r: ops.layernorm(
+            ops.linear(x, layer.w_o, layer.b_o) + r["in"], layer.ln1_scale,
+            layer.ln1_shift, LN_EPS)),
         _Stage("inter", "fc", _SPIKES, 4, "n",
-               lambda x, r: x @ layer.w_inter + layer.b_inter),
-        _Stage("output", "inter", _MEAN, 5, "d", lambda x, r: _layernorm(
-            x @ layer.w_out + layer.b_out + r["fc"], layer.ln2_scale, layer.ln2_shift, ops)),
+               lambda x, r: ops.linear(x, layer.w_inter, layer.b_inter)),
+        _Stage("output", "inter", _MEAN, 5, "d", lambda x, r: ops.layernorm(
+            ops.linear(x, layer.w_out, layer.b_out) + r["fc"], layer.ln2_scale,
+            layer.ln2_shift, LN_EPS)),
     )
 
 
@@ -265,15 +282,18 @@ def _traces(tables, keeps, asrs, seq_len: int) -> list:
 
 def _rate_buffers(batch: int, tables, keeps, config) -> list:
     """Per layer, one (batch, seq, units) rate array per sublayer, every
-    worker writing its own rows. Layer l's arrays are views of one buffer
-    per SUBLAYERS position, sized for its widest layer, so a walk holds one
-    layer's rates; a layer's output overwrites the previous layer's, its
-    input, only after every stage that reads the input has run."""
+    worker writing its own rows. Layer l's arrays are views of one
+    (batch, seq x widest units) buffer per SUBLAYERS position, so a walk
+    holds one layer's rates; a layer's output overwrites the previous
+    layer's, its input, only after every stage that reads the input has
+    run. Every layer's batch row b lies inside the buffer's row b, so a
+    worker's rows are its own at any layer width: workers at different
+    layers or timesteps never write what another reads."""
     seq = config.seq_len
     units = [[int(keep[stage.axis].sum()) if stage.axis in keep else config.hidden_size
               for stage in stages] for stages, keep in zip(tables, keeps)]
-    flat = [np.empty(batch * seq * max(widths)) for widths in zip(*units)]
-    return [[buf[:batch * seq * w].reshape(batch, seq, w) for buf, w in zip(flat, widths)]
+    flat = [np.empty((batch, seq * max(widths))) for widths in zip(*units)]
+    return [[buf[:, :seq * w].reshape(batch, seq, w) for buf, w in zip(flat, widths)]
             for widths in units]
 
 
@@ -393,22 +413,41 @@ def _layer_means(part: _Part, bufs: list, rows: list) -> None:
     part.sync()
 
 
-def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int):
+# The most timesteps either simulator runs a sublayer for, checked before
+# either allocates or steps. The longest run the tests make is criterion
+# 05's 6,000 steps. At 100,000, an unrolled run of the mid config
+# (perfbench/mid.cfg; 18 s per 40 steps at batch 32 on 2 cores) takes half
+# a day, and its every-step traces would hold 236 GB.
+MAX_TIMESTEPS = 100_000
+
+
+def _check_timesteps(timesteps: int) -> None:
+    if not 1 <= timesteps <= MAX_TIMESTEPS:
+        raise InvalidInputError(
+            f"timesteps must be in [1, {MAX_TIMESTEPS}], got {timesteps}")
+
+
+def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int, *,
+                 converged_only: bool = False):
     """Simulate all sublayers jointly for `timesteps` steps.
 
     Time-major walk of the compressed model's stage tables: at every step
     each sublayer reads its source's spikes of that step or the averaged
     rates so far. Returns (logits, traces): logits read the converged rate
     of the final layer's first token; traces hold one AsrTrace per
-    sublayer in layer-major SUBLAYERS order, one row per timestep, over
-    the full (seq x units) width, where pruned units read 0.
+    sublayer in layer-major SUBLAYERS order, over the full (seq x units)
+    width, where pruned units read 0, with one row per timestep. With
+    converged_only, a trace holds only the final (converged) row, the
+    bytes of the every-step run's last row; the walk then takes no batch
+    means and waits on no other worker before the last step.
     """
-    if timesteps < 1:
-        raise InvalidInputError("timesteps must be >= 1")
+    _check_timesteps(timesteps)
     cur_in, keeps, tables = _compressed(model, masks, tokens)
     cfg, batch = model.config, cur_in.shape[0]
     bufs = _rate_buffers(batch, tables, keeps, cfg)
-    asrs = [[np.empty((timesteps, buf[0].size)) for buf in layer] for layer in bufs]
+    kept = 1 if converged_only else timesteps
+    asrs = [[np.empty((kept, buf[0].size)) for buf in layer] for layer in bufs]
+    skipped = timesteps - kept
 
     def walk(part):
         encoder = _Population(1.0, cfg.leak)
@@ -425,10 +464,11 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int):
                     spikes[stage.name] = pop.step(stage.current(x, rates))
                     rates[stage.name] = np.divide(pop.total, t, out=buf[part.rows])
                 spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
-                _layer_means(part, layer_bufs, [asr[t - 1] for asr in layer_asrs])
+                if t > skipped:
+                    _layer_means(part, layer_bufs, [asr[t - 1 - skipped] for asr in layer_asrs])
 
     _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
-    logits = bufs[-1][-1][:, 0, :] @ model.cls_w + model.cls_b
+    logits = _linear(bufs[-1][-1][:, 0, :], model.cls_w, model.cls_b)
     return logits, _traces(tables, keeps, asrs, cfg.seq_len)
 
 
@@ -473,6 +513,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     single row, the batch mean of its converged rates after its own
     budget, over the full (seq x units) width, where pruned units read 0.
     """
+    _check_timesteps(plan.max_timesteps())
     cur_in, keeps, tables = _compressed(model, masks, tokens)
     cfg, batch = model.config, cur_in.shape[0]
     if plan.num_layers != cfg.num_layers:
@@ -496,7 +537,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
             _layer_means(part, layer_bufs, [asr[0] for asr in asrs[li]])
 
     _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
-    logits = bufs[-1][-1][:, 0, :] @ model.cls_w + model.cls_b
+    logits = _linear(bufs[-1][-1][:, 0, :], model.cls_w, model.cls_b)
     return logits, _traces(tables, keeps, asrs, cfg.seq_len)
 
 
@@ -530,7 +571,7 @@ def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
             rates.append((f"L{i}.{stage.name}", rate))
         a = r["output"]
         layer_outputs.append(a)
-    logits = a[:, 0, :] @ params["cls_w"] + params["cls_b"]
+    logits = ops.linear(a[:, 0, :], params["cls_w"], params["cls_b"])
     return logits, rates, layer_outputs
 
 

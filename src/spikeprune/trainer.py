@@ -277,7 +277,7 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
         if config.pca_interval > 0 and (epoch + 1) % config.pca_interval == 0:
             ceiling = plan.max_timesteps()
             calib = data.tokens[:min(config.train_batch, n)]
-            _, traces = run_unrolled(work, masks_now, calib, ceiling)
+            _, traces = run_unrolled(work, masks_now, calib, ceiling, converged_only=False)
             c = temporal.layer_importance(traces, work.config.variance_threshold)
             plan = temporal.allocate_timesteps(c, work.config.pca_base, ceiling)
 

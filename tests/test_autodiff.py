@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import graph_nodes, reference_backward
 from spikeprune import RandomStream, finite_difference_gradient
 from spikeprune import autodiff as ad
-from spikeprune.engine import _NP_OPS
+from spikeprune.engine import _NP_OPS, LN_EPS
 
 
 def _rand(shape, seed, low=-1.0, high=1.0):
@@ -231,6 +231,137 @@ class TestRate:
         cur = _rand((2, 3), 41, low=0.1, high=0.9)
         vth = _rand((6,), 42, low=1.0, high=2.0)
         _grad_vs_fd(lambda vs: _contract(ad.rate(vs[0], vs[1], 4), 43), [cur, vth])
+
+
+def _handed(value, requires_grad, log):
+    """An interior operand node that logs the gradient backward hands it.
+
+    backward gives an interior node its first contribution as is and sums
+    later ones in sweep order, so after a sweep through a chain, log holds
+    what a fused node's vjp must return for this operand (nothing when it
+    needs no gradient).
+    """
+    node = ad.Var(value, (ad.Var(np.zeros(()), requires_grad=requires_grad),))
+
+    def vjp(g):
+        log.append(g)
+        return (None,)
+
+    node.vjp = vjp
+    return node
+
+
+def _assert_fused_is_the_chain(fused_op, chain_op, values, trainable, g, weights):
+    """fused_op and chain_op over the same operands read the same bytes:
+    the value, each vjp output against what a sweep of the chain hands
+    that operand, and every leaf's grad after backward."""
+    def leaves():
+        return [ad.Var(v.copy(), requires_grad=t) for v, t in zip(values, trainable)]
+
+    fused_leaves, chain_leaves = leaves(), leaves()
+    fused, chain = fused_op(*fused_leaves), chain_op(*chain_leaves)
+    assert fused.value.tobytes() == chain.value.tobytes()
+    assert fused.parents == tuple(fused_leaves)
+
+    logs = [[] for _ in values]
+    handed = chain_op(*[_handed(v.copy(), t, log)
+                        for v, t, log in zip(values, trainable, logs)])
+    ad.backward((handed * g).sum())
+    for got, log in zip(fused.vjp(g), logs):
+        assert len(log) <= 1
+        assert _bytes(got) == _bytes(log[0] if log else None)
+
+    ad.backward((fused * weights).sum())
+    ad.backward((chain * weights).sum())
+    for got, want in zip(fused_leaves, chain_leaves):
+        assert _bytes(got.grad) == _bytes(want.grad)
+
+
+def _floats(shape, data, low, high, special):
+    """An array of shape drawn from [low, high] and the special values."""
+    size = int(np.prod(shape))
+    elements = st.one_of(st.sampled_from(special), st.floats(low, high))
+    return np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=np.float64).reshape(shape)
+
+
+def _layernorm_chain(x, scale, shift, eps):
+    """The operator chain ad.layernorm replaces (numpy arrays or Vars)."""
+    square, sqrt = (ad.square, ad.sqrt) if isinstance(x, ad.Var) else (np.square, np.sqrt)
+    inv_n = 1.0 / x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * inv_n
+    var = square(xc).sum(axis=-1, keepdims=True) * inv_n
+    return xc / sqrt(var + eps) * scale + shift
+
+
+class TestLinear:
+    """linear(x, w, b) is one node for the chain x @ w + b, and runs the
+    chain's operations, so it reads the chain's bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_value_and_vjps_equal_the_chain_bit_for_bit(self, data):
+        lead = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        k, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        special = [0.0, -0.0, 1.0, -1.0]
+        x = _floats(lead + (k,), data, -3.0, 3.0, special)
+        w = _floats((k, m), data, -2.0, 2.0, special)
+        b = _floats(data.draw(st.sampled_from([(m,), ()])), data, -2.0, 2.0, special)
+        g = _floats(lead + (m,), data, -2.0, 2.0, special)
+        trainable = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+        _assert_fused_is_the_chain(ad.linear, lambda x, w, b: x @ w + b, [x, w, b],
+                                   trainable, g, _rand(g.shape, 50))
+        copies = [x.copy(), w.copy(), b.copy()]
+        assert _NP_OPS.linear(x, w, b).tobytes() == (x @ w + b).tobytes()
+        assert _NP_OPS.linear(x, w, b).tobytes() == ad.linear(x, w, b).value.tobytes()
+        assert all(a.tobytes() == c.tobytes() for a, c in zip((x, w, b), copies))
+
+    def test_fd(self):
+        x, w, b = _rand((2, 3, 4), 51), _rand((4, 5), 52), _rand((5,), 53)
+        _grad_vs_fd(lambda vs: _contract(ad.linear(*vs), 54), [x, w, b])
+
+
+class TestLayernorm:
+    """layernorm(x, scale, shift, eps) is one node for the chain
+    (x - mean) / sqrt(var + eps) * scale + shift, whose vjp runs the
+    chain's operations in backward's order, so it reads the chain's bytes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_value_and_vjps_equal_the_chain_bit_for_bit(self, data):
+        lead = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        d = data.draw(st.integers(1, 5))
+        eps = data.draw(st.sampled_from([LN_EPS, 1e-3, 0.25]))
+        special = [0.0, -0.0, 1.0, -1.0]
+        if data.draw(st.booleans()):
+            # rows that are one value throughout: centred exactly 0, root sqrt(eps)
+            x = np.repeat(_floats(lead + (1,), data, -3.0, 3.0, special), d, axis=-1)
+        else:
+            x = _floats(lead + (d,), data, -3.0, 3.0, special)
+        scale = _floats((d,), data, -2.0, 2.0, special)
+        shift = _floats((d,), data, -2.0, 2.0, special)
+        g = _floats(lead + (d,), data, -2.0, 2.0, special)
+        trainable = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+
+        def fused(x, scale, shift):
+            return ad.layernorm(x, scale, shift, eps)
+
+        def chain(x, scale, shift):
+            return _layernorm_chain(x, scale, shift, eps)
+
+        _assert_fused_is_the_chain(fused, chain, [x, scale, shift], trainable, g,
+                                   _rand(g.shape, 55))
+        copies = [x.copy(), scale.copy(), shift.copy()]
+        want = _layernorm_chain(x, scale, shift, eps).tobytes()
+        assert _NP_OPS.layernorm(x, scale, shift, eps).tobytes() == want
+        assert ad.layernorm(x, scale, shift, eps).value.tobytes() == want
+        assert all(a.tobytes() == c.tobytes() for a, c in zip((x, scale, shift), copies))
+
+    def test_fd(self):
+        x = _rand((2, 3, 5), 56)
+        scale, shift = _rand((5,), 57, low=0.5, high=1.5), _rand((5,), 58)
+        _grad_vs_fd(lambda vs: _contract(ad.layernorm(*vs, LN_EPS), 59), [x, scale, shift],
+                    atol=1e-6)
 
 
 class TestGathers:

@@ -546,6 +546,36 @@ class TestBadBytes:
             "error: checkpoint.arrays: key 'a\\nb' is not printable"]
 
 
+class TestHugeTimestepCount:
+    """A config may ask for more timesteps than a simulator runs. train,
+    which simulates nothing, succeeds; every command that simulates ends in
+    one error line and exit code 1, before it allocates or steps."""
+
+    def test_simulating_commands_refuse_it(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FAST_CFG.replace("t_conv = 10", "t_conv = 1000000000000"))
+        base = tmp_path / "base.json"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(base)]) == 0
+        capsys.readouterr()
+        for argv in (["prune-spatial", "--calib", "4"], ["prune-temporal", "--calib", "4"],
+                     ["eval", "--data", "4"]):
+            out = tmp_path / "out.json"
+            assert cli.main(argv + ["--checkpoint", str(base), "--out", str(out)]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: timesteps must be in [1, 100000], got 1000000000000"], argv
+            assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line(self, ws, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_sequential", exhausted)
+        assert cli.main(["eval", "--checkpoint", ws["temporal"], "--data", "4"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 7.28 TiB for an array"]
+
+
 def _main_exit(argv) -> tuple:
     """(exit code, stderr) of cli.main(argv); an exception other than
     SystemExit propagates, as it would end the command in a traceback."""

@@ -579,6 +579,88 @@ class TestRowWorkers:
                 assert len(started) == threads, (workers, min_size)
 
 
+class TestConvergedOnly:
+    """run_unrolled(converged_only=True) keeps only each trace's final row.
+    Its workers meet only at the last step, so each must own its rows of
+    every shared buffer at every layer width."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_final_row_equals_the_every_step_run(self, data):
+        """Logits and each trace's one row are the bytes of the every-step
+        run's logits and last rows, at 1 to 5 workers, where every layer
+        keeps its own number of heads and of neurons."""
+        layers = data.draw(st.integers(2, 3))
+        seed = data.draw(st.integers(0, 1000))
+        batch = data.draw(st.integers(2, 7))
+        timesteps = data.draw(st.integers(1, 12))
+        model = tiny_model(seed, num_layers=layers, leak=data.draw(st.sampled_from([1.0, 0.9])))
+        cfg = model.config
+
+        def kept(total, counts):
+            masks = []
+            for count in counts:
+                on = data.draw(st.permutations(range(total)))[:count]
+                masks.append(np.isin(np.arange(total), on).astype(np.float64))
+            return masks
+
+        heads = data.draw(st.permutations(range(cfg.num_heads + 1)))[:layers]
+        neurons = data.draw(st.lists(st.integers(0, cfg.intermediate_size), min_size=layers,
+                                     max_size=layers, unique=True))
+        masks = MaskSet(kept(cfg.num_heads, heads), kept(cfg.intermediate_size, neurons))
+        tokens, _ = token_batch(cfg, batch, RandomStream(seed + 1))
+
+        def simulate(workers, converged_only):
+            with mock.patch.object(engine, "_row_workers", lambda: workers), \
+                    mock.patch.object(engine, "_MIN_WORKER_SIZE", 1):
+                return run_unrolled(model, masks, tokens, timesteps,
+                                    converged_only=converged_only)
+
+        want_logits, want_traces = simulate(1, False)
+        for workers in range(1, 6):
+            logits, traces = simulate(workers, True)
+            assert logits.tobytes() == want_logits.tobytes(), workers
+            assert [t.name for t in traces] == [t.name for t in want_traces]
+            for got, ref in zip(traces, want_traces):
+                assert got.asr.shape == (1, ref.asr.shape[1])
+                assert got.asr.tobytes() == ref.asr[-1:].tobytes(), (workers, got.name)
+
+    def test_a_worker_owns_its_rows_at_every_width(self):
+        """No two workers' rows of any two layers' rate arrays share memory."""
+        model = tiny_model(3, num_layers=3)
+        masks = MaskSet([np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.array([0.0, 0.0])],
+                        [np.array([1, 0, 1, 0, 0, 0.0]), np.ones(6), np.array([0, 1, 1, 1, 0, 1.0])])
+        tokens, _ = token_batch(model.config, 6, RandomStream(4))
+        _, keeps, tables = engine._compressed(model, masks, tokens)
+        bufs = engine._rate_buffers(6, tables, keeps, model.config)
+        parts = [slice(0, 2), slice(2, 3), slice(3, 6)]
+        for position in range(len(SUBLAYERS)):
+            views = [layer[position] for layer in bufs]
+            for a in views:
+                for b in views:
+                    for i, rows_a in enumerate(parts):
+                        for rows_b in parts[i + 1:]:
+                            assert not np.shares_memory(a[rows_a], b[rows_b])
+
+    def test_timestep_ceiling(self):
+        """Both simulators refuse more than MAX_TIMESTEPS steps before they
+        allocate or step anything."""
+        model = tiny_model(1)
+        masks = MaskSet.all_ones(model)
+        tokens, _ = token_batch(model.config, 2, RandomStream(2))
+        huge = 10 ** 12
+        plan = TimestepPlan.uniform(1, 3)
+        plan.steps[0, 4] = engine.MAX_TIMESTEPS + 1
+        for simulate in (lambda: run_unrolled(model, masks, tokens, huge),
+                         lambda: run_unrolled(model, masks, tokens, huge, converged_only=True),
+                         lambda: run_unrolled(model, masks, tokens, engine.MAX_TIMESTEPS + 1),
+                         lambda: run_sequential(model, masks, TimestepPlan.uniform(1, huge),
+                                                tokens, RandomStream(3)),
+                         lambda: run_sequential(model, masks, plan, tokens, RandomStream(3))):
+            with pytest.raises(InvalidInputError, match=r"^timesteps must be in \[1, 100000\]"):
+                simulate()
+
+
 class TestProxyGraph:
     def test_value_walk_equals_the_graph_exactly(self):
         """rate_proxy_forward and proxy_graph round identically.

@@ -268,8 +268,9 @@ def test_sst2_toy_batch_tape_size():
     that grows or shrinks it fails here, and its CHANGES.md line restates
     the count.
 
-    211 nodes = 37 trainable leaves + 26 lifted constants + 148 operations
-    (each spiking stage's rate is one node).
+    142 nodes = 37 trainable leaves + 14 lifted constants + 91 operations
+    (each spiking stage's rate, each linear map and each layer norm is one
+    node).
     """
     run = resolve_config("sst2_toy")
     tcfg = run.train_config()
@@ -280,7 +281,7 @@ def test_sst2_toy_batch_tape_size():
     nodes = graph_nodes(loss)
     leaves = [v for v in nodes if not v.parents]
     trainable = sum(v.requires_grad for v in leaves)
-    assert (len(nodes), trainable, len(leaves) - trainable) == (211, 37, 26)
+    assert (len(nodes), trainable, len(leaves) - trainable) == (142, 37, 14)
 
 
 class TestTrain:
