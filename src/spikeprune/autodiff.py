@@ -341,8 +341,11 @@ def take_labels(logits: Var, labels: np.ndarray) -> Var:
     return out
 
 
-def backward(root: Var) -> None:
-    """Accumulate d(root)/d(leaf) into each leaf's .grad (root scalar).
+def backward(root: Var, grad=None) -> None:
+    """Accumulate grad times d(root)/d(leaf) into each leaf's .grad.
+
+    grad has root's shape and defaults to ones, the gradient of a scalar
+    root; one passed in seeds the sweep as root's .grad and is not changed.
 
     Only nodes that require a gradient are visited. Leaves and the root
     keep their .grad; every other node's .grad is dropped (None) as soon as
@@ -375,8 +378,8 @@ def backward(root: Var) -> None:
 
     for node in topo:
         node.grad = None
-    root.grad = np.ones_like(root.value)
-    owned: set[int] = {id(root)}
+    root.grad = np.ones_like(root.value) if grad is None else grad
+    owned: set[int] = {id(root)} if grad is None else set()
     for node in reversed(topo):
         if node.vjp is None or node.grad is None:
             continue

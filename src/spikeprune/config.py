@@ -14,6 +14,7 @@ import dataclasses
 import importlib.resources
 import os
 
+from .engine import _check_timesteps
 from .errors import InvalidInputError
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -60,6 +61,8 @@ class RunConfig:
         for name in ("acs_constraint", "rho"):
             if not (0 < getattr(self, name) <= 1):
                 raise InvalidInputError(f"{name} must be in (0, 1]")
+        # a model that no simulator can run is refused before it is trained
+        _check_timesteps(self.t_conv, "t_conv")
 
     def _split(self, target, **overrides):
         """A target (ModelConfig or TrainConfig) whose fields take this

@@ -46,7 +46,10 @@ depends on the worker count. A converged_only unrolled walk takes those
 means, and so waits for the other workers, only at its last step.
 Both simulators refuse more than MAX_TIMESTEPS steps.
 
-Rates and spikes are float64 arrays shaped (batch, seq, units).
+Rates are float64 arrays shaped (batch, seq, units). A population holds
+a float64 membrane, bool spikes and int32 spike counts (`_Population`);
+run_unrolled turns into float64, once a step, only the spikes a matrix
+product reads.
 """
 
 from __future__ import annotations
@@ -239,26 +242,32 @@ def _compressed(model: SpikingModel, masks: MaskSet, tokens):
 
 
 class _Population:
-    """LIF membranes, last spikes and spike sum of one population (a
-    sublayer, or the input encoder at threshold 1), all shaped by its first
-    input current, so sliced layers need no sizing."""
+    """LIF state of one population (a sublayer, or the input encoder at
+    threshold 1), all shaped by its first input current, so sliced layers
+    need no sizing: a float64 membrane updated in place, bool spikes and
+    int32 spike counts, 13 bytes a unit (int32 holds MAX_TIMESTEPS)."""
 
     def __init__(self, vth, leak: float):
         self.vth, self.leak = vth, leak
         self.membrane = self.spikes = self.total = None
 
     def step(self, current: np.ndarray) -> np.ndarray:
-        """One integrate-and-fire update with subtractive reset; returns its spikes.
+        """One integrate-and-fire update with subtractive reset; returns its
+        spikes, a bool array this population overwrites at its next step.
 
-        u' = leak * u + I - s_prev * v_th, spike where u' - v_th >= 0 (so a
-        membrane exactly at threshold fires).
+        u' = leak * u + I - s_prev * v_th, spike where u' >= v_th (so a
+        membrane exactly at threshold fires). s_prev * v_th is exactly 0.0
+        or v_th, and u' >= v_th is u' - v_th >= 0 for any finite v_th.
         """
         if self.membrane is None:
-            self.membrane, self.spikes, self.total = (np.zeros(current.shape) for _ in range(3))
-        u = self.leak * self.membrane + current - self.spikes * self.vth
-        # both old arrays go at once, after the new ones exist: freeing the
-        # membrane first tripled a mid-size simulation's minor page faults
-        self.membrane, self.spikes = u, (u - self.vth >= 0.0).astype(np.float64)
+            self.membrane = np.zeros(current.shape)
+            self.spikes = np.zeros(current.shape, dtype=bool)
+            self.total = np.zeros(current.shape, dtype=np.int32)
+        u = self.membrane
+        u *= self.leak
+        u += current
+        u -= self.spikes * self.vth
+        np.greater_equal(u, self.vth, out=self.spikes)
         self.total += self.spikes
         return self.spikes
 
@@ -414,17 +423,17 @@ def _layer_means(part: _Part, bufs: list, rows: list) -> None:
 
 
 # The most timesteps either simulator runs a sublayer for, checked before
-# either allocates or steps. The longest run the tests make is criterion
-# 05's 6,000 steps. At 100,000, an unrolled run of the mid config
-# (perfbench/mid.cfg; 18 s per 40 steps at batch 32 on 2 cores) takes half
-# a day, and its every-step traces would hold 236 GB.
+# either allocates or steps, and the largest t_conv a run config may ask
+# for; a population's int32 spike count holds it. The longest run the
+# tests make is criterion 05's 6,000 steps. At 100,000, an unrolled run of
+# the mid config (perfbench/mid.cfg; 18 s per 40 steps at batch 32 on 2
+# cores) takes half a day, and its every-step traces would hold 236 GB.
 MAX_TIMESTEPS = 100_000
 
 
-def _check_timesteps(timesteps: int) -> None:
+def _check_timesteps(timesteps: int, name: str = "timesteps") -> None:
     if not 1 <= timesteps <= MAX_TIMESTEPS:
-        raise InvalidInputError(
-            f"timesteps must be in [1, {MAX_TIMESTEPS}], got {timesteps}")
+        raise InvalidInputError(f"{name} must be in [1, {MAX_TIMESTEPS}], got {timesteps}")
 
 
 def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int, *,
@@ -448,6 +457,10 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int, *,
     kept = 1 if converged_only else timesteps
     asrs = [[np.empty((kept, buf[0].size)) for buf in layer] for layer in bufs]
     skipped = timesteps - kept
+    # the spikes a matrix product reads (the layer input's and fc's) turn
+    # float64 once a step, as the product of a bool array is several times
+    # slower than a float one; the others stay bool
+    fed = {stage.source for stage in tables[0] if stage.entry == _SPIKES}
 
     def walk(part):
         encoder = _Population(1.0, cfg.leak)
@@ -455,15 +468,16 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int, *,
                 for layer, stages in zip(model.layers, tables)]
         x_in = cur_in[part.rows]
         for t in range(1, timesteps + 1):
-            spikes = {"in": encoder.step(x_in)}
-            rates = {"in": encoder.total / t}
+            spiked, rates = encoder.step(x_in), {"in": encoder.total / t}
             for stages, layer_pops, layer_bufs, layer_asrs in zip(tables, pops, bufs, asrs):
+                spikes = {"in": spiked.astype(np.float64)}
                 for stage, pop, buf in zip(stages, layer_pops, layer_bufs):
                     x = (None if stage.entry == _RATES else
                          (spikes if stage.entry == _SPIKES else rates)[stage.source])
-                    spikes[stage.name] = pop.step(stage.current(x, rates))
+                    s = pop.step(stage.current(x, rates))
+                    spikes[stage.name] = s.astype(np.float64) if stage.name in fed else s
                     rates[stage.name] = np.divide(pop.total, t, out=buf[part.rows])
-                spikes, rates = {"in": spikes["output"]}, {"in": rates["output"]}
+                spiked, rates = spikes["output"], {"in": rates["output"]}
                 if t > skipped:
                     _layer_means(part, layer_bufs, [asr[t - 1 - skipped] for asr in layer_asrs])
 
@@ -544,6 +558,33 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
 # --- differentiable rate proxy -----------------------------------------------
 
 
+def _layer_params(params: dict, i: int) -> LayerParams:
+    """Encoder layer i of params, a map from the names of _model_arrays."""
+    return LayerParams(**{f.name: params[f"L{i}.{f.name}"]
+                          for f in dataclasses.fields(LayerParams)})
+
+
+def _rate_layer(layer, a, head_mask, neuron_mask, head_dim: int, ops, noise=None) -> dict:
+    """One encoder layer of the rate walk on input rates a.
+
+    Returns {"in": a, then each sublayer's name: its rates} in SUBLAYERS
+    order; "output" is the layer's output. noise(sublayer_name, rate),
+    when given, returns an additive perturbation or None; it applies
+    before the inter stage's neuron mask.
+    """
+    r = {"in": a}
+    for stage in _layer_stages(layer, head_mask, head_dim, ops):
+        x = None if stage.entry == _RATES else r[stage.source]
+        rate = ops.rate(stage.current(x, r), layer.vth, stage.col)
+        delta = None if noise is None else noise(stage.name, rate)
+        if delta is not None:
+            rate = rate + delta
+        if stage.axis == "n":
+            rate = rate * neuron_mask
+        r[stage.name] = rate
+    return r
+
+
 def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
                neuron_masks, ops, noise=None):
     """Walk the stage tables with every sublayer at rate clip(current / vth).
@@ -556,19 +597,10 @@ def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
     a = ops.clip(_input_currents(params["embedding"], config, input_scale, tokens))
     rates, layer_outputs = [], []
     for i in range(len(head_masks)):
-        layer = LayerParams(**{f.name: params[f"L{i}.{f.name}"]
-                               for f in dataclasses.fields(LayerParams)})
-        r = {"in": a}
-        for stage in _layer_stages(layer, head_masks[i], config.head_dim, ops):
-            x = None if stage.entry == _RATES else r[stage.source]
-            rate = ops.rate(stage.current(x, r), layer.vth, stage.col)
-            delta = None if noise is None else noise(i, stage.name, rate)
-            if delta is not None:
-                rate = rate + delta
-            if stage.axis == "n":
-                rate = rate * neuron_masks[i]
-            r[stage.name] = rate
-            rates.append((f"L{i}.{stage.name}", rate))
+        r = _rate_layer(_layer_params(params, i), a, head_masks[i], neuron_masks[i],
+                        config.head_dim, ops,
+                        None if noise is None else functools.partial(noise, i))
+        rates += [(f"L{i}.{name}", rate) for name, rate in r.items() if name != "in"]
         a = r["output"]
         layer_outputs.append(a)
     logits = ops.linear(a[:, 0, :], params["cls_w"], params["cls_b"])

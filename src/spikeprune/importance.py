@@ -5,6 +5,10 @@ respect to a mask variable, evaluated at all-ones masks through the rate
 proxy. The rate part is the unit's converged average spiking rate from a
 calibration simulation. Their product ranks heads and neurons: a unit is
 expendable when the loss is insensitive to it or it barely spikes.
+
+The mask gradients come one encoder layer at a time: each layer's graph
+is rebuilt on its input rates and swept once, top layer first, so at its
+peak the sweep holds every layer's input rates and one layer's tape.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import dataclasses
 import numpy as np
 
 from . import autodiff as ad
-from .engine import cross_entropy, proxy_graph
+from .engine import (_AD_OPS, _NP_OPS, _input_currents, _layer_params, _rate_layer,
+                     cross_entropy)
 from .errors import InvalidInputError
 from .model import SpikingModel, _model_arrays
 
@@ -33,6 +38,39 @@ class ImportanceScores:
     neuron_asr: list
 
 
+def _layer_inputs(model: SpikingModel, arrays: dict, tokens) -> list:
+    """Each encoder layer's input rates at all-ones masks, from the numpy
+    rate walk; nothing else it computes is kept."""
+    inputs = [_NP_OPS.clip(_input_currents(arrays["embedding"], model.config,
+                                           model.input_scale, tokens))]
+    for i, (h, n) in enumerate(zip(model.head_counts()[:-1], model.neuron_counts())):
+        inputs.append(_rate_layer(_layer_params(arrays, i), inputs[-1], np.ones(h),
+                                  np.ones(n), model.config.head_dim, _NP_OPS)["output"])
+    return inputs
+
+
+def _layer_grads(model: SpikingModel, consts: dict, i: int, a, seed, labels):
+    """Layer i's graph on its input rates a, swept once: (head mask grad,
+    neuron mask grad, input grad).
+
+    With labels (the top layer) the sweep starts from the mean
+    cross-entropy of the logits, else from seed, the gradient the layer
+    above handed to its input. Layer 0's input is a constant, so its grad
+    is None. Nothing of the graph outlives the call.
+    """
+    x = ad.Var(a, requires_grad=i > 0)
+    hm = ad.Var(np.ones(model.head_counts()[i]))
+    nm = ad.Var(np.ones(model.neuron_counts()[i]))
+    out = _rate_layer(_layer_params(consts, i), x, hm, nm, model.config.head_dim,
+                      _AD_OPS)["output"]
+    if labels is None:
+        ad.backward(out, seed)
+    else:
+        ad.backward(cross_entropy(_AD_OPS.linear(out[:, 0, :], consts["cls_w"],
+                                                 consts["cls_b"]), labels))
+    return hm.grad, nm.grad, x.grad
+
+
 def fisher_diagonal(model: SpikingModel, calibration_batches):
     """Mean squared mask gradients over batches: (head_fisher, neuron_fisher).
 
@@ -42,26 +80,34 @@ def fisher_diagonal(model: SpikingModel, calibration_batches):
     the masks.
     The mean over batches (not the sum) keeps scores invariant to how many
     calibration batches are supplied.
+
+    A batch is swept one layer at a time, top layer first: a numpy rate
+    walk keeps each layer's input rates, and each layer's graph is rebuilt
+    on its input and swept once, seeded by the gradient the layer above
+    handed to that input. At its peak the sweep holds every layer's input
+    rates and one layer's tape, where a whole-graph sweep held every
+    layer's tape; the squared mask gradients are the whole-graph sweep's,
+    byte for byte.
     """
     batches = list(calibration_batches)
     if not batches:
         raise InvalidInputError("need at least one calibration batch")
+    arrays = _model_arrays(model)
+    consts = {name: ad.Var(arr, requires_grad=False) for name, arr in arrays.items()}
     head_acc = [np.zeros(c) for c in model.head_counts()]
     neuron_acc = [np.zeros(c) for c in model.neuron_counts()]
     for tokens, labels in batches:
-        params = {name: ad.Var(arr, requires_grad=False)
-                  for name, arr in _model_arrays(model).items()}
-        hm = [ad.Var(np.ones(c)) for c in model.head_counts()]
-        nm = [ad.Var(np.ones(c)) for c in model.neuron_counts()]
-        logits, _, _ = proxy_graph(params, model.config, model.input_scale,
-                                   tokens, hm, nm)
-        loss = cross_entropy(logits, labels)
-        ad.backward(loss)
-        for l in range(len(hm)):
-            if hm[l].grad is not None:
-                head_acc[l] += hm[l].grad ** 2
-            if nm[l].grad is not None:
-                neuron_acc[l] += nm[l].grad ** 2
+        inputs = _layer_inputs(model, arrays, tokens)
+        top, seed = len(inputs) - 1, None
+        for l in range(top, -1, -1):
+            head_grad, neuron_grad, seed = _layer_grads(
+                model, consts, l, inputs.pop(), seed, labels if l == top else None)
+            if head_grad is not None:
+                head_acc[l] += head_grad ** 2
+            if neuron_grad is not None:
+                neuron_acc[l] += neuron_grad ** 2
+            if seed is None:
+                break
     scale = 1.0 / len(batches)
     return ([h * scale for h in head_acc], [n * scale for n in neuron_acc])
 

@@ -1,5 +1,5 @@
-"""Shared helpers: tiny model factories, an instrumented MAC counter and a
-reference mask search.
+"""Shared helpers: tiny model factories, an instrumented MAC counter, a
+reference mask search and `traced`, a call's traced memory.
 
 The counter is the independent route for checking the closed-form ACs
 formulas: it walks the per-timestep dataflow and tallies multiply-accumulate
@@ -41,6 +41,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -53,6 +54,28 @@ from spikeprune.cost import unit_costs
 from spikeprune.engine import (_MEAN, _NP_OPS, _RATES, _SPIKES, _input_currents,
                                _layer_stages)
 from spikeprune.numerics import _GAMMA, _mix64
+
+
+def traced(call) -> tuple:
+    """(call(), net, peak): the traced bytes the call left allocated and
+    the most it held at once, both over what was traced when it began.
+
+    Tracing starts and stops around the call unless it is already on; a
+    traced call may so trace another, whose figures then count what it
+    frees of the outer call's allocations, and which resets the peak.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return value, current - start, peak - start
 
 
 def tiny_config(**overrides) -> ModelConfig:

@@ -3,6 +3,7 @@
 import argparse
 import base64
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -10,14 +11,16 @@ import json
 import os
 import re
 import shutil
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikeprune import (InvalidInputError, RandomStream, gen_keyword_task,
-                        load_checkpoint, save_jsonl)
+from conftest import traced
+from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
+                        gen_keyword_task, init_model, load_checkpoint, save_checkpoint,
+                        save_jsonl)
+from spikeprune.config import parse_config
 from spikeprune import cli
 
 # small enough to train in well under a second, large enough that the
@@ -180,15 +183,13 @@ def test_prune_and_eval_rounds_leave_no_memory_behind(ws, tmp_path):
             assert cli.main(["eval", "--checkpoint", spatial, "--data", "40",
                              "--batch", "16"]) == 0
         gc.collect()
-        return tracemalloc.get_traced_memory()[0]
 
-    tracemalloc.start()
-    try:
-        first = round_trip()
-        second = round_trip()
-    finally:
-        tracemalloc.stop()
-    assert second - first < 32 * 1024
+    def second_round():
+        round_trip()
+        return traced(round_trip)[1]
+
+    growth, _, _ = traced(second_round)
+    assert growth < 32 * 1024
 
 
 class TestPruneTemporal:
@@ -547,16 +548,30 @@ class TestBadBytes:
 
 
 class TestHugeTimestepCount:
-    """A config may ask for more timesteps than a simulator runs. train,
-    which simulates nothing, succeeds; every command that simulates ends in
-    one error line and exit code 1, before it allocates or steps."""
+    """A model may ask for more timesteps than a simulator runs. A config
+    file that asks for it is refused before training, by every command
+    that reads one; every command that simulates a checkpoint holding such
+    a model ends in one error line and exit code 1, before it allocates or
+    steps."""
 
-    def test_simulating_commands_refuse_it(self, tmp_path, capsys):
+    def test_config_commands_refuse_it(self, ws, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(FAST_CFG.replace("t_conv = 10", "t_conv = 1000000000000"))
+        out = tmp_path / "out.json"
+        for argv in (["train", "--out", str(out)],
+                     ["retrain", "--checkpoint", ws["temporal"], "--out", str(out)],
+                     ["ablate", "--study", "activity", "--out", str(out)]):
+            assert cli.main(argv + ["--config", str(cfg)]) == 1, argv
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {cfg}: t_conv must be in [1, 100000], got 1000000000000"], argv
+            assert not out.exists()
+
+    def test_simulating_commands_refuse_it(self, tmp_path, capsys):
+        config = dataclasses.replace(parse_config(FAST_CFG).model_config(), t_conv=10**12)
+        model = init_model(config, RandomStream(0))
         base = tmp_path / "base.json"
-        assert cli.main(["train", "--config", str(cfg), "--out", str(base)]) == 0
-        capsys.readouterr()
+        save_checkpoint(str(base), model, MaskSet.all_ones(model),
+                        TimestepPlan.uniform(config.num_layers, config.t_conv))
         for argv in (["prune-spatial", "--calib", "4"], ["prune-temporal", "--calib", "4"],
                      ["eval", "--data", "4"]):
             out = tmp_path / "out.json"

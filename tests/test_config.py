@@ -8,6 +8,7 @@ import pytest
 from spikeprune import InvalidInputError, ModelConfig, TrainConfig
 from spikeprune.config import (RunConfig, available_presets, load_config,
                                parse_config, resolve_config)
+from spikeprune.engine import MAX_TIMESTEPS
 
 
 class TestParseConfig:
@@ -106,6 +107,17 @@ class TestRunConfig:
             RunConfig(**{field: value})
         with pytest.raises(InvalidInputError, match=f"^runs.cfg: {field} must be"):
             parse_config(f"{field} = {value}\n", "runs.cfg")
+
+    @pytest.mark.parametrize("t_conv", [0, -1, MAX_TIMESTEPS + 1, 10**12])
+    def test_rejects_t_conv_no_simulator_runs(self, t_conv):
+        """A t_conv outside [1, MAX_TIMESTEPS] is refused where a config is
+        parsed, so no command trains a model it cannot simulate."""
+        with pytest.raises(InvalidInputError, match=(
+                f"^runs.cfg: t_conv must be in \\[1, {MAX_TIMESTEPS}\\], got {t_conv}$")):
+            parse_config(f"t_conv = {t_conv}\n", "runs.cfg")
+
+    def test_accepts_t_conv_at_the_ceiling(self):
+        assert parse_config(f"t_conv = {MAX_TIMESTEPS}\n").t_conv == MAX_TIMESTEPS
 
 
 class TestPresets:

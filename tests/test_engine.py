@@ -1,7 +1,6 @@
 """LIF dynamics, the two simulators, the rate proxy, and their agreement."""
 
 import threading
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from types import SimpleNamespace
 
 from conftest import (reference_lif_step, reference_run_sequential, reference_run_unrolled,
-                      tiny_config, tiny_model, token_batch)
+                      tiny_config, tiny_model, token_batch, traced)
 from spikeprune import (InvalidInputError, MaskSet, RandomStream, TimestepPlan,
                         evaluate_proxy, fisher_diagonal, init_model,
                         rate_proxy_forward, run_sequential, run_unrolled)
@@ -96,6 +95,37 @@ class TestLifStep:
             assert np.array_equal(s, want)
             assert np.array_equal(pop.membrane, state[0])
             assert np.array_equal(pop.total, total)
+
+
+class TestCompactState:
+    """A population holds 13 bytes a unit: float64 membrane, bool spikes,
+    int32 spike counts."""
+
+    def test_dtypes_and_bytes_per_unit(self):
+        pop = engine._Population(1.0, 1.0)
+        pop.step(np.full((2, 3), 0.75))
+        assert (pop.membrane.dtype, pop.spikes.dtype, pop.total.dtype) == (
+            np.float64, np.bool_, np.int32)
+        assert sum(a.itemsize for a in (pop.membrane, pop.spikes, pop.total)) == 13
+        assert np.iinfo(pop.total.dtype).max >= engine.MAX_TIMESTEPS
+
+    def test_unrolled_peak_per_unit(self, monkeypatch):
+        """On one worker, a converged_only run's traced peak stays under 22
+        bytes a simulated unit (the encoder's and every sublayer's, each
+        sample's): 13 of state, 1.9 of one layer's rate buffers, 1.5 of the
+        sliced layers' weights and the rest for one step's currents; it
+        reads 19.9. A float64 spike and spike count took 24 of state
+        alone, and 30.6 in all."""
+        monkeypatch.setattr(engine, "_row_workers", lambda: 1)
+        model = tiny_model(3, num_layers=4, hidden_size=32, num_heads=4,
+                           intermediate_size=64, seq_len=16, vocab_size=12)
+        tokens, _ = token_batch(model.config, 16, RandomStream(5))
+        (_, traces), _, peak = traced(lambda: run_unrolled(
+            model, MaskSet.all_ones(model), tokens, 5, converged_only=True))
+        cfg = model.config
+        units = len(tokens) * (cfg.seq_len * cfg.hidden_size
+                               + sum(t.asr.shape[1] for t in traces))
+        assert peak < 22 * units
 
 
 class TestTimestepPlan:
@@ -461,12 +491,8 @@ class TestRunSequential:
 
         def peak(t):
             plan = TimestepPlan.uniform(1, t)
-            tracemalloc.start()
-            try:
-                run_sequential(model, masks, plan, tokens, RandomStream(4))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced(lambda: run_sequential(model, masks, plan, tokens,
+                                                 RandomStream(4)))[2]
 
         assert peak(200) < 2 * peak(10)
 
