@@ -7,12 +7,14 @@ scatter-add backward). Three chains the rate walk repeats are one node
 each: the LIF rate clip(current / vth[j]) (`rate`), the affine map
 x @ w + b (`linear`) and layer normalization (`layernorm`). Each fused vjp
 runs its chain's array operations in the chain's order, so gradients keep
-the chain's bytes while the tape holds one node and fewer arrays. Values
-are eagerly computed; each Var remembers a vector-Jacobian closure so a
-single `backward` sweep fills `.grad` fields. The sweep keeps
-the gradients of leaves and of the root; an interior node's gradient is
-freed once its vjp has passed it on, so a graph's peak memory is its
-forward tape, not the tape plus every adjoint.
+the chain's bytes while the tape holds one node and fewer arrays. These
+three, `clip01`, `softmax` and `sigmoid` take their values from numpy
+kernels named for them (`rate` from `_rate`), and the simulators and the
+trainer call those kernels on plain arrays. Values are eagerly computed;
+each Var remembers a vector-Jacobian closure so a single `backward` sweep
+fills `.grad` fields. The sweep keeps the gradients of leaves and of the
+root; an interior node's gradient is freed once its vjp has passed it on,
+so a graph's peak memory is its forward tape, not the tape plus every adjoint.
 
 Only nodes that reach a trainable leaf take part in that sweep. A leaf made
 with `Var(x)` requires a gradient; a constant (`Var(x, requires_grad=False)`,
@@ -52,7 +54,8 @@ class Var:
 
     __slots__ = ("value", "grad", "parents", "vjp", "requires_grad")
     # numpy operators defer to the reflected Var method, so `array * var`
-    # builds a graph node instead of an object array of per-element Vars
+    # builds a graph node instead of an object array of per-element Vars;
+    # with no reflected method (sub, truediv, matmul) they raise TypeError
     __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None, *, requires_grad=True):
@@ -86,9 +89,6 @@ class Var:
     def __sub__(self, other):
         return self + (-_lift(other))
 
-    def __rsub__(self, other):
-        return _lift(other) + (-self)
-
     def __mul__(self, other):
         other = _lift(other)
         out = Var(self.value * other.value, (self, other))
@@ -110,9 +110,6 @@ class Var:
         )
         return out
 
-    def __rtruediv__(self, other):
-        return _lift(other) / self
-
     def __matmul__(self, other):
         other = _lift(other)
         out = Var(self.value @ other.value, (self, other))
@@ -126,9 +123,6 @@ class Var:
 
         out.vjp = vjp
         return out
-
-    def __rmatmul__(self, other):
-        return _lift(other) @ self
 
     # --- shape ops --------------------------------------------------------
 
@@ -183,12 +177,50 @@ def _lift(x) -> Var:
     return x if isinstance(x, Var) else Var(x, requires_grad=False)
 
 
-# --- free functions ---------------------------------------------------------
+# --- free functions; a node f with a numpy kernel _f takes its value from it
+
+
+def _clip01(x):
+    return np.clip(x, 0.0, 1.0)
+
+
+def _rate(current, vth, j: int):
+    return _clip01(current / vth[j])
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _softmax(x, axis: int = -1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _linear(x, w, b):
+    out = x @ w
+    out += b
+    return out
+
+
+def _layernorm_parts(x, eps: float):
+    """(x - mean, sqrt(var + eps)) over the last axis; means are sums times 1/n."""
+    inv_n = 1.0 / x.shape[-1]
+    centred = x - x.sum(axis=-1, keepdims=True) * inv_n
+    return centred, np.sqrt(np.square(centred).sum(axis=-1, keepdims=True) * inv_n + eps)
+
+
+def _layernorm(x, scale, shift, eps: float):
+    out, root = _layernorm_parts(x, eps)
+    out /= root
+    out *= scale
+    out += shift
+    return out
 
 
 def clip01(x: Var) -> Var:
     """Clip to [0, 1]; gradient passes only strictly inside the interval."""
-    out = Var(np.clip(x.value, 0.0, 1.0), (x,))
+    out = Var(_clip01(x.value), (x,))
     inside = (x.value > 0.0) & (x.value < 1.0)
     out.vjp = lambda g: (g * inside,)
     return out
@@ -203,7 +235,7 @@ def rate(current: Var, vth: Var, j: int) -> Var:
     neither the quotient nor the mask.
     """
     v = vth.value[j]
-    value = np.clip(current.value / v, 0.0, 1.0)
+    value = _rate(current.value, vth.value, j)
     out = Var(value, (current, vth))
 
     def vjp(g):
@@ -226,9 +258,7 @@ def linear(x, w, b) -> Var:
     the chain held two.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
-    value = x.value @ w.value
-    value += b.value
-    out = Var(value, (x, w, b))
+    out = Var(_linear(x.value, w.value, b.value), (x, w, b))
 
     def vjp(g):
         return ((_sum_to_shape(g @ np.swapaxes(w.value, -1, -2), x.shape)
@@ -244,26 +274,22 @@ def linear(x, w, b) -> Var:
 def layernorm(x, scale, shift, eps: float) -> Var:
     """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, one node.
 
-    Mean and variance are sums times 1/n. The vjp runs the array
-    operations of the chain this replaces (sum, mul, sub, square, sum, mul,
-    add, sqrt, truediv, mul, add), in the order backward would run their
-    vjps, so every gradient carries the chain's bytes. The tape keeps the
-    centred input and the root, not the chain's eleven intermediates.
+    The vjp recomputes the centred input and the root from x, then runs the
+    array operations of the chain this replaces (sum, mul, sub, square, sum,
+    mul, add, sqrt, truediv, mul, add) in the order backward would run
+    their vjps, so every gradient carries the chain's bytes and the tape
+    keeps none of the chain's eleven intermediates.
     """
     x, scale, shift = _lift(x), _lift(scale), _lift(shift)
-    inv_n = 1.0 / x.shape[-1]
-    centred = x.value - x.value.sum(axis=-1, keepdims=True) * inv_n
-    root = np.sqrt(np.square(centred).sum(axis=-1, keepdims=True) * inv_n + eps)
-    value = centred / root
-    value *= scale.value
-    value += shift.value
-    out = Var(value, (x, scale, shift))
+    out = Var(_layernorm(x.value, scale.value, shift.value, eps), (x, scale, shift))
 
     def vjp(g):
+        centred, root = _layernorm_parts(x.value, eps)
         g_x = g_scale = None
         if scale.requires_grad:
             g_scale = _sum_to_shape(g * (centred / root), scale.shape)
         if x.requires_grad:
+            inv_n = 1.0 / x.shape[-1]
             g_normed = g * scale.value
             g_root = _sum_to_shape(-g_normed * centred / (root ** 2), root.shape)
             # centred's two shares, through the quotient and through the square
@@ -293,16 +319,14 @@ def square(x: Var) -> Var:
 
 
 def sigmoid(x: Var) -> Var:
-    s = 1.0 / (1.0 + np.exp(-x.value))
+    s = _sigmoid(x.value)
     out = Var(s, (x,))
     out.vjp = lambda g: (g * s * (1.0 - s),)
     return out
 
 
 def softmax(x: Var, axis: int = -1) -> Var:
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax(x.value, axis)
     out = Var(s, (x,))
 
     def vjp(g):

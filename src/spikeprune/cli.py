@@ -124,9 +124,8 @@ def _importance_scores(model, masks, calib: Dataset, batch_size: int, *,
     """Importance scores on calib, and the calibration traces that weight them.
 
     The scores read only the traces' converged rows, so by default the
-    calibration run keeps only those (run_unrolled's converged_only): on
-    the mid config that is 2.4 MB of rows where every step's would be
-    94 MB. report, which plots every step, passes False.
+    calibration run keeps only those (run_unrolled's converged_only), a
+    T-th of every step's rows. report, which plots every step, passes False.
     """
     fisher = fisher_diagonal(model, iter_batches(calib, batch_size))
     _, traces = run_unrolled(model, masks, calib.tokens, model.config.t_conv,

@@ -7,7 +7,8 @@ input current, its column (in the layer's thresholds and in a
 TimestepPlan) and the layout axis its units span. The table and its walks
 are written with operators plus five primitives (clip, rate, softmax,
 linear, layernorm) passed in by the walker, so they compute on numpy
-arrays and on autodiff Vars alike; on a graph, each primitive is one node.
+arrays and on autodiff Vars alike: `_NP_OPS` holds autodiff's numpy
+kernels, `_AD_OPS` the graph nodes whose values those kernels compute.
 Three walks read the same tables:
 
 * `run_unrolled`, time-major: every sublayer advances together for T
@@ -104,10 +105,12 @@ class AsrTrace:
 def _input_currents(embedding, config, input_scale: float, tokens):
     """Embedding rows of the tokens over input_scale (zero when it is not positive).
 
-    The one token check of every path: (batch, seq_len) ids, each inside
-    the vocabulary.
+    The one token check of every path: (batch, seq_len) integer ids (bool
+    is not an integer type), each inside the vocabulary.
     """
     tokens = np.asarray(tokens)
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise InvalidInputError(f"token ids must be integers, got dtype {tokens.dtype}")
     if tokens.ndim == 1:
         tokens = tokens[None, :]
     if tokens.ndim != 2 or tokens.shape[1] != config.seq_len:
@@ -129,35 +132,17 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(1, 2).reshape(b, n, kh * hd)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _linear(x, w, b):
-    out = x @ w
-    out += b
-    return out
-
-
-def _layernorm(x, scale, shift, eps: float):
-    inv_n = 1.0 / x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) * inv_n
-    xc /= np.sqrt(np.square(xc).sum(axis=-1, keepdims=True) * inv_n + eps)
-    xc *= scale
-    xc += shift
-    return xc
-
-
-# The primitives a stage table and the rate walk call; everything else in
-# them is an operator or a method numpy arrays and autodiff Vars share, and
-# every rounding (means as sum * (1/n), attention scaled by 1/sqrt(hd)) is
-# the same on both. The numpy versions compute the autodiff nodes' chains.
+# The primitives a stage table and the rate walk call: numpy kernels, and the
+# autodiff nodes whose values they are. All else is an operator or method arrays
+# and Vars share, rounded alike (means as sum * (1/n), scores times 1/sqrt(hd)).
 _Ops = collections.namedtuple("_Ops", "clip rate softmax linear layernorm")
-_NP_OPS = _Ops(lambda x: np.clip(x, 0.0, 1.0),
-               lambda current, vth, j: np.clip(current / vth[j], 0.0, 1.0),
-               _softmax, _linear, _layernorm)
+_NP_OPS = _Ops(ad._clip01, ad._rate, ad._softmax, ad._linear, ad._layernorm)
 _AD_OPS = _Ops(ad.clip01, ad.rate, ad.softmax, ad.linear, ad.layernorm)
+
+
+def _readout(a, cls_w, cls_b, ops):
+    """Class logits from the first token of the last layer's output rates a."""
+    return ops.linear(a[:, 0, :], cls_w, cls_b)
 
 
 def _attention_current(layer, a_in, a_k, a_v, head_mask, head_dim, ops):
@@ -363,11 +348,7 @@ class _Part:
 
 # The fewest elements of a (batch, seq, hidden) rate array a worker takes.
 # Below it the interpreter's time, which the GIL serializes, outweighs the
-# numpy work threads overlap. 2 workers against 1, OpenBLAS on one thread,
-# 2 cores, median speed-up of 5-9 calls of each simulator on sst2_toy's
-# shape (512 elements a row) and the mid config's (8192): 0.50-0.58x at
-# 4096 elements a worker, 0.79-1.07x at 6144-8192, 0.96-1.39x at
-# 10240-14336, and 1.22-1.71x at 16384, 1.47-2.05x from 20480 up.
+# numpy work threads overlap, and two workers run slower than one.
 _MIN_WORKER_SIZE = 16384
 
 
@@ -380,8 +361,7 @@ def _split_rows(rows: int, row_size: int, walk) -> None:
     worker that raises breaks the barrier, so the others leave their sync();
     once all are joined, the lowest worker's own exception is re-raised.
     The threads' malloc arenas are trimmed after the join: without it, what
-    they freed stayed resident, and the mid config's prune-then-eval peak
-    RSS rose from 501 to 566 MB (2 cores, 2 workers).
+    they freed stays resident and raises the process's peak RSS.
     """
     n = max(1, min(rows, _row_workers(), rows * row_size // _MIN_WORKER_SIZE))
     if n == 1:
@@ -424,10 +404,9 @@ def _layer_means(part: _Part, bufs: list, rows: list) -> None:
 
 # The most timesteps either simulator runs a sublayer for, checked before
 # either allocates or steps, and the largest t_conv a run config may ask
-# for; a population's int32 spike count holds it. The longest run the
-# tests make is criterion 05's 6,000 steps. At 100,000, an unrolled run of
-# the mid config (perfbench/mid.cfg; 18 s per 40 steps at batch 32 on 2
-# cores) takes half a day, and its every-step traces would hold 236 GB.
+# for; a population's int32 spike count holds it. It lies far above any run
+# the tests make, and a larger request, which could neither finish in good
+# time nor hold its every-step traces, is refused before any work.
 MAX_TIMESTEPS = 100_000
 
 
@@ -482,7 +461,7 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int, *,
                     _layer_means(part, layer_bufs, [asr[t - 1 - skipped] for asr in layer_asrs])
 
     _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
-    logits = _linear(bufs[-1][-1][:, 0, :], model.cls_w, model.cls_b)
+    logits = _readout(bufs[-1][-1], model.cls_w, model.cls_b, _NP_OPS)
     return logits, _traces(tables, keeps, asrs, cfg.seq_len)
 
 
@@ -537,7 +516,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     asrs = [[np.empty((1, buf[0].size)) for buf in layer] for layer in bufs]
 
     def walk(part):
-        a_x, mine = np.clip(cur_in[part.rows], 0.0, 1.0), streams[part.rows]
+        a_x, mine = _NP_OPS.clip(cur_in[part.rows]), streams[part.rows]
         for li, (stages, keep, layer_bufs) in enumerate(zip(tables, keeps, bufs)):
             axes = {"in": "d", **{stage.name: stage.axis for stage in stages}}
             rates = {"in": a_x}
@@ -551,7 +530,7 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
             _layer_means(part, layer_bufs, [asr[0] for asr in asrs[li]])
 
     _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
-    logits = _linear(bufs[-1][-1][:, 0, :], model.cls_w, model.cls_b)
+    logits = _readout(bufs[-1][-1], model.cls_w, model.cls_b, _NP_OPS)
     return logits, _traces(tables, keeps, asrs, cfg.seq_len)
 
 
@@ -603,7 +582,7 @@ def _rate_walk(params: dict, config, input_scale: float, tokens, head_masks,
         rates += [(f"L{i}.{name}", rate) for name, rate in r.items() if name != "in"]
         a = r["output"]
         layer_outputs.append(a)
-    logits = ops.linear(a[:, 0, :], params["cls_w"], params["cls_b"])
+    logits = _readout(a, params["cls_w"], params["cls_b"], ops)
     return logits, rates, layer_outputs
 
 

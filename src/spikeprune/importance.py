@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .engine import (_AD_OPS, _NP_OPS, _input_currents, _layer_params, _rate_layer,
-                     cross_entropy)
+                     _readout, cross_entropy)
 from .errors import InvalidInputError
 from .model import SpikingModel, _model_arrays
 
@@ -66,8 +66,8 @@ def _layer_grads(model: SpikingModel, consts: dict, i: int, a, seed, labels):
     if labels is None:
         ad.backward(out, seed)
     else:
-        ad.backward(cross_entropy(_AD_OPS.linear(out[:, 0, :], consts["cls_w"],
-                                                 consts["cls_b"]), labels))
+        logits = _readout(out, consts["cls_w"], consts["cls_b"], _AD_OPS)
+        ad.backward(cross_entropy(logits, labels))
     return hm.grad, nm.grad, x.grad
 
 
@@ -85,9 +85,8 @@ def fisher_diagonal(model: SpikingModel, calibration_batches):
     walk keeps each layer's input rates, and each layer's graph is rebuilt
     on its input and swept once, seeded by the gradient the layer above
     handed to that input. At its peak the sweep holds every layer's input
-    rates and one layer's tape, where a whole-graph sweep held every
-    layer's tape; the squared mask gradients are the whole-graph sweep's,
-    byte for byte.
+    rates and one layer's tape; the squared mask gradients are the
+    whole-graph sweep's, byte for byte.
     """
     batches = list(calibration_batches)
     if not batches:

@@ -349,12 +349,14 @@ def init_model(config: ModelConfig, stream: RandomStream) -> SpikingModel:
 
 def slice_columns(model: SpikingModel, keeps: list) -> list:
     """model's layers with every layout axis of layer l cut to keeps[l] (see
-    MaskSet.kept_columns). An axis may keep nothing. Arrays no axis cuts are
-    shared with model, not copied."""
-    return [LayerParams(**{name: getattr(layer, name)[tuple(keep.get(a, slice(None))
+    MaskSet.kept_columns). An axis may keep nothing; one that keeps all is not
+    cut, so an array no axis cuts is a view of model's, which no simulator writes."""
+    cuts = [{a: slice(None) if cols.all() else cols for a, cols in keep.items()}
+            for keep in keeps]
+    return [LayerParams(**{name: getattr(layer, name)[tuple(cut.get(a, slice(None))
                                                             for a in axes)]
                            for name, axes in _LAYOUT.items()})
-            for layer, keep in zip(model.layers, keeps)]
+            for layer, cut in zip(model.layers, cuts)]
 
 
 # --- checkpoint files --------------------------------------------------------

@@ -238,8 +238,8 @@ def train(model: SpikingModel, masks: MaskSet, plan: TimestepPlan, data,
     def current_masks() -> MaskSet:
         if not train_masks:
             return masks_out
-        sig_h = [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_heads]
-        sig_n = [1.0 / (1.0 + np.exp(-config.kappa * z)) for z in z_neurons]
+        sig_h = [ad._sigmoid(z * config.kappa) for z in z_heads]
+        sig_n = [ad._sigmoid(z * config.kappa) for z in z_neurons]
         return MaskSet(masks_out.heads, masks_out.neurons, sig_h, sig_n).harden()
 
     for epoch in range(config.epochs):

@@ -219,6 +219,9 @@ class TestRunUnrolled:
             bad[0, 1] = token
             with pytest.raises(InvalidInputError):
                 run(model, masks, bad)
+        for bad in (np.array([[0, 1.5, 2, 3]] * 2), np.ones((2, 4), dtype=bool)):
+            with pytest.raises(InvalidInputError):
+                run(model, masks, bad)
         if entry == "run_unrolled":
             with pytest.raises(InvalidInputError):
                 run_unrolled(model, masks, np.zeros((2, 4), dtype=np.int64), 0)

@@ -1,10 +1,13 @@
-"""Source hygiene: no package module imports a name it does not use.
+"""Source hygiene: no package module imports a name it does not use, and
+no private definition outlives its last caller.
 
 Each `src/spikeprune/*.py` except `__init__.py` is parsed with `ast`; a
 name bound by an import must be read somewhere in the module (string
 annotations included) or listed in its `__all__`. `__init__.py` re-exports:
 the names it imports must be exactly its `__all__`. A deletion that leaves
-its import or its export behind fails here.
+its import or its export behind fails here. A private top-level function or
+class (`_name`) must be referenced somewhere in the package outside its own
+definition, so a helper whose callers are all gone fails here too.
 """
 
 import ast
@@ -54,6 +57,46 @@ def unused_imports(source: str) -> list:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def _references(module: str, tree) -> list:
+    """(module, name, node) for each reference in tree to a package module's
+    top-level name: a name it reads (its own), a name it imports from a
+    sibling module, or an attribute of a sibling it imports whole."""
+    refs, siblings = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                else:
+                    refs.append((node.module, alias.name, node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((module, node.id, node))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in siblings):
+            refs.append((siblings[node.value.id], node.attr, node))
+    return refs
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """The private top-level functions and classes of sources (module name:
+    source) that nothing in sources refers to outside the definition
+    itself, as "module.name"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = [ref for module, tree in trees.items() for ref in _references(module, tree)]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if not any(target == module and name == node.name and id(found) not in inside
+                       for target, name, found in refs):
+                unused.append(f"{module}.{node.name}")
+    return sorted(unused)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
@@ -86,3 +129,44 @@ def f(masks: "MaskSet") -> int:
 '''
     assert unused_imports(source) == ["Bad (line 6)", "SUBLAYERS (line 5)", "os (line 3)",
                                       "osp (line 3)"]
+
+
+def test_every_private_definition_has_a_caller():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_dead_code_check_catches_what_it_should():
+    sources = {
+        "a": """
+def _used(x):
+    return x
+
+def _recursive(n):
+    return _recursive(n - 1) if n else 0
+
+class _Orphan:
+    pass
+
+def _exported():
+    return _used(1)
+
+def _shadowed():  # b's own _shadowed is not this one
+    pass
+
+def __getattr__(name):
+    raise AttributeError(name)
+""",
+        "b": """
+from .a import _exported
+from . import a
+
+def _shadowed():
+    return a._used(2)
+
+def public():
+    return _exported() + _shadowed()
+""",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._Orphan", "a._recursive",
+                                                         "a._shadowed"]
