@@ -158,16 +158,23 @@ def _prune(scores, config: ModelConfig, budget: float) -> MaskSet:
 
 
 def _sequential_eval(model, masks, plan, data: Dataset, stream: RandomStream, batch: int):
-    """(accuracy, {trace name: mean converged rate}) of run_sequential over data.
-    Example j draws from stream.derive(j), so batch sets only memory and speed."""
-    hits, sums = 0, {}
+    """(accuracy, {trace name: per-unit converged rates}) of run_sequential over data.
+
+    Example j draws from stream.derive(j), so batch sets only memory and
+    speed. A trace row is its spike counts summed over the chunk divided by
+    budget x rows, so the counts come back exact (budget x rows < 2**51);
+    their sums over the chunks are divided once, by budget x examples.
+    """
+    hits, counts = 0, {}
+    budgets = plan.flat().tolist()
     for first in range(0, len(data), batch):
         tokens, labels = data.tokens[first:first + batch], data.labels[first:first + batch]
         logits, traces = run_sequential(model, masks, plan, tokens, stream, first)
         hits += int((logits.argmax(axis=1) == labels).sum())
-        for t in traces:
-            sums[t.name] = sums.get(t.name, 0.0) + t.converged.mean() * len(labels)
-    return hits / len(data), {name: total / len(data) for name, total in sums.items()}
+        for tr, t in zip(traces, budgets):
+            counts[tr.name] = counts.get(tr.name, 0.0) + np.rint(tr.converged * (t * len(labels)))
+    return hits / len(data), {name: total / (t * len(data))
+                              for (name, total), t in zip(counts.items(), budgets)}
 
 
 def _seq_accuracy(model, masks, plan, data: Dataset, stream: RandomStream,

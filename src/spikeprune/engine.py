@@ -40,11 +40,13 @@ training and Fisher scoring differentiate through the masks.
 
 Every stage of both walks is row-independent, so both split the batch
 rows over worker threads (`_split_rows`); numpy releases the GIL inside
-ufuncs and BLAS. Each worker writes its rows of a sublayer's rates into a
-shared full-batch buffer, and once all have finished a layer, its trace
-rows are means over those whole buffers (`_layer_means`), so no output
-depends on the worker count. A converged_only unrolled walk takes those
-means, and so waits for the other workers, only at its last step.
+ufuncs and BLAS. A worker holds its own rates and LIF state, and shares
+only the trace rows: it adds its rows' sums of each sublayer's spike
+counts into them under one lock (`_add_counts`), and once the workers
+are joined each row is divided once by timesteps x batch (`_traces`).
+Integer sums below 2**53 are exact in float64 whatever order they are
+added in, so no trace depends on the worker count or the order of the
+batch rows. The readout runs once, on the whole batch.
 Both simulators refuse more than MAX_TIMESTEPS steps.
 
 Rates are float64 arrays shaped (batch, seq, units). A population holds
@@ -210,7 +212,8 @@ def _layer_stages(layer, head_mask, head_dim, ops) -> tuple:
 
 
 def _compressed(model: SpikingModel, masks: MaskSet, tokens):
-    """Both simulators' prologue: (input currents, kept columns, stage tables).
+    """Both simulators' prologue: (input currents, kept columns, stage
+    tables, units), units holding per layer each sublayer's kept units.
 
     The tables are those of the layers sliced to MaskSet.kept_columns, with
     no masks; a layer may keep no head or no neuron. A trace averages over
@@ -223,7 +226,10 @@ def _compressed(model: SpikingModel, masks: MaskSet, tokens):
     keeps = masks.kept_columns(model.config.head_dim)
     tables = [_layer_stages(layer, None, model.config.head_dim, _NP_OPS)
               for layer in slice_columns(model, keeps)]
-    return cur_in, keeps, tables
+    units = [[int(keep[stage.axis].sum()) if stage.axis in keep
+              else model.config.hidden_size for stage in stages]
+             for stages, keep in zip(tables, keeps)]
+    return cur_in, keeps, tables, units
 
 
 class _Population:
@@ -257,13 +263,15 @@ class _Population:
         return self.spikes
 
 
-def _traces(tables, keeps, asrs, seq_len: int) -> list:
-    """One AsrTrace per sublayer in trace order from its rows of batch-mean
-    rates over its kept columns (asrs, per layer and sublayer): the columns
-    its keep drops are inserted reading 0."""
+def _traces(tables, keeps, sums, samples, seq_len: int) -> list:
+    """One AsrTrace per sublayer in trace order from its rows of spike-count
+    sums over the batch and its kept columns (sums, per layer and sublayer),
+    each divided once by its samples[li][j] (timesteps x batch, one per row
+    or for all rows): the columns its keep drops are inserted reading 0."""
     traces = []
-    for li, (stages, keep, layer_asrs) in enumerate(zip(tables, keeps, asrs)):
-        for stage, asr in zip(stages, layer_asrs):
+    for li, (stages, keep, layer_sums) in enumerate(zip(tables, keeps, sums)):
+        for j, (stage, asr) in enumerate(zip(stages, layer_sums)):
+            asr /= samples[li][j]
             cols = keep.get(stage.axis)
             if cols is not None and not cols.all():
                 steps = asr.shape[0]
@@ -274,18 +282,21 @@ def _traces(tables, keeps, asrs, seq_len: int) -> list:
     return traces
 
 
-def _rate_buffers(batch: int, tables, keeps, config) -> list:
-    """Per layer, one (batch, seq, units) rate array per sublayer, every
-    worker writing its own rows. Layer l's arrays are views of one
-    (batch, seq x widest units) buffer per SUBLAYERS position, so a walk
-    holds one layer's rates; a layer's output overwrites the previous
-    layer's, its input, only after every stage that reads the input has
-    run. Every layer's batch row b lies inside the buffer's row b, so a
-    worker's rows are its own at any layer width: workers at different
-    layers or timesteps never write what another reads."""
-    seq = config.seq_len
-    units = [[int(keep[stage.axis].sum()) if stage.axis in keep else config.hidden_size
-              for stage in stages] for stages, keep in zip(tables, keeps)]
+def _add_counts(lock, row: np.ndarray, total: np.ndarray) -> None:
+    """Add the spike counts total, summed over its batch rows (outside the
+    lock), into the shared trace row under it. The sums are exact while
+    timesteps x batch < 2**53, so the order workers add in changes no bit."""
+    counts = total.sum(axis=0, dtype=np.float64).ravel()
+    with lock:
+        row += counts
+
+
+def _rate_buffers(batch: int, units: list, seq: int) -> list:
+    """Per layer, one (batch, seq, units) rate array per sublayer, for one
+    worker's batch rows. Layer l's arrays are views of one (batch, seq x
+    widest units) buffer per SUBLAYERS position, so a walk holds one
+    layer's rates; a layer's output overwrites the previous layer's, its
+    input, only after every stage that reads the input has run."""
     flat = [np.empty((batch, seq * max(widths))) for widths in zip(*units)]
     return [[buf[:, :seq * w].reshape(batch, seq, w) for buf, w in zip(flat, widths)]
             for widths in units]
@@ -331,51 +342,33 @@ def _row_workers() -> int:
     return max(1, cores // max(1, getter()))
 
 
-@dataclasses.dataclass(frozen=True)
-class _Part:
-    """Worker k of n: its batch rows, and sync(), which returns once every
-    worker has called it (nothing to wait for with one worker)."""
-
-    k: int
-    n: int
-    rows: slice
-    sync: object
-
-    def share(self, items: list) -> list:
-        """This worker's share of a list every worker holds."""
-        return items[self.k::self.n]
-
-
 # The fewest elements of a (batch, seq, hidden) rate array a worker takes.
 # Below it the interpreter's time, which the GIL serializes, outweighs the
 # numpy work threads overlap, and two workers run slower than one.
 _MIN_WORKER_SIZE = 16384
 
 
-def _split_rows(rows: int, row_size: int, walk) -> None:
-    """Run walk(part) on n = min(rows, _row_workers(), rows * row_size //
-    _MIN_WORKER_SIZE) workers (at least 1), worker k taking rows
-    [k * rows // n, (k + 1) * rows // n).
+def _split_rows(rows: int, row_size: int, walk) -> list:
+    """Run walk(rows) on n = min(rows, _row_workers(), rows * row_size //
+    _MIN_WORKER_SIZE) workers (at least 1), worker k taking the row slice
+    [k * rows // n, (k + 1) * rows // n); returns their results in worker
+    order.
 
-    Worker 0 runs in the calling thread, so one worker starts no thread. A
-    worker that raises breaks the barrier, so the others leave their sync();
-    once all are joined, the lowest worker's own exception is re-raised.
-    The threads' malloc arenas are trimmed after the join: without it, what
+    Worker 0 runs in the calling thread, so one worker starts no thread.
+    Once all are joined, the lowest worker's exception is re-raised. The
+    threads' malloc arenas are trimmed after the join: without it, what
     they freed stays resident and raises the process's peak RSS.
     """
     n = max(1, min(rows, _row_workers(), rows * row_size // _MIN_WORKER_SIZE))
     if n == 1:
-        walk(_Part(0, 1, slice(0, rows), lambda: None))
-        return
-    barrier = threading.Barrier(n)
-    errors = [None] * n
+        return [walk(slice(0, rows))]
+    results, errors = [None] * n, [None] * n
 
     def run(k):
         try:
-            walk(_Part(k, n, slice(k * rows // n, (k + 1) * rows // n), barrier.wait))
+            results[k] = walk(slice(k * rows // n, (k + 1) * rows // n))
         except BaseException as exc:  # re-raised in the caller
             errors[k] = exc
-            barrier.abort()
 
     threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(1, n)]
     for thread in threads:
@@ -386,20 +379,10 @@ def _split_rows(rows: int, row_size: int, walk) -> None:
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
-    raised = [exc for exc in errors if exc is not None]
-    if raised:
-        raise next((exc for exc in raised
-                    if not isinstance(exc, threading.BrokenBarrierError)), raised[0])
-
-
-def _layer_means(part: _Part, bufs: list, rows: list) -> None:
-    """Once every worker has written its rows of one layer's rates, write
-    each sublayer's batch mean over the whole buffer into its trace row
-    (the workers share the sublayers), then wait until all are written."""
-    part.sync()
-    for buf, row in part.share(list(zip(bufs, rows))):
-        np.mean(buf, axis=0, out=row.reshape(buf.shape[1:]))
-    part.sync()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # The most timesteps either simulator runs a sublayer for, checked before
@@ -426,43 +409,46 @@ def run_unrolled(model: SpikingModel, masks: MaskSet, tokens, timesteps: int, *,
     sublayer in layer-major SUBLAYERS order, over the full (seq x units)
     width, where pruned units read 0, with one row per timestep. With
     converged_only, a trace holds only the final (converged) row, the
-    bytes of the every-step run's last row; the walk then takes no batch
-    means and waits on no other worker before the last step.
+    bytes of the every-step run's last row; the walk then adds spike
+    counts into no trace row before the last step.
     """
     _check_timesteps(timesteps)
-    cur_in, keeps, tables = _compressed(model, masks, tokens)
+    cur_in, keeps, tables, units = _compressed(model, masks, tokens)
     cfg, batch = model.config, cur_in.shape[0]
-    bufs = _rate_buffers(batch, tables, keeps, cfg)
     kept = 1 if converged_only else timesteps
-    asrs = [[np.empty((kept, buf[0].size)) for buf in layer] for layer in bufs]
-    skipped = timesteps - kept
+    sums = [[np.zeros((kept, cfg.seq_len * w)) for w in widths] for widths in units]
+    skipped, lock = timesteps - kept, threading.Lock()
     # the spikes a matrix product reads (the layer input's and fc's) turn
     # float64 once a step, as the product of a bool array is several times
     # slower than a float one; the others stay bool
     fed = {stage.source for stage in tables[0] if stage.entry == _SPIKES}
 
-    def walk(part):
+    def walk(rows):
+        x_in = cur_in[rows]
+        bufs = _rate_buffers(len(x_in), units, cfg.seq_len)
         encoder = _Population(1.0, cfg.leak)
         pops = [[_Population(layer.vth[stage.col], cfg.leak) for stage in stages]
                 for layer, stages in zip(model.layers, tables)]
-        x_in = cur_in[part.rows]
         for t in range(1, timesteps + 1):
             spiked, rates = encoder.step(x_in), {"in": encoder.total / t}
-            for stages, layer_pops, layer_bufs, layer_asrs in zip(tables, pops, bufs, asrs):
+            for stages, layer_pops, layer_bufs, layer_sums in zip(tables, pops, bufs, sums):
                 spikes = {"in": spiked.astype(np.float64)}
-                for stage, pop, buf in zip(stages, layer_pops, layer_bufs):
+                for stage, pop, buf, asr in zip(stages, layer_pops, layer_bufs, layer_sums):
                     x = (None if stage.entry == _RATES else
                          (spikes if stage.entry == _SPIKES else rates)[stage.source])
                     s = pop.step(stage.current(x, rates))
                     spikes[stage.name] = s.astype(np.float64) if stage.name in fed else s
-                    rates[stage.name] = np.divide(pop.total, t, out=buf[part.rows])
+                    rates[stage.name] = np.divide(pop.total, t, out=buf)
+                    if t > skipped:
+                        _add_counts(lock, asr[t - 1 - skipped], pop.total)
                 spiked, rates = spikes["output"], {"in": rates["output"]}
-                if t > skipped:
-                    _layer_means(part, layer_bufs, [asr[t - 1 - skipped] for asr in layer_asrs])
+        return rates["in"][:, :1]
 
-    _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
-    logits = _readout(bufs[-1][-1], model.cls_w, model.cls_b, _NP_OPS)
-    return logits, _traces(tables, keeps, asrs, cfg.seq_len)
+    first = _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
+    logits = _readout(np.concatenate(first), model.cls_w, model.cls_b, _NP_OPS)
+    samples = (np.arange(skipped + 1, timesteps + 1) * batch)[:, None]
+    return logits, _traces(tables, keeps, sums, [[samples] * len(stages) for stages in tables],
+                           cfg.seq_len)
 
 
 def _sublayer_currents(stage: _Stage, rates: dict, t: int, streams, keep):
@@ -503,35 +489,38 @@ def run_sequential(model: SpikingModel, masks: MaskSet, plan: TimestepPlan,
     kept units equal the masked model's run.
 
     Returns (logits, traces); traces hold one AsrTrace per sublayer with a
-    single row, the batch mean of its converged rates after its own
-    budget, over the full (seq x units) width, where pruned units read 0.
+    single row, its spike counts after its own budget summed over the
+    batch and divided once by budget x batch, over the full (seq x units)
+    width, where pruned units read 0.
     """
     _check_timesteps(plan.max_timesteps())
-    cur_in, keeps, tables = _compressed(model, masks, tokens)
+    cur_in, keeps, tables, units = _compressed(model, masks, tokens)
     cfg, batch = model.config, cur_in.shape[0]
     if plan.num_layers != cfg.num_layers:
         raise InvalidInputError("plan layer count does not match model")
     streams = [stream.derive(first + i) for i in range(batch)]
-    bufs = _rate_buffers(batch, tables, keeps, cfg)
-    asrs = [[np.empty((1, buf[0].size)) for buf in layer] for layer in bufs]
+    sums = [[np.zeros((1, cfg.seq_len * w)) for w in widths] for widths in units]
+    lock = threading.Lock()
 
-    def walk(part):
-        a_x, mine = _NP_OPS.clip(cur_in[part.rows]), streams[part.rows]
+    def walk(rows):
+        a_x, mine = _NP_OPS.clip(cur_in[rows]), streams[rows]
+        bufs = _rate_buffers(len(a_x), units, cfg.seq_len)
         for li, (stages, keep, layer_bufs) in enumerate(zip(tables, keeps, bufs)):
             axes = {"in": "d", **{stage.name: stage.axis for stage in stages}}
             rates = {"in": a_x}
-            for stage, buf, t in zip(stages, layer_bufs, plan.steps[li].tolist()):
+            for stage, buf, asr, t in zip(stages, layer_bufs, sums[li], plan.steps[li].tolist()):
                 pop = _Population(model.layers[li].vth[stage.col], cfg.leak)
                 for current in _sublayer_currents(stage, rates, t, mine,
                                                   keep.get(axes.get(stage.source))):
                     pop.step(current)
-                rates[stage.name] = np.divide(pop.total, t, out=buf[part.rows])
+                rates[stage.name] = np.divide(pop.total, t, out=buf)
+                _add_counts(lock, asr[0], pop.total)
             a_x = rates["output"]
-            _layer_means(part, layer_bufs, [asr[0] for asr in asrs[li]])
+        return a_x[:, :1]
 
-    _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
-    logits = _readout(bufs[-1][-1], model.cls_w, model.cls_b, _NP_OPS)
-    return logits, _traces(tables, keeps, asrs, cfg.seq_len)
+    first = _split_rows(batch, cfg.seq_len * cfg.hidden_size, walk)
+    logits = _readout(np.concatenate(first), model.cls_w, model.cls_b, _NP_OPS)
+    return logits, _traces(tables, keeps, sums, plan.steps * batch, cfg.seq_len)
 
 
 # --- differentiable rate proxy -----------------------------------------------

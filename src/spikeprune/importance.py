@@ -117,22 +117,27 @@ def asr_factors(traces, config):
     Head i's factor is the mean converged rate of its spike-converted
     attention output over the head's dims and all tokens; neuron j's is its
     mean converged rate over tokens. Traces are expected in layer-major
-    sublayer order as produced by the simulators.
+    sublayer order as produced by the simulators, each layer's attn and
+    inter trace over the config's full (seq x units) width.
     """
     by_name = {t.name: t for t in traces}
     heads = []
     neurons = []
-    n, hd = config.seq_len, config.head_dim
+    n, kh, hd = config.seq_len, config.num_heads, config.head_dim
+
+    def converged(name: str, width: int) -> np.ndarray:
+        if name not in by_name:
+            raise InvalidInputError(f"no {name} trace")
+        conv = by_name[name].converged
+        if conv.size != width:
+            raise InvalidInputError(f"{name} trace size {conv.size} is not {width}")
+        return conv
+
     li = 0
     while f"L{li}.attn" in by_name:
-        conv = by_name[f"L{li}.attn"].converged
-        if conv.size % (n * hd) != 0:
-            raise InvalidInputError(f"L{li}.attn trace size {conv.size} does not "
-                                    f"factor into heads of width {hd}")
-        kh = conv.size // (n * hd)
-        heads.append(conv.reshape(n, kh, hd).mean(axis=(0, 2)))
-        conv = by_name[f"L{li}.inter"].converged
-        neurons.append(conv.reshape(n, conv.size // n).mean(axis=0))
+        heads.append(converged(f"L{li}.attn", n * kh * hd).reshape(n, kh, hd).mean(axis=(0, 2)))
+        conv = converged(f"L{li}.inter", n * config.intermediate_size)
+        neurons.append(conv.reshape(n, config.intermediate_size).mean(axis=0))
         li += 1
     if li == 0:
         raise InvalidInputError("no attention traces found")

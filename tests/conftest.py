@@ -519,7 +519,7 @@ class _MaskedPopulation:
         self.state, s = reference_lif_step(self.state, current, self.vth, self.leak)
         mask = self.spike_mask
         self.total += s if mask is None else s * mask
-        self.rows.append((self.total / t).mean(axis=0).ravel())
+        self.rows.append((self.total.sum(axis=0) / (t * len(self.total))).ravel())
         return s
 
     def trace(self) -> AsrTrace:

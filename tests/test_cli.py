@@ -272,16 +272,24 @@ class TestEval:
         assert 0.0 <= result["accuracy"] <= 1.0
         assert result["examples"] == 40
         assert json.loads(printed) == result
-        # example j draws from the same stream at every batch size, so --batch
-        # moves only normalized_c's rounding (its rates sum chunk by chunk)
+        # example j draws from the same stream at every batch size, and its
+        # spike counts add exactly, so --batch changes no figure
         for batch in ("1", "7", "40"):
             out = tmp_path / f"batch{batch}.json"
             assert cli.main(args[:-1] + [batch, "--out", str(out)]) == 0
-            other = json.loads(out.read_text())
-            for key in ("accuracy", "acs_ratio", "mean_timesteps", "examples"):
-                assert other[key] == result[key], (batch, key)
-            assert other["normalized_c"] == pytest.approx(result["normalized_c"],
-                                                          rel=1e-12, abs=0)
+            assert json.loads(out.read_text()) == result, batch
+
+    @pytest.mark.parametrize("checkpoint,data", [("spatial", "100"), ("temporal", "400")])
+    def test_batch_changes_no_byte(self, ws, tmp_path, checkpoint, data):
+        """normalized_c sums spike counts, not chunk means: --batch 7 and 50
+        write the same bytes."""
+        written = []
+        for batch in ("7", "50"):
+            out = tmp_path / f"batch{batch}.json"
+            assert cli.main(["eval", "--checkpoint", ws[checkpoint], "--data", data,
+                             "--batch", batch, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_jsonl_input(self, ws, tmp_path):
         data = gen_keyword_task(8, 4, 20, RandomStream(4))

@@ -10,7 +10,7 @@ from conftest import reference_backward, tiny_model, token_batch, traced
 from spikeprune import (InvalidInputError, MaskSet, RandomStream,
                         asr_factors, combine, fisher_diagonal,
                         rate_proxy_forward, run_unrolled)
-from spikeprune import Dataset, ImportanceScores
+from spikeprune import AsrTrace, Dataset, ImportanceScores
 from spikeprune import autodiff as ad
 from spikeprune.cli import _importance_scores
 from spikeprune.engine import cross_entropy, proxy_graph
@@ -221,17 +221,21 @@ class TestAsrFactors:
         model = tiny_model(0)
         with pytest.raises(InvalidInputError):
             asr_factors([], model.config)
+        attn = AsrTrace("L0.attn", np.ones((1, 32)))
+        with pytest.raises(InvalidInputError, match="^no L0.inter trace$"):
+            asr_factors([attn], model.config)
 
     def test_bad_width_rejected(self):
-        class T:
-            def __init__(self, name, converged):
-                self.name = name
-                self.converged = converged
-
-        cfg = tiny_model(0).config   # N=4, hd=4
-        traces = [T("L0.attn", np.ones(7)), T("L0.inter", np.ones(24))]
-        with pytest.raises(InvalidInputError):
-            asr_factors(traces, cfg)
+        cfg = tiny_model(0).config   # N=4, 2 heads of hd=4, 6 neurons
+        for attn, inter, name in (
+                (7, 24, "L0.attn"),       # not a whole number of heads
+                (16, 24, "L0.attn"),      # a whole number, but not the config's 2 heads
+                (32, 22, "L0.inter"),     # not a multiple of seq_len
+                (32, 20, "L0.inter")):    # a whole number, but not the config's 6 neurons
+            traces = [AsrTrace("L0.attn", np.ones((1, attn))),
+                      AsrTrace("L0.inter", np.ones((1, inter)))]
+            with pytest.raises(InvalidInputError, match=f"^{name} trace size"):
+                asr_factors(traces, cfg)
 
 
 class TestCombine:
